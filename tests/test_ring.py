@@ -2,6 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from census.errors import PoleAtPoint, SubstitutionToZeroPole
@@ -11,6 +12,7 @@ from census.ring import (
     Monomial,
     SparsePoly,
     adams_map,
+    add_many,
     atom_inverse,
     eval_numeric,
     geometric,
@@ -225,3 +227,163 @@ def test_eval_commutes_with_normalize(a, rng):
         return
     scale = max(1.0, abs(lhs))
     assert abs(lhs - rhs) / scale < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Differential tests against sympy: every ring operation on small random
+# FactoredRats must agree with sympy's rational-function arithmetic after
+# sympy.cancel.  Values are read through to_json, so these tests do not
+# depend on how monomials are stored.
+
+DIFF_NAMES = ("a1", "a2", "q", "z", "z1", "u1")
+DIFF_CONSTANTS = (1, -1, 2, Fraction(1, 2))
+SYMBOLS = {name: sympy.Symbol(name) for name in DIFF_NAMES}
+
+
+def _sym_rational(text):
+    n, _, d = text.partition("/")
+    return sympy.Rational(int(n), int(d or 1))
+
+
+def _sym_monomial(variables, vec):
+    out = sympy.Integer(1)
+    for v, e in zip(variables, vec):
+        out *= SYMBOLS[v] ** e
+    return out
+
+
+def to_sympy(f):
+    """A FactoredRat (or SparsePoly) as a sympy expression."""
+    if isinstance(f, SparsePoly):
+        f = FactoredRat.from_poly(f)
+    blob = f.to_json()
+    vs = blob["variables"]
+    num = sum((_sym_rational(c) * _sym_monomial(vs, vec)
+               for vec, c in blob["numerator"]), sympy.Integer(0))
+    den = sympy.Integer(1)
+    for c, vec in blob["denominator"]:
+        den *= 1 - _sym_rational(c) * _sym_monomial(vs, vec)
+    return _sym_monomial(vs, blob["prefactor"]) * num / den
+
+
+def sym_equal(a, b):
+    return sympy.cancel(sympy.together(a - b)) == 0
+
+
+def sym_atom(atom):
+    return to_sympy(FactoredRat.from_poly(atom.as_poly()))
+
+
+@st.composite
+def diff_monomials(draw, min_vars=0, max_vars=2):
+    n = draw(st.integers(min_value=min_vars, max_value=max_vars))
+    vs = draw(st.lists(st.sampled_from(DIFF_NAMES), min_size=n, max_size=n,
+                       unique=True))
+    return Monomial({v: draw(st.integers(min_value=-2, max_value=2).filter(bool))
+                     for v in vs})
+
+
+@st.composite
+def diff_polys(draw, min_terms=0, max_terms=3):
+    k = draw(st.integers(min_value=min_terms, max_value=max_terms))
+    return SparsePoly([(draw(diff_monomials()),
+                        draw(st.sampled_from(DIFF_CONSTANTS)))
+                       for _ in range(k)])
+
+
+@st.composite
+def diff_atoms(draw):
+    _, _, atom = Atom.make(draw(st.sampled_from(DIFF_CONSTANTS)),
+                           draw(diff_monomials(min_vars=1)))
+    return atom
+
+
+@st.composite
+def raw_fracs(draw, min_terms=0, max_terms=3):
+    """Unnormalized: some denominator atoms are planted in the numerator,
+    and atoms may repeat."""
+    num = draw(diff_polys(min_terms, max_terms))
+    den = draw(st.lists(diff_atoms(), max_size=3))
+    for atom in den:
+        if draw(st.booleans()):
+            num = num * atom.as_poly()
+    if den and draw(st.booleans()):
+        den.append(den[0])
+    return FactoredRat(draw(diff_monomials()), num, den)
+
+
+DIFF = settings(max_examples=40, deadline=None)
+
+
+@DIFF
+@given(raw_fracs())
+def test_diff_normalize(f):
+    n = f.normalize()
+    assert sym_equal(to_sympy(n), to_sympy(f))
+    for atom in set(n.denominator):
+        assert n.numerator.divide_atom(atom) is None
+
+
+@DIFF
+@given(st.lists(raw_fracs(max_terms=2), min_size=1, max_size=3))
+def test_diff_add_many(fs):
+    want = sum((to_sympy(f) for f in fs), sympy.Integer(0))
+    assert sym_equal(to_sympy(add_many(fs)), want)
+
+
+@DIFF
+@given(raw_fracs(max_terms=2), raw_fracs(max_terms=2))
+def test_diff_mul(a, b):
+    assert sym_equal(to_sympy(a * b), to_sympy(a) * to_sympy(b))
+
+
+@DIFF
+@given(diff_polys(), diff_atoms(), st.booleans())
+def test_diff_divide_atom(p, atom, plant):
+    if plant:
+        p = p * atom.as_poly()
+    quotient = p.divide_atom(atom)
+    if quotient is None:
+        assert not plant
+        _, den = sympy.fraction(sympy.cancel(to_sympy(p) / sym_atom(atom)))
+        assert not sympy.Poly(den, *SYMBOLS.values()).is_monomial
+    else:
+        assert sym_equal(to_sympy(quotient) * sym_atom(atom), to_sympy(p))
+
+
+@DIFF
+@given(raw_fracs(), st.sampled_from(DIFF_NAMES),
+       st.sampled_from(DIFF_CONSTANTS), diff_monomials())
+def test_diff_substitute(f, var, coeff, image):
+    image = image.without(var)
+    point = {SYMBOLS[var]: coeff * to_sympy(FactoredRat.from_monomial(image))}
+    try:
+        got = f.substitute(var, coeff, image)
+    except SubstitutionToZeroPole:
+        assert any(sympy.cancel(sym_atom(a).subs(point)) == 0
+                   for a in f.denominator)
+        return
+    assert sym_equal(to_sympy(got), to_sympy(f).subs(point))
+
+
+@DIFF
+@given(raw_fracs(min_terms=1, max_terms=2))
+def test_diff_inverse(f):
+    n = f.normalize()
+    if n.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            f.inverse()
+        return
+    if len(n.numerator) > 2:
+        with pytest.raises(ValueError):
+            f.inverse()
+        return
+    assert sym_equal(to_sympy(f.inverse()) * to_sympy(f), sympy.Integer(1))
+
+
+@DIFF
+@given(raw_fracs(), st.integers(min_value=1, max_value=3))
+def test_diff_adams(f, k):
+    powers = {s: s ** k for s in SYMBOLS.values()}
+    assert sym_equal(to_sympy(f.adams(k)),
+                     to_sympy(f).subs(powers, simultaneous=True))
