@@ -5,8 +5,8 @@ coordinates of a genus-g curve, together with the derived Higgs-moduli
 point counts, Poincare polynomials, and constant-term invariants.
 """
 
-from .errors import (CensusError, HigherOrderPole, IdentityViolation,
-                     NegativeBettiCoefficient, NotAugmented,
+from .errors import (CensusError, ExponentOverflow, HigherOrderPole,
+                     IdentityViolation, NegativeBettiCoefficient, NotAugmented,
                      NotPolynomialAfterClearing, NotUnitConstantTerm, NotWeil,
                      PoleArgument, PoleAtPoint, RoundingFailure,
                      SubstitutionToZeroPole, UsageError)
@@ -24,8 +24,9 @@ from .zeta import CurveData, pair_reduce, siegel_volume, torsion_volume_series, 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CensusError", "CurveData", "ENGINE_VERSION", "FactoredRat",
-    "HigherOrderPole", "IdentityViolation", "KacResult", "Monomial",
+    "CensusError", "CurveData", "ENGINE_VERSION", "ExponentOverflow",
+    "FactoredRat", "HigherOrderPole", "IdentityViolation", "KacResult",
+    "Monomial",
     "NegativeBettiCoefficient", "NotAugmented", "NotPolynomialAfterClearing",
     "NotUnitConstantTerm", "NotWeil", "Partition", "PoleArgument",
     "PoleAtPoint", "RegularityReport", "RoundingFailure", "SparsePoly",

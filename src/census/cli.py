@@ -68,15 +68,33 @@ def _cache_dir(args):
     return os.environ.get("CENSUS_CACHE") or args.cache_dir
 
 
+_RESULT_KEYS = frozenset(("genus", "rank", "degree_class", "polynomial",
+                          "flags", "provenance"))
+
+
+def _cache_name(genus, rank, degree_class):
+    return "kac_g%d_r%d_d%d.json" % (genus, rank, degree_class)
+
+
 def _cache_load(path):
+    """The result stored at path, or None for a miss: an unreadable file,
+    another engine version, an entry that is not a result object, or one
+    whose genus, rank and degree class are not those of its file name."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             blob = json.load(fh)
     except (OSError, ValueError):
         return None
-    if blob.get("engine") != ENGINE_VERSION:
+    if not isinstance(blob, dict) or blob.get("engine") != ENGINE_VERSION:
         return None
-    return blob.get("result")
+    result = blob.get("result")
+    if not isinstance(result, dict) or not _RESULT_KEYS <= result.keys():
+        return None
+    key = (result["genus"], result["rank"], result["degree_class"])
+    if (any(type(k) is not int for k in key)
+            or _cache_name(*key) != os.path.basename(path)):
+        return None
+    return result
 
 
 def _cache_store(path, result):
@@ -100,8 +118,7 @@ def _kac_result_json(args):
     cdir = _cache_dir(args)
     path = None
     if cdir:
-        path = os.path.join(cdir, "kac_g%d_r%d_d%d.json"
-                            % (args.genus, args.rank, d))
+        path = os.path.join(cdir, _cache_name(args.genus, args.rank, d))
         cached = _cache_load(path)
         if cached is not None:
             return cached

@@ -14,6 +14,10 @@ class SubstitutionToZeroPole(CensusError):
     """A substitution made a denominator atom vanish identically."""
 
 
+class ExponentOverflow(CensusError):
+    """A monomial exponent left the packed field range |e| < 2**22."""
+
+
 class PoleAtPoint(CensusError):
     """Numeric evaluation hit a vanishing denominator atom."""
 

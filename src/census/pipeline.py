@@ -158,27 +158,22 @@ def lift_paired(f, g):
     if f.denominator:
         return None
     odd = [alpha_name(2 * i - 1) for i in range(1, g + 1)]
-    allowed = set(odd) | {"q"}
+    poly = f.numerator.mul_monomial(f.prefactor)
+    if not poly.variables() <= set(odd) | {"q"}:
+        return None
+    # α_{2i-1}^{-1} = α_{2i}/q, applied once per negative power
+    moves = [(name, Monomial.of(q=-1, **{name: 1, alpha_name(2 * i): 1}))
+             for i, name in enumerate(odd, start=1)]
     out = {}
-    for m, c in f.numerator.mul_monomial(f.prefactor).terms.items():
-        if not set(m.variables()) <= allowed:
-            return None
-        a = m.exponent("q")
-        exps = {}
-        for i, name in enumerate(odd, start=1):
+    for code, c in poly.terms.items():
+        m = Monomial.from_code(code)
+        for name, move in moves:
             b = m.exponent(name)
-            if b >= 0:
-                if b:
-                    exps[name] = b
-            else:
-                exps[alpha_name(2 * i)] = -b
-                a -= -b
-        if a < 0:
+            if b < 0:
+                m = m * move ** -b
+        if m.exponent("q") < 0:
             return None
-        if a:
-            exps["q"] = a
-        mono = Monomial(exps)
-        out[mono] = out.get(mono, 0) + c
+        out[m] = out.get(m, 0) + c
     return SparsePoly(out)
 
 
@@ -326,7 +321,7 @@ def _as_rational(f):
     poly = f.numerator.mul_monomial(f.prefactor)
     total = Fraction(0)
     for m, c in poly.terms.items():
-        if not m.is_one():
+        if m:  # code 0 is the monomial 1
             raise ValueError("not constant: %r" % (f,))
         total += Fraction(c)
     return total
@@ -389,14 +384,14 @@ def betti_polynomial(g, r, d):
     if not coprime or p.is_zero():
         return p
     top = 4 * (1 + (g - 1) * r * r)
-    degrees = [m.exponent("t") for m in p.terms]
-    for m, c in p.terms.items():
+    for code, c in p.terms.items():
         fc = Fraction(c)
         if fc.denominator != 1 or fc < 0:
             raise NegativeBettiCoefficient(
                 "coefficient %s of t^%d in betti(%d,%d,%d)"
-                % (fc, m.exponent("t"), g, r, d))
-    if max(degrees) != top or p.terms.get(Monomial.of(t=top)) != 1:
+                % (fc, Monomial.from_code(code).exponent("t"), g, r, d))
+    lead, c = p.sorted_terms()[0]
+    if lead != Monomial.of(t=top) or c != 1:
         raise IdentityViolation(
             "betti(%d,%d,%d) is not monic of degree %d" % (g, r, d, top))
     return p
@@ -662,8 +657,7 @@ def _latex_var(name, e):
 
 
 def _latex_monomial(m):
-    bits = [_latex_var(v, e) for v, e in sorted(m.items, key=lambda p: var_key(p[0]))]
-    return "".join(bits)
+    return "".join(_latex_var(v, e) for v, e in m.items)
 
 
 def _latex_coeff(c, is_first, has_mono):

@@ -15,15 +15,43 @@ Variable names follow a fixed ambient scheme: "a1".."a2g" for the Weil
 coordinates, "q", "z", "T", the kernel variables "z1".."zn", the ratio
 variables "u1".."un", and the specialization variables "t" and "s".  The
 canonical order is a* < q < z < T < z* < u* < t < s.
+
+Packed monomials.  A monomial is one Python int, its code: every
+variable owns a signed 24-bit field, and the code of the exponent vector
+e is sum(e[v] << 24 * slot(v)) (Monagan and Pearce, "Polynomial division
+using dynamic arrays, heaps, and packed exponent vectors", CASC 2007).
+The monomial 1 is 0, a product is an integer sum, m**k and the Adams
+operation multiply the code by k, and an exponent is read with one
+shift and one mask.  SparsePoly.terms is keyed by codes, so monomials
+are hashed and compared in C.  Monomial wraps one code for callers.
+
+Slot order.  The slot of a variable is a pure function of its name: q,
+z, T, t and s take slots 0..4, and the i-th variable of the a, z and u
+families takes slot 5 + 3(i-1), 6 + 3(i-1) and 7 + 3(i-1).  A code
+therefore means the same monomial in every process, whatever order the
+names were first met in (rhs_series ships results back from worker
+processes).  Each family has 128 variables (so genus <= 64); any other
+name is rejected as unknown.  Decoding lists the variables in canonical
+order; a whole polynomial puts its support in that order once.
+
+Overflow.  Exponents must satisfy |e| < 2**22.  Encoding rejects larger
+ones.  Every code made by a product, power, substitution or Adams
+operation is checked (_check, _check_codes, _scale): the top two bits of
+every field must agree, which holds exactly when the field, after the
+borrow from the fields below, lies in [-2**22, 2**22).  So an exponent
+beyond 2**22 in absolute value raises ExponentOverflow (one of exactly
+2**22 may raise as well); a field never wraps silently.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import repeat
+from operator import and_, index, itemgetter, lshift, or_, rshift, xor
 
-from .errors import PoleAtPoint, SubstitutionToZeroPole
+from .errors import ExponentOverflow, PoleAtPoint, SubstitutionToZeroPole
 
 _VAR_FIXED = {"q": (1, 0), "z": (2, 0), "T": (3, 0), "t": (6, 0), "s": (7, 0)}
 _VAR_FAMILY = {"a": 0, "z": 4, "u": 5}
@@ -43,81 +71,157 @@ def var_key(name):
 
 def _clean(c):
     """Collapse integral Fractions to int; keeps coefficient arithmetic fast."""
-    if isinstance(c, Fraction) and c.denominator == 1:
+    if c.__class__ is Fraction and c.denominator == 1:
         return c.numerator
     return c
 
 
-class Monomial:
-    """Immutable Laurent monomial: finite map variable -> nonzero integer exponent."""
+_W = 24                      # bits per field
+_MASK = (1 << _W) - 1
+_HALF = 1 << (_W - 1)
+_LIMIT = 1 << (_W - 2)       # every |exponent| < _LIMIT is representable
+_WINDOW = 4                  # slots per read in SparsePoly.eval_mod
+_WINDOW_MASK = (1 << _W * _WINDOW) - 1
 
-    __slots__ = ("items", "_hash")
+_NAMES = ["q", "z", "T", "t", "s"]
+for _i in range(1, 129):
+    _NAMES += ["a%d" % _i, "z%d" % _i, "u%d" % _i]
+_SLOT = {name: slot for slot, name in enumerate(_NAMES)}
+_KEY = [var_key(name) for name in _NAMES]
+_SHIFT = [_W * slot for slot in range(len(_NAMES))]
+# Adding _ROUND[s] cancels the borrow from the fields below slot s and
+# biases field s by _HALF, so shifting and masking reads e + _HALF.
+_ROUND = [(_HALF << sh) + (1 << sh >> 1) for sh in _SHIFT]
+_GUARD = sum(1 << (sh + _W - 1) for sh in _SHIFT)
+_BIAS = sum(_HALF << sh for sh in _SHIFT)
+
+
+def _slot(name):
+    slot = _SLOT.get(name)
+    if slot is None:
+        raise ValueError("unknown variable %r" % (name,))
+    return slot
+
+
+def _read(code, slot):
+    """The exponent of one slot of a code."""
+    return (((code + _ROUND[slot]) >> _SHIFT[slot]) & _MASK) - _HALF
+
+
+def _overflow():
+    raise ExponentOverflow("a monomial exponent left the range |e| < %d"
+                           % _LIMIT)
+
+
+def _check(code):
+    if (code ^ (code << 1)) & _GUARD:
+        _overflow()
+    return code
+
+
+def _check_codes(codes):
+    """_check every code of a dict or list, in C."""
+    if reduce(or_, map(xor, codes, map(lshift, codes, repeat(1))), 0) & _GUARD:
+        _overflow()
+
+
+def _scale(code, k):
+    """code * k, checked.  If 2**j * code passes _check for the first j
+    with 2**j >= |k|, so does k * code; otherwise every field is read."""
+    x = code
+    for _ in range((abs(k) - 1).bit_length()):
+        x <<= 1
+        if (x ^ (x << 1)) & _GUARD:
+            fields = [_read(code, s) for s in _support([code])]
+            if max(map(abs, fields)) * abs(k) >= _LIMIT:
+                _overflow()
+            break
+    return code * k
+
+
+def _support(codes):
+    """The slots in which some code of a dict or list has a nonzero
+    exponent, in canonical variable order."""
+    if not codes:
+        return []
+    n = max(map(abs, codes)).bit_length() // _W + 1
+    bias = _BIAS & ((1 << _W * n) - 1)
+    seen = reduce(or_, map(bias.__xor__, map(bias.__add__, codes)), 0)
+    return sorted((s for s in range(n) if (seen >> _W * s) & _MASK),
+                  key=_KEY.__getitem__)
+
+
+class Monomial:
+    """Immutable Laurent monomial: finite map variable -> nonzero integer
+    exponent, held as its packed code (see the module docstring).
+
+    items, the (variable, exponent) pairs in canonical order, is decoded
+    on first use and kept.
+    """
+
+    __slots__ = ("code", "_items")
 
     def __init__(self, exponents=()):
-        if isinstance(exponents, dict):
-            pairs = exponents.items()
-        else:
-            pairs = exponents
-        items = tuple(sorted(((v, e) for v, e in pairs if e),
-                             key=lambda ve: var_key(ve[0])))
-        self.items = items
-        self._hash = hash(items)
+        pairs = exponents.items() if isinstance(exponents, dict) else exponents
+        code = 0
+        for v, e in pairs:
+            e = index(e)
+            if e:
+                if not -_LIMIT < e < _LIMIT:
+                    _overflow()
+                code += e << _SHIFT[_slot(v)]
+        self.code = _check(code)
+        self._items = None
 
     @staticmethod
     def of(**exponents):
         return Monomial(exponents)
 
     @staticmethod
-    def _raw(items):
-        # caller guarantees items is canonically sorted with no zero exponents
+    def from_code(code):
+        """The monomial of a packed code; ExponentOverflow if out of range."""
+        return Monomial._raw(_check(code))
+
+    @staticmethod
+    def _raw(code, items=None):
+        # caller guarantees code passed _check
         m = object.__new__(Monomial)
-        m.items = items
-        m._hash = hash(items)
+        m.code = code
+        m._items = items
         return m
 
+    @property
+    def items(self):
+        items = self._items
+        if items is None:
+            code = self.code
+            items = self._items = tuple((_NAMES[s], _read(code, s))
+                                        for s in _support([code]))
+        return items
+
     def __mul__(self, other):
-        if not other.items:
+        if not other.code:
             return self
-        if not self.items:
+        if not self.code:
             return other
-        a, b = self.items, other.items
-        out = []
-        i = j = 0
-        la, lb = len(a), len(b)
-        while i < la and j < lb:
-            va, ea = a[i]
-            vb, eb = b[j]
-            if va == vb:
-                e = ea + eb
-                if e:
-                    out.append((va, e))
-                i += 1
-                j += 1
-            elif var_key(va) < var_key(vb):
-                out.append(a[i])
-                i += 1
-            else:
-                out.append(b[j])
-                j += 1
-        out.extend(a[i:])
-        out.extend(b[j:])
-        return Monomial._raw(tuple(out))
+        return Monomial._raw(_check(self.code + other.code))
 
     def __pow__(self, k):
-        if k == 0 or not self.items:
+        if k == 0 or not self.code:
             return _ONE_M
         if k == 1:
             return self
-        return Monomial._raw(tuple((v, e * k) for v, e in self.items))
+        return Monomial._raw(_scale(self.code, k))
 
     def exponent(self, var):
-        for v, e in self.items:
-            if v == var:
-                return e
-        return 0
+        slot = _SLOT.get(var)
+        return 0 if slot is None else _read(self.code, slot)
 
     def without(self, var):
-        return Monomial._raw(tuple((v, e) for v, e in self.items if v != var))
+        e = self.exponent(var)
+        if not e:
+            return self
+        return Monomial._raw(self.code - (e << _SHIFT[_SLOT[var]]))
 
     def leading(self):
         """(variable, exponent) of the canonically last variable present."""
@@ -130,14 +234,15 @@ class Monomial:
         return [v for v, _ in self.items]
 
     def is_one(self):
-        return not self.items
+        return not self.code
 
     def subs(self, var, coeff, image):
         """Replace var by coeff*image; return (rational scalar, monomial)."""
         e = self.exponent(var)
         if not e:
             return 1, self
-        return _clean(Fraction(coeff) ** e), self.without(var) * image ** e
+        code = self.code - (e << _SHIFT[_SLOT[var]]) + _scale(image.code, e)
+        return _clean(Fraction(coeff) ** e), Monomial._raw(_check(code))
 
     def eval(self, assignment):
         out = complex(1)
@@ -152,13 +257,15 @@ class Monomial:
         return (self.degree(), tuple((var_key(v), e) for v, e in self.items))
 
     def __eq__(self, other):
-        return self.items == other.items
+        if not isinstance(other, Monomial):
+            return NotImplemented
+        return self.code == other.code
 
     def __hash__(self):
-        return self._hash
+        return hash(self.code)
 
     def __repr__(self):
-        if not self.items:
+        if not self.code:
             return "1"
         return "*".join(v if e == 1 else "%s^%d" % (v, e) for v, e in self.items)
 
@@ -168,10 +275,13 @@ ONE_MONOMIAL = _ONE_M
 
 
 class SparsePoly:
-    """Sparse Laurent polynomial: finite map Monomial -> exact rational coefficient.
+    """Sparse Laurent polynomial: finite map monomial code -> exact
+    rational coefficient.
 
-    Coefficients are Python ints when integral and Fractions otherwise;
-    zero coefficients are never stored.
+    terms is keyed by packed codes (see the module docstring); the
+    constructor also takes Monomial keys.  Coefficients are Python ints
+    when integral and Fractions otherwise; zero coefficients are never
+    stored.
     """
 
     __slots__ = ("terms",)
@@ -182,6 +292,8 @@ class SparsePoly:
             pairs = terms.items() if isinstance(terms, dict) else terms
             for m, c in pairs:
                 if c:
+                    if isinstance(m, Monomial):
+                        m = m.code
                     n = d.get(m, 0) + c
                     if n:
                         d[m] = _clean(n)
@@ -201,22 +313,22 @@ class SparsePoly:
 
     @classmethod
     def one(cls):
-        return cls._raw({_ONE_M: 1})
+        return cls._raw({0: 1})
 
     @classmethod
     def const(cls, c):
         c = _clean(c)
-        return cls._raw({_ONE_M: c} if c else {})
+        return cls._raw({0: c} if c else {})
 
     @classmethod
     def term(cls, c, monomial=None, **exponents):
         m = monomial if monomial is not None else Monomial(exponents)
         c = _clean(c)
-        return cls._raw({m: c} if c else {})
+        return cls._raw({m.code: c} if c else {})
 
     @classmethod
     def var(cls, name):
-        return cls._raw({Monomial(((name, 1),)): 1})
+        return cls._raw({1 << _SHIFT[_slot(name)]: 1})
 
     def is_zero(self):
         return not self.terms
@@ -266,8 +378,9 @@ class SparsePoly:
         get = out.get
         for mb, cb in b.items():
             for ma, ca in a.items():
-                m = ma * mb
+                m = ma + mb
                 out[m] = get(m, 0) + ca * cb
+        _check_codes(out)
         return SparsePoly._raw({m: _clean(c) for m, c in out.items() if c})
 
     def mul_scalar(self, c):
@@ -280,38 +393,59 @@ class SparsePoly:
     def mul_monomial(self, mono, c=1):
         if not c:
             return SparsePoly._raw({})
-        if mono.is_one():
+        d = mono.code
+        if not d:
             return self.mul_scalar(c)
         if c == 1:
-            return SparsePoly._raw({m * mono: cf for m, cf in self.terms.items()})
-        return SparsePoly._raw({m * mono: _clean(cf * c) for m, cf in self.terms.items()})
+            out = {m + d: cf for m, cf in self.terms.items()}
+        else:
+            out = {m + d: _clean(cf * c) for m, cf in self.terms.items()}
+        _check_codes(out)
+        return SparsePoly._raw(out)
 
     def mul_atom(self, atom):
         """Multiply by the binomial (1 - c*shape) without full convolution."""
-        shape, c = atom.shape, atom.constant_fast
+        d, c = atom.shape.code, atom.constant_fast
         out = dict(self.terms)
         get = out.get
         for m, cf in self.terms.items():
-            m2 = m * shape
-            out[m2] = get(m2, 0) - c * cf
+            m += d
+            if (m ^ (m << 1)) & _GUARD:
+                _overflow()
+            out[m] = get(m, 0) - c * cf
         return SparsePoly._raw({m: _clean(cf) for m, cf in out.items() if cf})
 
     def adams(self, k):
         """Raise every variable to its k-th power (monomial exponents scale by k)."""
         if k == 1:
             return self
-        return SparsePoly._raw({m ** k: c for m, c in self.terms.items()})
+        return SparsePoly._raw({_scale(m, k): c
+                                for m, c in self.terms.items()})
 
     def substitute(self, var, coeff, image):
+        slot = _slot(var)
+        rnd, sh = _ROUND[slot], _SHIFT[slot]
+        img = image.code
+        by_exp = {}      # exponent of var -> (scalar, code shift)
         out = {}
         get = out.get
         for m, cf in self.terms.items():
-            sc, m2 = m.subs(var, coeff, image)
-            out[m2] = get(m2, 0) + cf * sc
+            e = (((m + rnd) >> sh) & _MASK) - _HALF
+            if e:
+                sd = by_exp.get(e)
+                if sd is None:
+                    sd = by_exp[e] = (_clean(Fraction(coeff) ** e),
+                                      _scale(img, e) - (e << sh))
+                m += sd[1]
+                if (m ^ (m << 1)) & _GUARD:
+                    _overflow()
+                cf = cf * sd[0]
+            out[m] = get(m, 0) + cf
         return SparsePoly._raw({m: _clean(c) for m, c in out.items() if c})
 
     def eval_numeric(self, assignment):
-        return sum((c * m.eval(assignment) for m, c in self.terms.items()), complex(0))
+        return sum((c * Monomial._raw(m).eval(assignment)
+                    for m, c in self.terms.items()), complex(0))
 
     def eval_mod(self, p, assignment, main_var):
         """Reduce to a univariate polynomial in main_var over Z/p.
@@ -319,44 +453,57 @@ class SparsePoly:
         Returns a dict degree -> residue.  Raises ValueError when p divides
         a coefficient denominator (caller should retry with another prime).
         """
+        terms = self.terms
+        main = _slot(main_var)
+        mrnd, msh = _ROUND[main], _SHIFT[main]
+        # The other variables are read in windows of up to _WINDOW slots,
+        # one shift and mask each; a window's product of powers is cached
+        # under its biased value.
+        windows = []
+        slots = sorted(s for s in _support(terms) if s != main)
+        while slots:
+            lo = slots[0]
+            inside = [s for s in slots if s < lo + _WINDOW]
+            del slots[:len(inside)]
+            sh = _SHIFT[lo]
+            rnd = (1 << sh >> 1) + sum(_HALF << (sh + _W * i)
+                                       for i in range(_WINDOW))
+            fields = [(_SHIFT[s] - sh, assignment[_NAMES[s]]) for s in inside]
+            windows.append((rnd, sh, fields, {}))
         out = {}
-        pw = {}
-        for m, c in self.terms.items():
-            if isinstance(c, Fraction):
+        for m, c in terms.items():
+            if c.__class__ is Fraction:
                 den = c.denominator % p
                 if den == 0:
                     raise ValueError("bad prime")
                 cc = c.numerator * pow(den, -1, p) % p
             else:
                 cc = c % p
-            d = 0
-            for v, e in m.items:
-                if v == main_var:
-                    d = e
-                else:
-                    f = pw.get((v, e))
-                    if f is None:
-                        f = pow(assignment[v], e, p)
-                        pw[(v, e)] = f
-                    cc = cc * f % p
+            d = (((m + mrnd) >> msh) & _MASK) - _HALF
+            m -= d << msh
+            for rnd, sh, fields, cache in windows:
+                key = ((m + rnd) >> sh) & _WINDOW_MASK
+                pw = cache.get(key)
+                if pw is None:
+                    pw = 1
+                    for off, base in fields:
+                        e = ((key >> off) & _MASK) - _HALF
+                        pw = pw * pow(base, e, p) % p
+                    cache[key] = pw
+                cc = cc * pw % p
             out[d] = (out.get(d, 0) + cc) % p
         return out
 
     def content_monomial(self):
         """Largest monomial (Laurent) dividing every term."""
-        if not self.terms:
-            return _ONE_M
-        union = set()
-        for m in self.terms:
-            union.update(v for v, _ in m.items)
-        mins = dict.fromkeys(union)
-        for m in self.terms:
-            d = dict(m.items)
-            for v in union:
-                e = d.get(v, 0)
-                if mins[v] is None or e < mins[v]:
-                    mins[v] = e
-        return Monomial({v: e for v, e in mins.items() if e})
+        terms = self.terms
+        code = 0
+        for s in _support(terms):
+            rnd, sh = _ROUND[s], _SHIFT[s]
+            low = min(map(and_, map(rshift, map(rnd.__add__, terms),
+                                    repeat(sh)), repeat(_MASK)))
+            code += (low - _HALF) << sh
+        return Monomial._raw(code)
 
     def divide_atom(self, atom):
         """Exact quotient self / (1 - c*shape), or None when not divisible.
@@ -367,12 +514,10 @@ class SparsePoly:
         if not self.terms:
             return self
         v, d = atom.shape.leading()
-        shape_rest = atom.shape.without(v)
+        sh = _SHIFT[_SLOT[v]]
+        shape_rest = atom.shape.code - (d << sh)
         c = atom.constant_fast
-        buckets = {}
-        for m, cf in self.terms.items():
-            e = m.exponent(v)
-            buckets.setdefault(e, {})[m.without(v)] = cf
+        buckets = self.split(v)
         hi = max(buckets)
         lo = min(buckets)
         qmax = hi - d
@@ -386,28 +531,50 @@ class SparsePoly:
                 continue
             if k > qmax:
                 return None
-            vk = Monomial(((v, k),)) if k else _ONE_M
+            vk = k << sh
             for m0, cf in blk.items():
-                quotient[m0 * vk] = _clean(cf)
+                quotient[m0 + vk] = _clean(cf)
             carry = buckets.setdefault(k + d, {})
             cget = carry.get
             for m0, cf in blk.items():
-                m1 = m0 * shape_rest
+                m1 = m0 + shape_rest
+                if (m1 ^ (m1 << 1)) & _GUARD:
+                    _overflow()
                 carry[m1] = cget(m1, 0) + c * cf
         return SparsePoly._raw(quotient)
 
+    def split(self, var):
+        """{exponent of var: {code without var: coefficient}}."""
+        slot = _slot(var)
+        rnd, sh = _ROUND[slot], _SHIFT[slot]
+        buckets = {}
+        for m, c in self.terms.items():
+            e = (((m + rnd) >> sh) & _MASK) - _HALF
+            blk = buckets.get(e)
+            if blk is None:
+                blk = buckets[e] = {}
+            blk[m - (e << sh)] = c
+        return buckets
+
     def sorted_terms(self):
-        """Terms in descending canonical order (deterministic)."""
-        return sorted(self.terms.items(), key=lambda mc: mc[0].sort_key(), reverse=True)
+        """(Monomial, coefficient) pairs in descending canonical order
+        (deterministic).  The support is put in canonical order once, so
+        each term is read field by field and never re-sorted."""
+        reads = [(_ROUND[s], _SHIFT[s], _NAMES[s], _KEY[s])
+                 for s in _support(self.terms)]
+        rows = []
+        for m, c in self.terms.items():
+            fields = [(name, vk, (((m + rnd) >> sh) & _MASK) - _HALF)
+                      for rnd, sh, name, vk in reads]
+            items = tuple((name, e) for name, _, e in fields if e)
+            key = (sum(e for _, e in items),
+                   tuple((vk, e) for _, vk, e in fields if e))
+            rows.append((key, Monomial._raw(m, items), c))
+        rows.sort(key=itemgetter(0), reverse=True)
+        return [row[1:] for row in rows]
 
     def variables(self):
-        out = set()
-        for m in self.terms:
-            out.update(v for v, _ in m.items)
-        return out
-
-    def constant_coefficient(self):
-        return self.terms.get(_ONE_M, 0)
+        return {_NAMES[s] for s in _support(self.terms)}
 
     def __repr__(self):
         if not self.terms:
@@ -523,7 +690,7 @@ class Atom:
         return 1, _ONE_M, Atom(c, shape)
 
     def as_poly(self):
-        return SparsePoly._raw({_ONE_M: 1, self.shape: _clean(-self.constant)})
+        return SparsePoly._raw({0: 1, self.shape.code: _clean(-self.constant)})
 
     def eval(self, assignment):
         return 1 - self.constant_fast * self.shape.eval(assignment)

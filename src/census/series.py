@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import NotAugmented, NotUnitConstantTerm
-from .ring import FactoredRat, Monomial, ONE_MONOMIAL, SparsePoly
+from .ring import FactoredRat, ONE_MONOMIAL, SparsePoly, _read, _slot
 
 __all__ = [
     "BiSeries",
@@ -44,8 +44,9 @@ def mobius(k):
 
 
 def _poly_drop_high(poly, var, dmax):
+    slot = _slot(var)
     return SparsePoly._raw({m: c for m, c in poly.terms.items()
-                            if m.exponent(var) <= dmax})
+                            if _read(m, slot) <= dmax})
 
 
 def z_truncate_frac(f, bound, var="z"):
@@ -66,7 +67,8 @@ def z_truncate_frac(f, bound, var="z"):
         else:
             keep.append(atom)
     az = f.prefactor.exponent(var)
-    low = min(m.exponent(var) for m in f.numerator.terms) + az
+    slot = _slot(var)
+    low = min(_read(m, slot) for m in f.numerator.terms) + az
     if low > bound:
         return FactoredRat.zero()
     num = _poly_drop_high(f.numerator, var, bound - az)
@@ -104,12 +106,9 @@ def z_decompose(f, var="z"):
             raise ValueError("denominator involves %s: %r" % (var, atom))
     az = f.prefactor.exponent(var)
     base = f.prefactor.without(var)
-    buckets = {}
-    for m, c in f.numerator.terms.items():
-        buckets.setdefault(m.exponent(var), {})[m.without(var)] = c
     return {az + d: FactoredRat(base, SparsePoly._raw(terms),
                                 f.denominator).normalize()
-            for d, terms in buckets.items()}
+            for d, terms in f.numerator.split(var).items()}
 
 
 def frac_to_series(f, var, order, z_order=None):
@@ -213,12 +212,6 @@ class BiSeries:
         return BiSeries(self.var, self.order,
                         [f.mul_scalar(c) for f in self.coeffs], self.z_order)
 
-    def mul_coeff(self, f):
-        """Multiply every coefficient by a fixed FactoredRat."""
-        return BiSeries(self.var, self.order,
-                        [self._snap(c * f) if not c.is_zero() else c
-                         for c in self.coeffs], self.z_order)
-
     def adams(self, k):
         """psi_k: every variable v (including the series variable) -> v^k."""
         if k < 1:
@@ -241,10 +234,6 @@ class BiSeries:
         """Convert to (or re-truncate within) the z-polynomial mode."""
         return BiSeries(self.var, self.order,
                         [z_truncate_frac(c, D) for c in self.coeffs], D)
-
-    def map_coeffs(self, fn):
-        return BiSeries(self.var, self.order,
-                        [fn(c) for c in self.coeffs], self.z_order)
 
     def __eq__(self, other):
         if not isinstance(other, BiSeries):

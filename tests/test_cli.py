@@ -110,6 +110,22 @@ class TestGoldens:
             assert proc.stdout == "(1-\\alpha_1)(1-\\alpha_2)\n"
             assert proc.stderr == ""
 
+    def test_worker_processes_print_the_same_bytes(self, tmp_path):
+        # --jobs 2 ships the λ-terms of kac(2,2) back from worker processes
+        # as pickled packed monomials; the text must not change
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
+        outs = []
+        for jobs in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "census.cli", "--jobs", jobs,
+                 "kac", "-g", "2", "-r", "2", "-d", "1"],
+                capture_output=True, env=env, cwd=tmp_path, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]
+        assert outs[0].startswith(b"A(genus=2, rank=2, degree class=1)\n")
+
 
 class TestJson:
     def test_kac_round_trip(self, capsys):
@@ -222,6 +238,36 @@ class TestCache:
                                "kac", "-g", "1", "-r", "1")
         assert code == 0
         assert json.loads(out)["genus"] == 1
+
+    @pytest.mark.parametrize("entry", [
+        {"engine": ENGINE_VERSION, "result": {}},
+        [1],
+        {"engine": ENGINE_VERSION, "result": [1]},
+    ])
+    def test_malformed_entry_is_a_miss(self, capsys, tmp_path, entry):
+        args = ("kac", "-g", "1", "-r", "2", "-d", "0")
+        _, want, _ = run_cli(capsys, *args)
+        path = tmp_path / "kac_g1_r2_d0.json"
+        path.write_text(json.dumps(entry))
+        code, out, err = run_cli(capsys, "--cache-dir", str(tmp_path), *args)
+        assert (code, out, err) == (0, want, "")
+        assert json.loads(path.read_text())["result"]["genus"] == 1
+
+    @pytest.mark.parametrize("field,value", [
+        ("genus", 2), ("rank", 3), ("degree_class", 1), ("genus", "1")])
+    def test_entry_for_another_key_is_a_miss(self, capsys, tmp_path,
+                                             field, value):
+        args = ("--format", "json", "--cache-dir", str(tmp_path),
+                "kac", "-g", "1", "-r", "2", "-d", "0")
+        code, cold, _ = run_cli(capsys, *args)
+        assert code == 0
+        path = tmp_path / "kac_g1_r2_d0.json"
+        blob = json.loads(path.read_text())
+        blob["result"][field] = value
+        path.write_text(json.dumps(blob))
+        code, warm, _ = run_cli(capsys, *args)
+        assert (code, warm) == (0, cold)
+        assert json.loads(path.read_text())["result"][field] != value
 
     def test_cache_keyed_by_degree_class(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "--cache-dir", str(tmp_path),

@@ -1,11 +1,16 @@
 import json
+import os
+import pickle
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from census.errors import PoleAtPoint, SubstitutionToZeroPole
+from census.errors import ExponentOverflow, PoleAtPoint, SubstitutionToZeroPole
 from census.ring import (
     Atom,
     FactoredRat,
@@ -20,6 +25,7 @@ from census.ring import (
     ring_add,
     ring_mul,
     substitute_var,
+    var_key,
 )
 
 
@@ -279,8 +285,8 @@ def diff_monomials(draw, min_vars=0, max_vars=2):
     n = draw(st.integers(min_value=min_vars, max_value=max_vars))
     vs = draw(st.lists(st.sampled_from(DIFF_NAMES), min_size=n, max_size=n,
                        unique=True))
-    return Monomial({v: draw(st.integers(min_value=-2, max_value=2).filter(bool))
-                     for v in vs})
+    exponents = st.integers(min_value=-2, max_value=2).filter(bool)
+    return Monomial({v: draw(exponents) for v in vs})
 
 
 @st.composite
@@ -387,3 +393,127 @@ def test_diff_adams(f, k):
     powers = {s: s ** k for s in SYMBOLS.values()}
     assert sym_equal(to_sympy(f.adams(k)),
                      to_sympy(f).subs(powers, simultaneous=True))
+
+
+# ---------------------------------------------------------------------------
+# Packed monomial codes: a monomial is one int with a signed 24-bit field
+# per variable; every exponent with |e| < 2**22 is exact, and anything
+# beyond 2**22 raises ExponentOverflow.
+
+LIMIT = 2 ** 22
+CODE_NAMES = ("a1", "a4", "a128", "q", "z", "T", "t", "s", "z1", "z3",
+              "u2", "u128")
+EXPONENTS = st.dictionaries(st.sampled_from(CODE_NAMES),
+                            st.integers(min_value=-LIMIT + 1,
+                                        max_value=LIMIT - 1), max_size=6)
+
+
+def _exps(m):
+    return dict(m.items)
+
+
+def _nonzero(exps):
+    return {v: e for v, e in exps.items() if e}
+
+
+@settings(max_examples=200, deadline=None)
+@given(EXPONENTS)
+def test_code_round_trip(exps):
+    m = Monomial(exps)
+    want = _nonzero(exps)
+    assert _exps(m) == want
+    assert [v for v, _ in m.items] == sorted(want, key=var_key)
+    assert all(m.exponent(v) == want.get(v, 0) for v in CODE_NAMES)
+    back = Monomial.from_code(m.code)
+    assert back == m and back.items == m.items and hash(back) == hash(m)
+    assert SparsePoly([(m, 3)]).sorted_terms() == [(m, 3)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(EXPONENTS, EXPONENTS)
+def test_code_product_is_exponentwise_sum(a, b):
+    want = dict(a)
+    for v, e in b.items():
+        want[v] = want.get(v, 0) + e
+    if any(abs(e) > LIMIT for e in want.values()):
+        with pytest.raises(ExponentOverflow):
+            Monomial(a) * Monomial(b)
+        with pytest.raises(ExponentOverflow):
+            SparsePoly([(Monomial(a), 1)]) * SparsePoly([(Monomial(b), 1)])
+    elif all(abs(e) < LIMIT for e in want.values()):
+        got = Monomial(a) * Monomial(b)
+        assert _exps(got) == _nonzero(want)
+        assert got.code == Monomial(a).code + Monomial(b).code
+        poly = SparsePoly([(Monomial(a), 1)]).mul_monomial(Monomial(b))
+        assert poly == SparsePoly([(got, 1)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(EXPONENTS, st.integers(min_value=-40, max_value=40))
+def test_code_power_scales_exponents(exps, k):
+    want = {v: k * e for v, e in exps.items()}
+    if any(abs(e) > LIMIT for e in want.values()):
+        with pytest.raises(ExponentOverflow):
+            Monomial(exps) ** k
+    elif all(abs(e) < LIMIT for e in want.values()):
+        assert _exps(Monomial(exps) ** k) == _nonzero(want)
+        if k > 0:
+            adams = SparsePoly([(Monomial(exps), 1)]).adams(k)
+            assert adams == SparsePoly([(Monomial(want), 1)])
+
+
+@DIFF
+@given(diff_polys(min_terms=1))
+def test_content_monomial_is_exponentwise_min(p):
+    terms = [dict(m.items) for m, _ in p.sorted_terms()]
+    names = set().union(*terms)
+    want = Monomial({v: min(t.get(v, 0) for t in terms) for v in names})
+    assert p.content_monomial() == want
+
+
+def test_code_out_of_range_raises():
+    with pytest.raises(ExponentOverflow):
+        Monomial({"q": LIMIT})
+    with pytest.raises(ExponentOverflow):
+        Monomial.of(z2=-LIMIT)
+    with pytest.raises(ExponentOverflow):
+        Monomial.from_code(1 << 23)
+    top = Monomial.of(a1=LIMIT - 1, q=-(LIMIT - 1))
+    with pytest.raises(ExponentOverflow):
+        top * Monomial.of(a1=2)
+    with pytest.raises(ExponentOverflow):
+        top * Monomial.of(q=-2)
+    poly = SparsePoly([(top, 1), (Monomial(), 1)])
+    _, _, atom = Atom.make(1, Monomial.of(a1=2, z=1))
+    with pytest.raises(ExponentOverflow):
+        poly.mul_atom(atom)
+    with pytest.raises(ExponentOverflow):
+        poly.adams(3)
+    with pytest.raises(ExponentOverflow):
+        poly.substitute("q", 1, Monomial.of(a1=-1))
+    with pytest.raises(ExponentOverflow):
+        FactoredRat.from_monomial(top) * FactoredRat.from_monomial(
+            Monomial.of(a1=2))
+    with pytest.raises(ValueError):
+        Monomial.of(a129=1)
+
+
+def test_slot_layout_independent_of_first_use():
+    """A FactoredRat pickled by a process that met the variables in
+    another order is the same value in this one."""
+    build = ("geometric(2, a4=1, z2=-1) * FactoredRat.from_poly(SparsePoly("
+             "[(Monomial.of(u3=2, q=-1), 3), (Monomial.of(z2=1, a1=1), -1)]))")
+    child = ("import pickle, sys\n"
+             "from census.ring import FactoredRat, Monomial, SparsePoly, "
+             "geometric\n"
+             "for name in ('u3', 'a4', 'z2'):\n"
+             "    Monomial({name: 1})\n"
+             "sys.stdout.buffer.write(pickle.dumps(%s))\n" % build)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", child], env=env,
+                         capture_output=True, check=True, timeout=120)
+    got = pickle.loads(out.stdout)
+    want = eval(build)
+    assert got == want
+    assert got.to_json() == want.to_json()
