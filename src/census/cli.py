@@ -76,10 +76,16 @@ def _cache_name(genus, rank, degree_class):
     return "kac_g%d_r%d_d%d.json" % (genus, rank, degree_class)
 
 
+# what KacResult.from_json raises on an entry of the wrong shape
+_PARSE_ERRORS = (LookupError, TypeError, ValueError, AttributeError,
+                 ArithmeticError, CensusError)
+
+
 def _cache_load(path):
-    """The result stored at path, or None for a miss: an unreadable file,
-    another engine version, an entry that is not a result object, or one
-    whose genus, rank and degree class are not those of its file name."""
+    """The entry stored at path as (result JSON, KacResult), or None for a
+    miss: an unreadable file, another engine version, an entry that is not
+    a result object or does not parse, or one whose genus, rank and degree
+    class are not those of its file name."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             blob = json.load(fh)
@@ -94,7 +100,10 @@ def _cache_load(path):
     if (any(type(k) is not int for k in key)
             or _cache_name(*key) != os.path.basename(path)):
         return None
-    return result
+    try:
+        return result, KacResult.from_json(result)
+    except _PARSE_ERRORS:
+        return None
 
 
 def _cache_store(path, result):
@@ -112,8 +121,9 @@ def _cache_store(path, result):
             pass
 
 
-def _kac_result_json(args):
-    """The result JSON for a kac invocation, through the cache if enabled."""
+def _kac_result(args):
+    """(result JSON, KacResult or None) for a kac invocation: a cache hit
+    comes parsed, a fresh result is parsed only if the format needs it."""
     d = args.degree % args.rank if args.rank else args.degree
     cdir = _cache_dir(args)
     path = None
@@ -122,19 +132,19 @@ def _kac_result_json(args):
         cached = _cache_load(path)
         if cached is not None:
             return cached
-    result = pipeline.kac_polynomial(args.genus, args.rank, args.degree)
-    blob = result.to_json()
+    blob = pipeline.kac_polynomial(args.genus, args.rank, args.degree).to_json()
     if path:
         _cache_store(path, blob)
-    return blob
+    return blob, None
 
 
 def _emit_kac(args, out):
-    blob = _kac_result_json(args)
+    blob, res = _kac_result(args)
     if args.format == "json":
         out.write(json.dumps(blob, sort_keys=True) + "\n")
         return
-    res = KacResult.from_json(blob)
+    if res is None:
+        res = KacResult.from_json(blob)
     if args.format == "latex":
         out.write(pipeline.latex_value(res) + "\n")
         return

@@ -195,30 +195,45 @@ def poly_from_json(obj):
     for vec, c in obj["terms"]:
         n, _, dn = c.partition("/")
         mono = Monomial({v: e for v, e in zip(variables, vec) if e})
-        terms[mono] = Fraction(int(n), int(dn or 1))
+        # most coefficients are integers: skip the Fraction's gcd
+        terms[mono] = int(n) if dn in ("", "1") else Fraction(int(n), int(dn))
     return SparsePoly(terms)
 
 
-@dataclass(frozen=True)
 class KacResult:
     """A_{g,r,d} with provenance.
 
     value is the pair-reduced rational normal form (the representation in
     which equality in the coefficient ring is decidable); lifted is one
     polynomial preimage in all 2g roots and q, or None when the value is
-    not polynomial.  wall_time is in seconds and deliberately excluded
-    from the serialization so cached results stay bit-identical.
+    not polynomial.  A result read back from JSON with a polynomial model
+    pair-reduces lifted on the first read of value, so output that needs
+    only the polynomial never pays for it.  wall_time is in seconds and
+    deliberately excluded from the serialization so cached results stay
+    bit-identical.
     """
 
-    genus: int
-    rank: int
-    degree_class: int
-    value: FactoredRat
-    lifted: object
-    is_d_independent: bool
-    route: str
-    orders: dict
-    wall_time: float
+    __slots__ = ("genus", "rank", "degree_class", "_value", "lifted",
+                 "is_d_independent", "route", "orders", "wall_time")
+
+    def __init__(self, genus, rank, degree_class, value, lifted,
+                 is_d_independent, route, orders, wall_time):
+        self.genus = genus
+        self.rank = rank
+        self.degree_class = degree_class
+        self._value = value
+        self.lifted = lifted
+        self.is_d_independent = is_d_independent
+        self.route = route
+        self.orders = orders
+        self.wall_time = wall_time
+
+    @property
+    def value(self):
+        if self._value is None:
+            self._value = pair_reduce(FactoredRat.from_poly(self.lifted),
+                                      self.genus)
+        return self._value
 
     @property
     def is_polynomial(self):
@@ -254,7 +269,7 @@ class KacResult:
         g = int(obj["genus"])
         if poly.get("kind") == "polynomial":
             lifted = poly_from_json(poly)
-            value = pair_reduce(FactoredRat.from_poly(lifted), g)
+            value = None
         else:
             lifted = None
             value = FactoredRat.from_json(poly).normalize()

@@ -596,9 +596,21 @@ class _DivisionFilter:
     Specializes every variable except the atom's leading one to a random
     residue and runs synthetic division over Z/p.  A nonzero remainder
     proves non-divisibility; a zero remainder is only evidence.  One
-    univariate reduction per (prime, leading variable) is shared by every
+    univariate reduction per (prime, main variable) is shared by every
     candidate atom against the same polynomial, so the per-atom cost is a
     single pass over the residue dict.
+
+    After an exact division poly -> poly / atom, divided() updates each
+    cached reduction instead of reducing the quotient afresh: it divides
+    the reduction by the atom specialized at the same assignment.
+    Specialization is a ring homomorphism into the domain Z/p[w, 1/w], so
+    that division is exact and gives the reduction of the quotient.  For
+    the main variable w the atom specializes to 1 - c*w^e: for e != 0
+    (e > 0 when w is the atom's leading variable) the update is a
+    synthetic division, for e = 0 a multiplication by the inverse of the
+    scalar 1 - c.  An entry whose specialized atom is undefined or zero
+    mod p, or whose division leaves a remainder, is dropped and recomputed
+    from the polynomial when next needed.
     """
 
     __slots__ = ("poly", "assignments", "reductions")
@@ -619,45 +631,97 @@ class _DivisionFilter:
                 a[w] = _FILTER_RNG.randrange(2, p - 2)
         return a
 
+    def _specialize(self, atom, p, w):
+        """c * (shape without w) at the assignment for p, or None when p
+        divides the denominator of c."""
+        c = atom.constant
+        den = c.denominator % p
+        if den == 0:
+            return None
+        assignment = self._assignment(p, atom.shape)
+        cc = c.numerator * pow(den, -1, p) % p
+        for x, e in atom.shape.items:
+            if x != w:
+                cc = cc * pow(assignment[x], e, p) % p
+        return cc
+
     def may_divide(self, atom):
         if not self.poly.terms:
             return True
         v, d = atom.shape.leading()
         for p in _FILTER_PRIMES:
-            assignment = self._assignment(p, atom.shape)
+            cc = self._specialize(atom, p, v)
+            if cc is None:
+                continue
             key = (p, v)
             coeffs = self.reductions.get(key, False)
             if coeffs is False:
                 try:
-                    coeffs = self.poly.eval_mod(p, assignment, v)
+                    coeffs = self.poly.eval_mod(p, self.assignments[p], v)
                 except ValueError:
                     coeffs = None
                 self.reductions[key] = coeffs
             if coeffs is None:
                 continue
-            c = atom.constant
-            den = c.denominator % p
-            if den == 0:
-                continue
-            cc = c.numerator * pow(den, -1, p) % p
-            for w, e in atom.shape.items:
-                if w != v:
-                    cc = cc * pow(assignment[w], e, p) % p
-            if not coeffs:
-                return True
-            hi = max(coeffs)
-            lo = min(coeffs)
-            qmax = hi - d
-            buckets = dict(coeffs)
-            for k in range(lo, hi + 1):
-                cf = buckets.pop(k, 0) % p
-                if not cf:
-                    continue
-                if k > qmax:
-                    return False
-                buckets[k + d] = (buckets.get(k + d, 0) + cc * cf) % p
-            return True
+            return _divide_mod(coeffs, cc, d, p) is not None
         return True
+
+    def divided(self, atom, quotient):
+        """Follow the exact division of the polynomial by atom."""
+        self.poly = quotient
+        for key, coeffs in list(self.reductions.items()):
+            p, w = key
+            new = None
+            if coeffs is not None:
+                cc = self._specialize(atom, p, w)
+                if cc is not None:
+                    new = _divide_binomial_mod(coeffs, cc,
+                                               atom.shape.exponent(w), p)
+            if new is None:
+                del self.reductions[key]
+            else:
+                self.reductions[key] = new
+
+
+def _divide_mod(coeffs, cc, d, p):
+    """Quotient of a Laurent polynomial over Z/p (dict degree -> residue)
+    by 1 - cc*w^d, d > 0, by bottom-up synthetic division; None when the
+    remainder is nonzero.  Zero residues are not stored."""
+    if not coeffs:
+        return {}
+    hi = max(coeffs)
+    qmax = hi - d
+    buckets = dict(coeffs)
+    quotient = {}
+    for k in range(min(coeffs), hi + 1):
+        cf = buckets.pop(k, 0) % p
+        if not cf:
+            continue
+        if k > qmax:
+            return None
+        quotient[k] = cf
+        buckets[k + d] = (buckets.get(k + d, 0) + cc * cf) % p
+    return quotient
+
+
+def _divide_binomial_mod(coeffs, cc, e, p):
+    """Quotient of coeffs by 1 - cc*w^e over Z/p for any integer e, or None
+    when it is not exact or the divisor vanishes."""
+    if e > 0:
+        return _divide_mod(coeffs, cc, e, p)
+    if e < 0 and cc:
+        # 1 - cc*w^e = -cc*w^e * (1 - w^-e/cc)
+        inv = pow(cc, -1, p)
+        quot = _divide_mod(coeffs, inv, -e, p)
+        if quot is None:
+            return None
+        scale = -inv % p
+        return {k - e: cf * scale % p for k, cf in quot.items()}
+    s = (1 - cc) % p
+    if not s:
+        return None
+    inv = pow(s, -1, p)
+    return {k: cf * inv % p for k, cf in coeffs.items() if cf}
 
 
 class Atom:
@@ -799,7 +863,7 @@ class FactoredRat:
                 if q is None:
                     break
                 num = q
-                filt = _DivisionFilter(num)
+                filt.divided(atom, q)
                 k -= 1
             out_den.extend([atom] * k)
         mc = num.content_monomial()

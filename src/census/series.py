@@ -4,6 +4,10 @@ coefficients, plus the plethystic exponential and logarithm.
 Coefficients may be rational in z (the default) or truncated z-polynomials
 of degree <= z_order; the second mode re-truncates after every product so
 that truncation commutes with all the series operations.
+
+The logarithm solves F·L' = F' one coefficient at a time (O(order²)
+coefficient products, one sum per coefficient); the exponential sums the
+powers of its argument.
 """
 
 from __future__ import annotations
@@ -11,7 +15,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import NotAugmented, NotUnitConstantTerm
-from .ring import FactoredRat, ONE_MONOMIAL, SparsePoly, _read, _slot
+from .ring import (FactoredRat, Monomial, ONE_MONOMIAL, SparsePoly,
+                   _read, _slot, add_many)
 
 __all__ = [
     "BiSeries",
@@ -294,19 +299,67 @@ def series_exp(f):
     return result
 
 
+def _log_coeffs(coeffs, snap, inv0=None):
+    """[L_0 = 0, L_1, ..., L_n] for L = log F, F = Σ F_j x^j, by the
+    logarithmic-derivative recurrence n·F_0·L_n = n·F_n − Σ_{0<k<n} k·L_k·F_{n−k}.
+
+    It runs on M_n = n·L_n, so every scalar is an integer until the final
+    M_n/n.  inv0 is 1/F_0, or None when F_0 = 1; each M_n is one add_many,
+    then snap.
+    """
+    ms = [None]
+    for n in range(1, len(coeffs)):
+        parts = [coeffs[n].mul_scalar(n)]
+        for k in range(1, n):
+            a, b = ms[k], coeffs[n - k]
+            if not (a.is_zero() or b.is_zero()):
+                parts.append(-(a * b))
+        mn = add_many(parts)
+        if inv0 is not None:
+            mn = mn * inv0
+        ms.append(snap(mn))
+    return [FactoredRat.zero()] + [m.mul_scalar(Fraction(1, n))
+                                   for n, m in enumerate(ms[1:], 1)]
+
+
+def _z_log_and_inverse(f0, D):
+    """(log f0, 1/f0) through z-degree D for a z-polynomial f0 with
+    z-constant 1: f0 − 1 is nilpotent modulo z^(D+1), so both are finite
+    z-polynomials.  The log is the recurrence of _log_coeffs run in z; the
+    inverse is G_n = −Σ_{0<k<=n} c_k·G_{n−k}."""
+    parts = z_decompose(z_truncate_frac(f0, D))
+    c = [parts.get(j, FactoredRat.zero()) for j in range(D + 1)]
+    inv = [FactoredRat.one()]
+    for n in range(1, D + 1):
+        inv.append(add_many([(c[k] * inv[n - k]).mul_scalar(-1)
+                             for k in range(1, n + 1)
+                             if not c[k].is_zero()]))
+
+    def as_poly(coeffs):
+        return add_many([c_j * FactoredRat.from_monomial(Monomial.of(z=j))
+                         for j, c_j in enumerate(coeffs)])
+
+    return as_poly(_log_coeffs(c, FactoredRat.normalize)), as_poly(inv)
+
+
 def series_log(f):
-    """Ordinary logarithm of a series with unit constant term."""
+    """Ordinary logarithm of a series with unit constant term.
+
+    Solves F·L' = F' coefficientwise: n·F_0·L_n = n·F_n − Σ_{0<k<n}
+    k·L_k·F_{n−k}, O(order²) coefficient products.  In rational mode
+    F_0 = 1 exactly.  In the z-truncated mode F_0 may be 1 plus a
+    z-positive part; then L_0 = log F_0 and 1/F_0 come from the same
+    recurrence run in z (_z_log_and_inverse), once per call.
+    """
     _check_unit(f)
-    u = f - BiSeries.one(f.var, f.order, f.z_order)
-    result = BiSeries.zero(f.var, f.order, f.z_order)
-    power = BiSeries.one(f.var, f.order, f.z_order)
-    for m in range(1, _power_cap(f)):
-        power = power * u
-        if power.is_zero():
-            break
-        result = result + power.mul_scalar(Fraction(-1 if m % 2 == 0 else 1,
-                                                    m))
-    return result
+    f0 = f.coeffs[0]
+    if f.z_order is None or f0 == FactoredRat.one():
+        log0, inv0 = FactoredRat.zero(), None
+    else:
+        log0, inv0 = _z_log_and_inverse(f0, f.z_order)
+    logs = _log_coeffs(f.coeffs, f._snap, inv0)
+    logs[0] = log0
+    return BiSeries(f.var, f.order, logs, f.z_order)
 
 
 def _adams_reach(f):

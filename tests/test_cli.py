@@ -180,6 +180,14 @@ class TestJson:
         assert "higgs_points" not in json.loads(out)
 
 
+# the keys of a kac(1,2,0) entry; the malformed entries replace one field
+_G1R2D0 = {"genus": 1, "rank": 2, "degree_class": 0,
+           "polynomial": {"kind": "polynomial", "variables": [],
+                          "terms": []},
+           "flags": {"is_polynomial": True, "is_d_independent": True},
+           "provenance": {}}
+
+
 class TestCache:
     def test_warm_run_byte_identical(self, capsys, tmp_path, monkeypatch):
         args = ("--format", "json", "--cache-dir", str(tmp_path),
@@ -243,6 +251,12 @@ class TestCache:
         {"engine": ENGINE_VERSION, "result": {}},
         [1],
         {"engine": ENGINE_VERSION, "result": [1]},
+        {"engine": ENGINE_VERSION, "result": dict(
+            _G1R2D0, polynomial=5)},
+        {"engine": ENGINE_VERSION, "result": dict(
+            _G1R2D0, flags=[True, True])},
+        {"engine": ENGINE_VERSION, "result": dict(
+            _G1R2D0, polynomial={"kind": "polynomial", "variables": ["q"]})},
     ])
     def test_malformed_entry_is_a_miss(self, capsys, tmp_path, entry):
         args = ("kac", "-g", "1", "-r", "2", "-d", "0")

@@ -1,5 +1,6 @@
 """Assembly pipeline: counting polynomials, oracles, specializations."""
 
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -285,6 +286,57 @@ class TestBetti:
     def test_non_coprime_warns(self):
         with pytest.warns(RuntimeWarning):
             betti_polynomial(1, 2, 0)
+
+    def test_genus2_rank2_hitchin(self):
+        # Hitchin (1987), the fixed-determinant moduli of rank 2 and odd
+        # degree on a genus-2 curve, without its Jac[2]-variant part:
+        # betti(2,2,1) = t^20 P(1/t), P = (1+t)^4 (1+t^2+4t^3+2t^4+4t^5+2t^6)
+        coeffs = [1]
+        for factor in [[1, 1]] * 4 + [[1, 0, 1, 4, 2, 4, 2]]:
+            out = [0] * (len(coeffs) + len(factor) - 1)
+            for i, a in enumerate(coeffs):
+                for j, b in enumerate(factor):
+                    out[i + j] += a * b
+            coeffs = out
+        want = SparsePoly({mono(t=20 - k): c for k, c in enumerate(coeffs)
+                           if c})
+        assert betti_polynomial(2, 2, 1) == want
+
+
+def _sha256(obj):
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+class TestEngineVersion:
+    """Outputs pinned to ENGINE_VERSION: a change to any of these bytes
+    must come with a version bump (and new digests here), since cached
+    results are trusted by their version stamp alone."""
+
+    KAC = {
+        (1, 2, 0): "82e54accce560d5bbc6bb2ef326e9758651d82d969aa74f634f795dbce02b1a7",
+        (1, 2, 1): "dad0b69fc11dcc5d1d79a4daa53e4c83e0e945910e48f6c4b99ea707a31e7154",
+        (2, 2, 0): "ee055635e49a648c6fff11f7eeeb37793f40cb700cf8e69f97299d30b0e0f420",
+        (2, 2, 1): "c43bdec91dd895b674a971222a0a39cade6dbba3136e8c605854d5e12e3dde92",
+        (1, 3, 0): "e0e11b59e102bf509e0c219b9d5e3ec5abadb5642d9ce1cf4313866cc5bde7a0",
+        (1, 3, 1): "a4cb2407d71ad13811f7ec734a1cd7c81a77b976f908e83d6d30b5d888620107",
+        (1, 3, 2): "7bcb4616f09b2312693512bb43361c177a9f317271129cd5d41a488bf35be968",
+    }
+    # the "n/d" strings of constant_term(2, r, d) for r = 1..4, d = 0..r-1
+    CONSTANT_TERMS = \
+        "8e00fe2dd63b11e99c0e5be1f5353268f9b870f82b6e98ec84b12e61fee0c738"
+
+    def test_version(self):
+        assert pipeline.ENGINE_VERSION == "1.0"
+
+    @pytest.mark.parametrize("grd", sorted(KAC))
+    def test_kac_digest(self, grd):
+        assert _sha256(kac_polynomial(*grd).to_json()) == self.KAC[grd]
+
+    def test_constant_term_digest(self):
+        values = ["%d/%d" % (v.numerator, v.denominator)
+                  for v in (constant_term(2, r, d)
+                            for r in range(1, 5) for d in range(r))]
+        assert _sha256(values) == self.CONSTANT_TERMS
 
 
 class TestCounts:

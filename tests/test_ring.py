@@ -3,6 +3,7 @@ import os
 import pickle
 import subprocess
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from census import ring
 from census.errors import ExponentOverflow, PoleAtPoint, SubstitutionToZeroPole
 from census.ring import (
     Atom,
@@ -393,6 +395,97 @@ def test_diff_adams(f, k):
     powers = {s: s ** k for s in SYMBOLS.values()}
     assert sym_equal(to_sympy(f.adams(k)),
                      to_sympy(f).subs(powers, simultaneous=True))
+
+
+# ---------------------------------------------------------------------------
+# The division filter of normalize follows each exact division by updating
+# its cached mod-p reductions; the updated reductions must equal fresh ones
+# of the quotient at the same assignment.
+
+
+@contextmanager
+def checked_filter_updates():
+    """Within the block, every filter update inside normalize is compared
+    with a fresh eval_mod of the quotient; yields the set of update kinds
+    met: leading (the atom's leading variable), binomial (another variable
+    of the atom), scalar (a variable the atom lacks) and dropped."""
+    seen = set()
+    divided = ring._DivisionFilter.divided
+
+    def checked(filt, atom, quotient):
+        lead = atom.shape.leading()[0]
+        kinds = {key: "leading" if key[1] == lead else
+                 "binomial" if atom.shape.exponent(key[1]) else "scalar"
+                 for key in filt.reductions}
+        divided(filt, atom, quotient)
+        assert filt.poly is quotient
+        for key, kind in kinds.items():
+            if key not in filt.reductions:
+                seen.add("dropped")
+                continue
+            seen.add(kind)
+            p, w = key
+            fresh = quotient.eval_mod(p, filt.assignments[p], w)
+            assert filt.reductions[key] == {d: r for d, r in fresh.items()
+                                            if r}
+
+    ring._DivisionFilter.divided = checked
+    try:
+        yield seen
+    finally:
+        ring._DivisionFilter.divided = divided
+
+
+def _planted(poly, atoms):
+    num = poly
+    for atom in atoms:
+        num = num.mul_atom(atom)
+    return FactoredRat(Monomial(), num, atoms)
+
+
+def _atom(c, **exps):
+    return Atom.make(c, Monomial(exps))[2]
+
+
+def test_filter_update_every_kind():
+    # sorted by Atom.key: a2, q, z (degree 1), then q^3/a2 and q*z, which
+    # meet reductions in a2, q and z
+    atoms = [_atom(1, a2=1), _atom(2, q=1), _atom(-1, z=1),
+             _atom(Fraction(1, 2), q=3, a2=-1), _atom(1, q=1, z=1)] * 2
+    poly = SparsePoly([(Monomial.of(q=1, a1=1), 3), (Monomial.of(z=2), -1),
+                       (Monomial(), 5)])
+    with checked_filter_updates() as seen:
+        n = _planted(poly, atoms).normalize()
+    assert seen == {"leading", "binomial", "scalar"}
+    assert not n.denominator
+    assert n.numerator.mul_monomial(n.prefactor) == poly
+
+
+def test_filter_update_drops_an_entry_it_cannot_specialize():
+    # 1 - z/p has no image mod the first filter prime p: the reduction in
+    # q is dropped, and the atom after it recomputes one lazily
+    p = ring._FILTER_PRIMES[0]
+    atoms = [_atom(1, q=1), _atom(Fraction(1, p), z=1), _atom(3, q=1, z=1)]
+    poly = SparsePoly([(Monomial.of(q=2), 1), (Monomial.of(z=1), 7)])
+    with checked_filter_updates() as seen:
+        n = _planted(poly, atoms).normalize()
+    assert "dropped" in seen
+    assert not n.denominator
+    assert n.numerator.mul_monomial(n.prefactor) == poly
+
+
+@DIFF
+@given(diff_polys(min_terms=1), st.lists(diff_atoms(), min_size=1,
+                                         max_size=4), st.data())
+def test_filter_update_random(poly, atoms, data):
+    extra = data.draw(st.lists(diff_atoms(), max_size=2))
+    f = _planted(poly, atoms)
+    f = FactoredRat(f.prefactor, f.numerator, f.denominator + tuple(extra))
+    with checked_filter_updates():
+        n = f.normalize()
+    assert sym_equal(to_sympy(n), to_sympy(f))
+    for atom in set(n.denominator):
+        assert n.numerator.divide_atom(atom) is None
 
 
 # ---------------------------------------------------------------------------

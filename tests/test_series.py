@@ -285,3 +285,67 @@ class TestSeriesPlumbing:
         assert f.coefficient(1) == const(2)
         with pytest.raises(ValueError):
             f.coefficient(2)
+
+
+def _log_by_powers(f):
+    """Reference: the power loop Σ_{m>=1} (-1)^(m+1) u^m/m, u = f - 1,
+    that series_log replaced.  An augmented u raised past order + z_order
+    truncates to zero."""
+    u = f - BiSeries.one(f.var, f.order, f.z_order)
+    result = BiSeries.zero(f.var, f.order, f.z_order)
+    power = BiSeries.one(f.var, f.order, f.z_order)
+    for m in range(1, f.order + (f.z_order or 0) + 2):
+        power = power * u
+        if power.is_zero():
+            break
+        result = result + power.mul_scalar(Fraction((-1) ** (m + 1), m))
+    return result
+
+
+def qza_fracs(z_free=False):
+    """Small fractions over q, z and a1; z_free drops z from numerator and
+    denominator (the coefficients of a z-polynomial)."""
+    dens = st.sampled_from(
+        [None, geometric(1, q=1), geometric(-2, a1=1, q=1)]
+        + ([] if z_free else [geometric(1, z=1), geometric(1, q=1, z=2)]))
+    polys = st.lists(
+        st.tuples(st.integers(min_value=-3, max_value=3),
+                  st.integers(min_value=0, max_value=2),
+                  st.integers(min_value=0, max_value=0 if z_free else 2),
+                  st.integers(min_value=-1, max_value=1)),
+        min_size=0, max_size=3)
+
+    def build(parts, den):
+        f = fr(*((c, {"q": eq, "z": ez, "a1": ea}) for c, eq, ez, ea in parts))
+        return (f if den is None else f * den).normalize()
+
+    return st.builds(build, polys, dens)
+
+
+class TestLogRecurrence:
+    """series_log (the logarithmic-derivative recurrence) equals the power
+    loop it replaced, exactly."""
+
+    @given(st.integers(min_value=1, max_value=6), st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_rational_mode_matches_power_loop(self, order, data):
+        tail = data.draw(st.lists(qza_fracs(), min_size=order,
+                                  max_size=order))
+        f = BiSeries.from_coefficients("T", [ONE] + tail)
+        assert series_log(f) == _log_by_powers(f)
+
+    @given(st.integers(min_value=0, max_value=4),
+           st.integers(min_value=1, max_value=4), st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_truncated_mode_with_z_positive_constant(self, D, order, data):
+        # F_0 = 1 + (z-positive z-polynomial), so log F_0 and 1/F_0 are
+        # both nontrivial in z
+        lows = data.draw(st.lists(qza_fracs(z_free=True), min_size=D,
+                                  max_size=D))
+        f0 = ONE
+        for j, c in enumerate(lows, start=1):
+            f0 = f0 + c * FactoredRat.from_monomial(Monomial.of(z=j))
+        tail = data.draw(st.lists(qza_fracs(), min_size=order,
+                                  max_size=order))
+        f = BiSeries.from_coefficients("T", [f0] + tail).truncate_z(D)
+        assert series_log(f) == _log_by_powers(f)
