@@ -16,7 +16,7 @@ from .pipeline import (ENGINE_VERSION, KacResult, RegularityReport,
                        count_points, degree_class_sums, identity_report,
                        kac_polynomial, kac_rational, kac_series_oracle,
                        latex_value, lift_paired, regularity_report,
-                       rhs_series, set_jobs)
+                       rhs_series)
 from .ring import FactoredRat, Monomial, SparsePoly
 from .zeta import CurveData, pair_reduce, siegel_volume, torsion_volume_series, \
     weil_from_counts
@@ -34,6 +34,6 @@ __all__ = [
     "check_identities", "constant_term", "count_points", "degree_class_sums",
     "identity_report", "kac_polynomial", "kac_rational", "kac_series_oracle",
     "latex_value", "lift_paired", "pair_reduce", "pairing",
-    "partitions_up_to", "regularity_report", "rhs_series", "set_jobs",
+    "partitions_up_to", "regularity_report", "rhs_series",
     "siegel_volume", "torsion_volume_series", "weil_from_counts",
 ]

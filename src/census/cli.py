@@ -17,6 +17,7 @@ import tempfile
 from . import pipeline
 from .errors import CensusError, IdentityViolation, UsageError
 from .pipeline import ENGINE_VERSION, KacResult
+from .ring import rational_to_json
 from .zeta import CurveData
 
 
@@ -34,8 +35,8 @@ def build_parser():
     top.add_argument("--cache-dir", default=None,
                      help="directory for result caching; the CENSUS_CACHE "
                           "environment variable overrides this flag")
-    top.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                     help="parallelism bound for the partition sum")
+    # accepted for old command lines and ignored: the work is sequential
+    top.add_argument("--jobs", type=int, help=argparse.SUPPRESS)
     top.add_argument("--verbose", action="store_true")
     sub = top.add_subparsers(dest="subcommand", metavar="COMMAND")
 
@@ -162,7 +163,7 @@ def _emit_constant_term(args, out):
         out.write(json.dumps({
             "genus": args.genus, "rank": args.rank,
             "degree_class": args.degree % args.rank,
-            "constant_term": "%d/%d" % (v.numerator, v.denominator),
+            "constant_term": rational_to_json(v),
             "provenance": {"route": "constant-term", "engine": ENGINE_VERSION},
         }, sort_keys=True) + "\n")
     elif args.format == "latex" and v.denominator != 1:
@@ -249,7 +250,6 @@ def main(argv=None):
         args = parser.parse_args(argv)
         if not args.subcommand:
             raise UsageError("a subcommand is required")
-        pipeline.set_jobs(args.jobs)
         _DISPATCH[args.subcommand](args, sys.stdout)
     except UsageError as exc:
         sys.stderr.write("usage error: %s\n" % (exc,))

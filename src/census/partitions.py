@@ -51,9 +51,6 @@ class Partition:
     def __repr__(self):
         return "Partition%r" % (self.parts,)
 
-    def to_json(self):
-        return list(self.parts)
-
 
 def _partitions_of(k, max_part):
     if k == 0:
@@ -98,14 +95,6 @@ def box_stats(lam):
     return out
 
 
-def arm_leg(lam, i, j):
-    """(arm, leg) of the single box in column i of row j (both 1-based)."""
-    parts = lam.parts
-    if not (1 <= j <= len(parts) and 1 <= i <= parts[j - 1]):
-        raise ValueError("no box (%d, %d) in %r" % (i, j, lam))
-    return parts[j - 1] - i, sum(1 for p in parts[j:] if p >= i)
-
-
 def pairing(lam, mu):
     """<lambda, mu> = sum of products of conjugate parts."""
     lc = conjugate(lam).parts
@@ -131,9 +120,6 @@ class BlockProfile:
     @property
     def n(self):
         return sum(self.multiplicities)
-
-    def multiplicity(self, i):
-        return self.multiplicities[i - 1]
 
     def prefix(self, i):
         """r_{<i}: number of kernel variables in blocks below i."""

@@ -16,20 +16,18 @@ from __future__ import annotations
 import cmath
 import math
 import random
-import time
 import warnings
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import (IdentityViolation, NegativeBettiCoefficient,
                      NotPolynomialAfterClearing, RoundingFailure)
-from .partitions import Partition, pairing, partitions_up_to
+from .partitions import pairing, partitions_up_to
 from .residues import h_factor
 from .ring import (Atom, FactoredRat, Monomial, SparsePoly, add_many,
-                   atom_inverse, var_key)
+                   atom_inverse, poly_from_json, poly_to_json)
 from .series import BiSeries, frac_to_series, pleth_exp, pleth_log, \
     series_exp, z_decompose, z_truncate_frac
 from . import zeta as _zeta
@@ -38,18 +36,6 @@ from .zeta import CurveData, alpha_name, alpha_names, pair_reduce
 ENGINE_VERSION = "1.0"
 
 _ONE = Monomial()
-
-# Upper bound honored by rhs_series when farming out partition terms.
-# set_jobs(1) keeps everything in-process (the default).
-_jobs = 1
-
-
-def set_jobs(n):
-    """Set the parallelism bound for the partition sum; returns the old one."""
-    global _jobs
-    old = _jobs
-    _jobs = max(1, int(n))
-    return old
 
 
 def _q_minus_one():
@@ -60,25 +46,21 @@ def _one_minus_z_pow(r):
     return FactoredRat.from_poly(SparsePoly({_ONE: 1, Monomial.of(z=r): -1}))
 
 
-def _lambda_term(g, parts):
+def _lambda_term(g, lam):
     """One partition's contribution q^{(g-1)<λ,λ>} J_λ H_λ, normalized.
 
     Both factors are built modulo the Weil relations (paired=True): the
     final answer is pair-reduced anyway, and reducing at the leaves keeps
     the intermediate numerators in g roots instead of 2g.
     """
-    lam = Partition(parts)
     w = Monomial.of(q=(g - 1) * pairing(lam, lam))
     return (_zeta.j_factor(g, lam, paired=True) * h_factor(g, lam, paired=True)
             * FactoredRat.from_monomial(w)).normalize()
 
 
-def _lambda_term_star(args):
-    return _lambda_term(*args)
-
-
 def rhs_series(g, R, z_order=None):
-    """The partition sum Σ_λ q^{(g-1)<λ,λ>} J_λ(z) H_λ(z) T^{|λ|} through T^R.
+    """The partition sum Σ_λ q^{(g-1)<λ,λ>} J_λ(z) H_λ(z) T^{|λ|} through T^R,
+    one λ-term after another in this process.
 
     z_order=None keeps coefficients rational in z; an integer switches the
     whole computation to truncated z-series mode (used by the oracle).
@@ -87,16 +69,13 @@ def rhs_series(g, R, z_order=None):
         raise ValueError("rank bound must be at least 1")
     coeffs = [FactoredRat.zero() for _ in range(R + 1)]
     coeffs[0] = FactoredRat.one()
-    lams = [tuple(lam) for lam in partitions_up_to(R) if lam.size()]
-    if _jobs > 1 and len(lams) > 2:
-        with ProcessPoolExecutor(max_workers=_jobs) as pool:
-            terms = list(pool.map(_lambda_term_star, [(g, p) for p in lams]))
-    else:
-        terms = [_lambda_term(g, p) for p in lams]
-    for parts, term in zip(lams, terms):
+    for lam in partitions_up_to(R):
+        k = lam.size()
+        if not k:
+            continue
+        term = _lambda_term(g, lam)
         if z_order is not None:
             term = z_truncate_frac(term, z_order)
-        k = sum(parts)
         coeffs[k] = coeffs[k] + term
     return BiSeries("T", R, coeffs, z_order)
 
@@ -177,29 +156,6 @@ def lift_paired(f, g):
     return SparsePoly(out)
 
 
-def poly_to_json(p):
-    variables = sorted(p.variables(), key=var_key)
-
-    def frac(c):
-        c = Fraction(c)
-        return "%d/%d" % (c.numerator, c.denominator)
-
-    return {"variables": variables,
-            "terms": [[[m.exponent(v) for v in variables], frac(c)]
-                      for m, c in p.sorted_terms()]}
-
-
-def poly_from_json(obj):
-    variables = list(obj["variables"])
-    terms = {}
-    for vec, c in obj["terms"]:
-        n, _, dn = c.partition("/")
-        mono = Monomial({v: e for v, e in zip(variables, vec) if e})
-        # most coefficients are integers: skip the Fraction's gcd
-        terms[mono] = int(n) if dn in ("", "1") else Fraction(int(n), int(dn))
-    return SparsePoly(terms)
-
-
 class KacResult:
     """A_{g,r,d} with provenance.
 
@@ -208,16 +164,15 @@ class KacResult:
     polynomial preimage in all 2g roots and q, or None when the value is
     not polynomial.  A result read back from JSON with a polynomial model
     pair-reduces lifted on the first read of value, so output that needs
-    only the polynomial never pays for it.  wall_time is in seconds and
-    deliberately excluded from the serialization so cached results stay
-    bit-identical.
+    only the polynomial never pays for it.  The JSON form holds nothing
+    that depends on the run, so cached results stay bit-identical.
     """
 
     __slots__ = ("genus", "rank", "degree_class", "_value", "lifted",
-                 "is_d_independent", "route", "orders", "wall_time")
+                 "is_d_independent", "route", "orders")
 
     def __init__(self, genus, rank, degree_class, value, lifted,
-                 is_d_independent, route, orders, wall_time):
+                 is_d_independent, route, orders):
         self.genus = genus
         self.rank = rank
         self.degree_class = degree_class
@@ -226,7 +181,6 @@ class KacResult:
         self.is_d_independent = is_d_independent
         self.route = route
         self.orders = orders
-        self.wall_time = wall_time
 
     @property
     def value(self):
@@ -279,21 +233,18 @@ class KacResult:
             degree_class=int(obj["degree_class"]),
             value=value, lifted=lifted,
             is_d_independent=bool(obj["flags"]["is_d_independent"]),
-            route=prov.get("route", ""), orders=dict(prov.get("orders", {})),
-            wall_time=0.0)
+            route=prov.get("route", ""), orders=dict(prov.get("orders", {})))
 
 
 def kac_polynomial(g, r, d):
     """A_{g,r,d} as a KacResult; d is reduced mod r."""
-    t0 = time.perf_counter()
     sums = degree_class_sums(g, r)
     value = sums[d % r]
     indep = all(s == sums[0] for s in sums[1:])
     lifted = lift_paired(value, g)
     return KacResult(genus=g, rank=r, degree_class=d % r, value=value,
                      lifted=lifted, is_d_independent=indep,
-                     route="log-extraction", orders={"T": r},
-                     wall_time=time.perf_counter() - t0)
+                     route="log-extraction", orders={"T": r})
 
 
 def kac_series_oracle(g, r, D=None):

@@ -193,18 +193,13 @@ def h_tilde(g, lam, block_order=None, reverse_chains=False, paired=False):
 
 
 @lru_cache(maxsize=None)
-def _h_tilde_cached(g, lam, paired=False):
-    return h_tilde(g, lam, paired=paired)
-
-
-@lru_cache(maxsize=None)
 def h_factor(g, lam, paired=False):
     """H_λ(z): every block leader specialized to z^i q^{-r_{<i}}."""
     spec = chain_spec(lam)
     if not spec.blocks:
         return FactoredRat.one()
     prof = block_profile(lam)
-    f = _h_tilde_cached(g, lam, paired)
+    f = h_tilde(g, lam, paired=paired)
     for block in spec.blocks:
         image = Monomial.of(z=block.part, q=-prof.prefix(block.part))
         f = f.substitute(_z(block.leader), 1, image)

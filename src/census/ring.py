@@ -29,9 +29,9 @@ Slot order.  The slot of a variable is a pure function of its name: q,
 z, T, t and s take slots 0..4, and the i-th variable of the a, z and u
 families takes slot 5 + 3(i-1), 6 + 3(i-1) and 7 + 3(i-1).  A code
 therefore means the same monomial in every process, whatever order the
-names were first met in (rhs_series ships results back from worker
-processes).  Each family has 128 variables (so genus <= 64); any other
-name is rejected as unknown.  Decoding lists the variables in canonical
+names were first met in, so pickles and cache files written by one
+process read back the same in another.  Each family has 128 variables (so
+genus <= 64); any other name is rejected as unknown.  Decoding lists the variables in canonical
 order; a whole polynomial puts its support in that order once.
 
 Overflow.  Exponents must satisfy |e| < 2**22.  Encoding rejects larger
@@ -319,16 +319,6 @@ class SparsePoly:
     def const(cls, c):
         c = _clean(c)
         return cls._raw({0: c} if c else {})
-
-    @classmethod
-    def term(cls, c, monomial=None, **exponents):
-        m = monomial if monomial is not None else Monomial(exponents)
-        c = _clean(c)
-        return cls._raw({m.code: c} if c else {})
-
-    @classmethod
-    def var(cls, name):
-        return cls._raw({1 << _SHIFT[_slot(name)]: 1})
 
     def is_zero(self):
         return not self.terms
@@ -833,10 +823,6 @@ class FactoredRat:
     def from_monomial(cls, m, c=1):
         return cls(m, SparsePoly.const(c), (), normalized=True)
 
-    @classmethod
-    def var(cls, name):
-        return cls.from_monomial(Monomial(((name, 1),)))
-
     def is_zero(self):
         return self.numerator.is_zero()
 
@@ -1002,43 +988,26 @@ class FactoredRat:
             out.update(a.shape.variables())
         return out
 
-    def has_var(self, var):
-        return var in self.variables()
-
     def to_json(self):
-        """JSON object with decimal-string rationals; bit-exact round trip."""
+        """JSON object in the codec below; bit-exact round trip."""
         variables = sorted(self.variables(), key=var_key)
-
-        def expvec(m):
-            return [m.exponent(v) for v in variables]
-
-        def frac(c):
-            c = Fraction(c)
-            return "%d/%d" % (c.numerator, c.denominator)
-
         return {
             "variables": variables,
-            "prefactor": expvec(self.prefactor),
-            "numerator": [[expvec(m), frac(c)] for m, c in self.numerator.sorted_terms()],
-            "denominator": [[frac(a.constant), expvec(a.shape)]
+            "prefactor": _exponents(self.prefactor, variables),
+            "numerator": _terms_to_json(self.numerator, variables),
+            "denominator": [[rational_to_json(a.constant),
+                             _exponents(a.shape, variables)]
                             for a in _sorted_atoms(self.denominator)],
         }
 
     @staticmethod
     def from_json(obj):
-        variables = list(obj["variables"])
-
-        def mono(vec):
-            return Monomial({v: e for v, e in zip(variables, vec) if e})
-
-        def frac(s):
-            n, _, d = s.partition("/")
-            return Fraction(int(n), int(d or 1))
-
-        pre = mono(obj["prefactor"])
-        num = SparsePoly({mono(vec): _clean(frac(c)) for vec, c in obj["numerator"]})
-        den = tuple(Atom(frac(c), mono(vec)) for c, vec in obj["denominator"])
-        return FactoredRat(pre, num, den)
+        """Inverse of to_json."""
+        code = _code_reader(obj["variables"])
+        den = tuple(Atom(rational_from_json(c), Monomial._raw(code(vec)))
+                    for c, vec in obj["denominator"])
+        return FactoredRat(Monomial._raw(code(obj["prefactor"])),
+                           _terms_from_json(obj["numerator"], code), den)
 
     def __repr__(self):
         bits = []
@@ -1049,6 +1018,76 @@ class FactoredRat:
         if self.denominator:
             s += " / [%s]" % "".join(str(a) for a in self.denominator)
         return s
+
+
+# ---------------------------------------------------------------------------
+# JSON: a rational is the string "n/d", a monomial its exponent vector over
+# the variable names listed beside it.
+
+def rational_to_json(c):
+    """The rational c as "n/d" in lowest terms, d > 0."""
+    c = Fraction(c)
+    return "%d/%d" % (c.numerator, c.denominator)
+
+
+def rational_from_json(s):
+    """The rational of an "n/d" or "n" string, as an int when integral."""
+    n, _, d = s.partition("/")
+    if d in ("", "1"):
+        return int(n)  # most coefficients: skip the Fraction's gcd
+    return _clean(Fraction(int(n), int(d)))
+
+
+def _exponents(m, variables):
+    return [m.exponent(v) for v in variables]
+
+
+def _code_reader(variables):
+    """The function from an exponent vector over variables to its code,
+    with the checks of Monomial(...); a repeated name, or a vector whose
+    length is not that of variables, is a ValueError."""
+    shifts = [_SHIFT[_slot(v)] for v in variables]
+    if len(set(shifts)) != len(shifts):
+        raise ValueError("repeated variable in %r" % (variables,))
+
+    def code(vec):
+        if len(vec) != len(shifts):
+            raise ValueError("exponent vector %r for %r" % (vec, variables))
+        c = 0
+        for sh, e in zip(shifts, vec):
+            e = index(e)
+            if e:
+                if not -_LIMIT < e < _LIMIT:
+                    _overflow()
+                c += e << sh
+        return c
+
+    return code
+
+
+def _terms_to_json(p, variables):
+    return [[_exponents(m, variables), rational_to_json(c)]
+            for m, c in p.sorted_terms()]
+
+
+def _terms_from_json(terms, code):
+    d = {code(vec): rational_from_json(c) for vec, c in terms}
+    if len(d) != len(terms):
+        raise ValueError("repeated exponent vector")
+    return SparsePoly(d)
+
+
+def poly_to_json(p):
+    """{"variables": names in canonical order, "terms": [[exponent vector,
+    "n/d"], ...] in descending canonical order}; bit-exact round trip."""
+    variables = sorted(p.variables(), key=var_key)
+    return {"variables": variables, "terms": _terms_to_json(p, variables)}
+
+
+def poly_from_json(obj):
+    """Inverse of poly_to_json; a repeated variable or exponent vector, or
+    a vector of the wrong length, is a ValueError."""
+    return _terms_from_json(obj["terms"], _code_reader(obj["variables"]))
 
 
 def add_many(fracs):
@@ -1093,44 +1132,3 @@ def atom_inverse(constant, shape):
 def geometric(constant=1, **exponents):
     """Convenience: 1/(1 - constant*monomial(**exponents))."""
     return atom_inverse(constant, Monomial(exponents))
-
-
-def ring_add(a, b):
-    """Exact sum of two factored rational functions, normalized."""
-    return a + b
-
-
-def ring_mul(a, b):
-    """Exact product of two factored rational functions, normalized."""
-    return a * b
-
-
-def normalize(a):
-    """Cancel atoms dividing the numerator; idempotent."""
-    return a.normalize()
-
-
-def adams_map(k, a):
-    """k-th Adams operation: every ambient variable is raised to the k-th power."""
-    if k < 1:
-        raise ValueError("Adams index must be >= 1")
-    return a.adams(k)
-
-
-def substitute_var(a, var, image):
-    """Substitute var by a scalar multiple of a monomial.
-
-    image is either a Monomial or a (coeff, Monomial) pair.
-    """
-    if isinstance(image, tuple):
-        coeff, mono = image
-    else:
-        coeff, mono = 1, image
-    if not coeff:
-        raise ValueError("substitution image must be nonzero")
-    return a.substitute(var, coeff, mono)
-
-
-def eval_numeric(a, assignment):
-    """Evaluate at a complex point; PoleAtPoint when an atom vanishes there."""
-    return a.eval_numeric(assignment)

@@ -229,12 +229,6 @@ class BiSeries:
                 out[j * k] = self._snap(c.adams(k))
         return BiSeries(self.var, self.order, out, self.z_order)
 
-    def truncate(self, order):
-        if order >= self.order:
-            return self
-        return BiSeries(self.var, order, self.coeffs[: order + 1],
-                        self.z_order)
-
     def truncate_z(self, D):
         """Convert to (or re-truncate within) the z-polynomial mode."""
         return BiSeries(self.var, self.order,

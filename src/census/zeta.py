@@ -33,21 +33,6 @@ def alpha_names(g):
     return [alpha_name(i) for i in range(1, 2 * g + 1)]
 
 
-@dataclass(frozen=True)
-class ZetaSymbols:
-    """The 2g+1 ring variables attached to a genus."""
-
-    genus: int
-
-    @property
-    def alphas(self):
-        return alpha_names(self.genus)
-
-    @property
-    def variables(self):
-        return self.alphas + ["q"]
-
-
 def one_minus(coeff, monomial):
     """FactoredRat 1 - coeff*monomial."""
     terms = {ONE_MONOMIAL: 1}
@@ -180,14 +165,10 @@ class CurveData:
             q = int(obj["q"])
             genus = int(obj["genus"])
             counts = [int(n) for n in obj["point_counts"]]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError("curve input needs q, genus, point_counts: %s"
                              % (exc,))
         return weil_from_counts(q, counts, genus=genus)
-
-    def to_dict(self):
-        return {"q": self.q, "genus": self.genus,
-                "point_counts": list(self.point_counts)}
 
 
 _WEIL_TOL = 1e-6
@@ -231,7 +212,11 @@ def weil_from_counts(q, counts, genus=None):
     if g == 0:
         return CurveData(q, 0, counts, (1,), ())
 
-    roots = numpy.roots([a[k] for k in range(2 * g, -1, -1)])
+    try:
+        roots = numpy.roots([a[k] for k in range(2 * g, -1, -1)])
+    except OverflowError:
+        raise ValueError("q and the point counts are too large for numeric "
+                         "root extraction") from None
     sigmas = []
     for z in roots:
         if abs(z) < 1e-12:

@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from census.partitions import (
     BlockProfile,
     Partition,
-    arm_leg,
     block_profile,
     box_stats,
     conjugate,
@@ -88,20 +87,18 @@ class TestBoxes:
         # column 4 of row 3 in a 49-box diagram: 5 boxes to the right,
         # 2 boxes above (rows 4 and 5 reach column 4, rows 6 and 7 do not)
         lam = P(10, 9, 9, 9, 6, 3, 3)
-        assert arm_leg(lam, 4, 3) == (5, 2)
+        # rows 1 and 2 come first in box_stats, then row 3 from column 1
+        assert box_stats(lam)[10 + 9 + 3] == (5, 2)
 
-    def test_arm_leg_matches_box_stats(self):
-        lam = P(4, 2, 1)
-        flat = box_stats(lam)
-        k = 0
-        for j, row in enumerate(lam.parts, start=1):
-            for i in range(1, row + 1):
-                assert arm_leg(lam, i, j) == flat[k]
-                k += 1
-
-    def test_arm_leg_out_of_range(self):
-        with pytest.raises(ValueError):
-            arm_leg(P(2, 1), 2, 2)
+    @given(partitions())
+    def test_arm_leg_matches_box_stats(self, lam):
+        # box (i, j): arm = lambda_j - i, leg = lambda'_i - j, through the
+        # conjugate partition lambda'
+        cols = conjugate(lam).parts
+        want = [(row - i, cols[i - 1] - j)
+                for j, row in enumerate(lam.parts, start=1)
+                for i in range(1, row + 1)]
+        assert box_stats(lam) == want
 
     @given(partitions())
     def test_box_count(self, lam):

@@ -276,10 +276,6 @@ class TestSeriesPlumbing:
         assert g.coeffs[3] == fr((1, {"q": 3}))
         assert all(g.coeffs[j].is_zero() for j in (0, 1, 2, 4, 5, 6))
 
-    def test_truncate(self):
-        f = T_series(1, 2, 3, 4)
-        assert f.truncate(1) == T_series(1, 2)
-
     def test_coefficient_bounds(self):
         f = T_series(1, 2)
         assert f.coefficient(1) == const(2)

@@ -19,7 +19,6 @@ from census.ring import (
 from census.series import BiSeries, frac_to_series, series_exp
 from census.zeta import (
     CurveData,
-    ZetaSymbols,
     alpha_names,
     j_factor,
     one_minus,
@@ -330,12 +329,3 @@ class TestTorsionVolume:
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
             torsion_volume_series(1, 0)
-
-
-class TestZetaSymbols:
-    def test_variable_count(self):
-        for g in range(4):
-            assert len(ZetaSymbols(g).variables) == 2 * g + 1
-
-    def test_names(self):
-        assert ZetaSymbols(1).variables == ["a1", "a2", "q"]
