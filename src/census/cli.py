@@ -13,6 +13,7 @@ import json
 import os
 import sys
 import tempfile
+from functools import lru_cache
 
 from . import pipeline
 from .errors import CensusError, IdentityViolation, UsageError
@@ -26,6 +27,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# built once per process: parse_args leaves it unchanged, and building it
+# costs more than a warm cached request
+@lru_cache(maxsize=None)
 def build_parser():
     top = _Parser(prog="census",
                   description="Exact counts of geometrically indecomposable "

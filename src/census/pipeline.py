@@ -49,12 +49,12 @@ def _one_minus_z_pow(r):
 def _lambda_term(g, lam):
     """One partition's contribution q^{(g-1)<λ,λ>} J_λ H_λ, normalized.
 
-    Both factors are built modulo the Weil relations (paired=True): the
-    final answer is pair-reduced anyway, and reducing at the leaves keeps
-    the intermediate numerators in g roots instead of 2g.
+    Both factors are built modulo the Weil relations: the final answer is
+    pair-reduced anyway, and reducing at the leaves keeps the intermediate
+    numerators in g roots instead of 2g.
     """
     w = Monomial.of(q=(g - 1) * pairing(lam, lam))
-    return (_zeta.j_factor(g, lam, paired=True) * h_factor(g, lam, paired=True)
+    return (_zeta.j_factor(g, lam) * h_factor(g, lam)
             * FactoredRat.from_monomial(w)).normalize()
 
 

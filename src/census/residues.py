@@ -1,10 +1,12 @@
-"""Symmetrized n-variable kernels and the iterated chain residues that
-turn them into the one-variable weights H_λ(z).
+"""The one-variable weights H_λ(z): iterated chain residues of the S_n
+kernel Σ_σ K_σ, taken one summand at a time (a residue is linear), then
+specialized and added once.  build_L, the kernel over one common
+denominator, is only the reference that the tests compare against.
 
-The kernel is assembled summand by summand: dividing the σ-permuted
-ζ̃-product by the unpermuted one leaves exactly one ratio factor
-ρ(z_a/z_b) = ζ̃(z_a/z_b)/ζ̃(z_b/z_a) per inversion of σ, and ρ collapses
-to −(w−q)∏_i(1−α_i w) / ((1−qw)∏_i(w−α_i)), independent of the genus.
+Dividing the σ-permuted ζ̃-product by the unpermuted one leaves exactly
+one ratio factor ρ(z_a/z_b) = ζ̃(z_a/z_b)/ζ̃(z_b/z_a) per inversion of σ,
+and ρ collapses to −(w−q)∏_i(1−α_i w) / ((1−qw)∏_i(w−α_i)), independent
+of the genus; it is kept modulo the Weil relations α_{2i−1}α_{2i} = q.
 
 Residues are taken in ratio coordinates: inside a block the non-leader
 variables are rewritten as leader·u_j·…, each constraint becomes
@@ -52,10 +54,6 @@ class ChainSpec:
     blocks: tuple
 
     @property
-    def n(self):
-        return sum(len(b.ratios) + 1 for b in self.blocks)
-
-    @property
     def constraint_count(self):
         return sum(len(b.ratios) for b in self.blocks)
 
@@ -74,12 +72,10 @@ class SymmetrizedKernel:
     fraction: FactoredRat
 
 
-def _rho(g, hi, lo, paired=False):
-    """ζ̃(z_hi/z_lo)/ζ̃(z_lo/z_hi) for hi > lo, as an unnormalized
-    FactoredRat: -(w-q)∏(1-α_i w) / ((1-qw)∏(w-α_i)) with w = z_hi/z_lo.
-
-    paired=True rewrites the factor modulo the Weil relations up front;
-    downstream products then stay in the g odd roots only."""
+def _rho(g, hi, lo):
+    """ζ̃(z_hi/z_lo)/ζ̃(z_lo/z_hi) for hi > lo, modulo the Weil relations:
+    -(w-q)∏(1-α_i w) / ((1-qw)∏(w-α_i)) with w = z_hi/z_lo, then
+    pair-reduced, so every product downstream stays in the g odd roots."""
     w = Monomial.of(**{_z(hi): 1, _z(lo): -1})
     num = SparsePoly({Monomial.of(q=1): 1, w: -1})      # q - w
     pref = ONE_MONOMIAL
@@ -91,35 +87,39 @@ def _rho(g, hi, lo, paired=False):
         pref = pref * am ** -1
         dens.append(Atom(Fraction(1), w * am ** -1))
     dens.append(Atom(Fraction(1), w * Monomial.of(q=1)))
-    out = FactoredRat(pref, num, tuple(dens))
-    return pair_reduce(out, g) if paired else out
+    return pair_reduce(FactoredRat(pref, num, tuple(dens)), g)
+
+
+def _summand(g, sigma):
+    """K_σ: the chain atoms 1/(1-z_σ1) ∏ 1/(1-q z_σ(i+1)/z_σi) times one ρ
+    per inversion of σ, multiplied out but not normalized."""
+    n = len(sigma)
+    pieces = [atom_inverse(1, Monomial.of(**{_z(sigma[0]): 1}))]
+    for i in range(n - 1):
+        shape = Monomial.of(q=1, **{_z(sigma[i + 1]): 1, _z(sigma[i]): -1})
+        pieces.append(atom_inverse(1, shape))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if sigma[i] > sigma[j]:
+                pieces.append(_rho(g, sigma[i], sigma[j]))
+    pref = ONE_MONOMIAL
+    num = SparsePoly.one()
+    dens = []
+    for p in pieces:
+        pref = pref * p.prefactor
+        num = num * p.numerator
+        dens.extend(p.denominator)
+    return FactoredRat(pref, num, tuple(dens))
 
 
 @lru_cache(maxsize=None)
-def build_L(g, n, paired=False):
-    """The full S_n kernel combined into a single normalized fraction."""
+def build_L(g, n):
+    """The full S_n kernel Σ_σ K_σ over one common denominator.  The main
+    route never builds it; tests compare h_factor against it."""
     if n < 1:
         raise ValueError("kernel needs at least one variable")
-    summands = []
-    for sigma in permutations(range(1, n + 1)):
-        pieces = [atom_inverse(1, Monomial.of(**{_z(sigma[0]): 1}))]
-        for i in range(n - 1):
-            shape = Monomial.of(q=1, **{_z(sigma[i + 1]): 1,
-                                        _z(sigma[i]): -1})
-            pieces.append(atom_inverse(1, shape))
-        for i in range(n):
-            for j in range(i + 1, n):
-                if sigma[i] > sigma[j]:
-                    pieces.append(_rho(g, sigma[i], sigma[j], paired))
-        pref = ONE_MONOMIAL
-        num = SparsePoly.one()
-        dens = []
-        for p in pieces:
-            pref = pref * p.prefactor
-            num = num * p.numerator
-            dens.extend(p.denominator)
-        summands.append(FactoredRat(pref, num, tuple(dens)))
-    return SymmetrizedKernel(n, add_many(summands))
+    return SymmetrizedKernel(n, add_many(
+        [_summand(g, sigma) for sigma in permutations(range(1, n + 1))]))
 
 
 def res_simple(f, var, coeff, monomial=ONE_MONOMIAL):
@@ -157,50 +157,49 @@ def res_simple(f, var, coeff, monomial=ONE_MONOMIAL):
     return rest.substitute(var, c, monomial).mul_scalar(Fraction(-1, e))
 
 
-def h_tilde(g, lam, block_order=None, reverse_chains=False, paired=False):
-    """Res_λ of the kernel; a FactoredRat in the block leader variables.
+def h_tilde(f, lam):
+    """Res_λ of f, a fraction in z_1..z_n with n = ℓ(λ); a FactoredRat in
+    the block leader variables.
 
     The defining orientation integrates out the non-final variable of each
     chain constraint (the survivor of a block is its last variable, later
     rewritten through the chain in terms of the leader).  Computing in
     ratio coordinates u_j = z_{j+1}/z_j instead picks up a factor -1 per
-    constraint, compensated at the end.  The order arguments only reindex
-    the residue sequence (the result does not depend on them; exposed for
-    tests).  paired=True works modulo the Weil relations throughout; the
-    pole bookkeeping is untouched because every root-carrying atom keeps
-    exactly one odd root after the rewrite."""
+    constraint, compensated at the end.  Every root-carrying atom of a
+    pair-reduced f keeps exactly one odd root, so the pole bookkeeping
+    needs no Weil relations."""
     spec = chain_spec(lam)
     if not spec.blocks:
         raise ValueError("partition must be nonempty")
-    f = build_L(g, spec.n, paired).fraction
     for block in spec.blocks:
-        for k, _ in enumerate(block.ratios, start=1):
-            image = {_z(block.leader): 1}
-            for j in block.ratios[:k]:
-                image[_u(j)] = 1
+        image = {_z(block.leader): 1}
+        for k, j in enumerate(block.ratios, start=1):
+            image[_u(j)] = 1
             f = f.substitute(_z(block.leader + k), 1, Monomial.of(**image))
-    blocks = spec.blocks
-    if block_order is not None:
-        blocks = [blocks[i] for i in block_order]
     qinv = Monomial.of(q=-1)
-    for block in blocks:
-        js = block.ratios if reverse_chains else reversed(block.ratios)
-        for j in js:
+    for block in spec.blocks:
+        for j in reversed(block.ratios):
             f = res_simple(f, _u(j), 1, qinv)
     if spec.constraint_count % 2:
         f = f.mul_scalar(-1)
     return f if f._normalized else f.normalize()
 
 
-@lru_cache(maxsize=None)
-def h_factor(g, lam, paired=False):
-    """H_λ(z): every block leader specialized to z^i q^{-r_{<i}}."""
-    spec = chain_spec(lam)
-    if not spec.blocks:
-        return FactoredRat.one()
+def specialize_leaders(f, lam):
+    """Every block leader of λ specialized to z^i q^{-r_{<i}}."""
     prof = block_profile(lam)
-    f = h_tilde(g, lam, paired=paired)
-    for block in spec.blocks:
+    for block in chain_spec(lam).blocks:
         image = Monomial.of(z=block.part, q=-prof.prefix(block.part))
         f = f.substitute(_z(block.leader), 1, image)
     return f if f._normalized else f.normalize()
+
+
+@lru_cache(maxsize=None)
+def h_factor(g, lam):
+    """H_λ(z) = Σ_σ of the specialized Res_λ K_σ, modulo the Weil
+    relations."""
+    n = lam.length()
+    if not n:
+        return FactoredRat.one()
+    return add_many([specialize_leaders(h_tilde(_summand(g, sigma), lam), lam)
+                     for sigma in permutations(range(1, n + 1))])

@@ -120,20 +120,13 @@ def zeta_tilde(g, coeff, monomial):
     return (scale * zeta_at(g, coeff, monomial)).normalize()
 
 
-def j_factor(g, lam, paired=False):
-    """J_λ = ∏ over boxes of ζ*(q^{-1-leg} z^{arm}).
-
-    paired=True rewrites each factor modulo the Weil relations before
-    multiplying; the product lives in g variables instead of 2g, which
-    keeps intermediate numerators small.  Equality with the unpaired
-    product holds because pair_reduce is a ring homomorphism.
-    """
+def j_factor(g, lam):
+    """J_λ = ∏ over boxes of ζ*(q^{-1-leg} z^{arm}), modulo the Weil
+    relations: each factor is pair-reduced before multiplying, which keeps
+    the intermediate numerators in g roots instead of 2g."""
     out = FactoredRat.one()
     for arm, leg in box_stats(lam):
-        f = zeta_star(g, 1 + leg, arm)
-        if paired:
-            f = pair_reduce(f, g)
-        out = out * f
+        out = out * pair_reduce(zeta_star(g, 1 + leg, arm), g)
     return out.normalize()
 
 

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+import census.cli as cli
 import census.pipeline as pipeline
 import census.zeta as zeta
 from census.cli import main
@@ -387,6 +388,15 @@ class TestExitCodes:
                                "kac", "-g", "1", "-r", "1")
         assert code == 2
         assert "usage error" in err
+
+    def test_parser_is_shared_between_calls(self, capsys):
+        # main builds its parser once; flags of one call, or a usage error,
+        # must not carry into the next
+        assert cli.build_parser() is cli.build_parser()
+        text = run_cli(capsys, "kac", "-g", "1", "-r", "1")
+        run_cli(capsys, "--format", "json", "kac", "-g", "1", "-r", "1")
+        assert run_cli(capsys, "kac", "-g", "1")[0] == 2
+        assert run_cli(capsys, "kac", "-g", "1", "-r", "1") == text
 
     def test_negative_genus(self, capsys):
         code, _, err = run_cli(capsys, "kac", "-g", "-1", "-r", "1")

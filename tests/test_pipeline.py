@@ -132,6 +132,13 @@ class TestKacPolynomial:
         assert kac_polynomial(1, 1, 0).lifted == poly(
             (1, {}), (-1, {"a1": 1}), (-1, {"a2": 1}), (1, {"q": 1}))
 
+    @pytest.mark.parametrize("d", [0, 1, 2, 3])
+    def test_genus1_rank4_atiyah(self, d):
+        # Atiyah (1957): on an elliptic curve A_{1,r,d} = q + 1 - α1 - α2
+        # for every rank and degree
+        assert kac_polynomial(1, 4, d).lifted == poly(
+            (1, {}), (-1, {"a1": 1}), (-1, {"a2": 1}), (1, {"q": 1}))
+
     def test_genus0_rank2_vanishes(self):
         for d in (0, 1):
             res = kac_polynomial(0, 2, d)

@@ -16,6 +16,7 @@ from census.residues import (
     h_factor,
     h_tilde,
     res_simple,
+    specialize_leaders,
     _rho,
 )
 from census.ring import (
@@ -26,7 +27,7 @@ from census.ring import (
     SparsePoly,
     atom_inverse,
 )
-from census.zeta import alpha_names, zeta_tilde
+from census.zeta import alpha_names, pair_reduce, paired_point, zeta_tilde
 
 
 def mono(**e):
@@ -74,13 +75,29 @@ def circle_integral(fn, center, radius=0.04, nodes=64):
     return total * radius / nodes
 
 
+def weil_point(q, g, rng, lo=0.55, hi=0.75):
+    """A paired_point with random odd roots: the kernels are pair-reduced,
+    so they agree with their definitions only where a_{2i-1}·a_{2i} = q."""
+    return paired_point(q, [cmath.rect(rng.uniform(lo, hi),
+                                       rng.uniform(0, 6.28))
+                            for _ in range(g)])
+
+
+def alphas_at(point, g):
+    return [point[name] for name in alpha_names(g)]
+
+
 def sample_point(g, seed):
+    """(point, alphas, z1) with point holding q and the paired roots."""
     rng = random.Random(seed)
-    q = 2.2 + 0.4j
-    alphas = [cmath.rect(rng.uniform(0.55, 0.75), rng.uniform(0, 6.28))
-              for _ in range(2 * g)]
+    point = weil_point(2.2 + 0.4j, g, rng)
     z1 = cmath.rect(rng.uniform(0.3, 0.5), rng.uniform(0, 6.28))
-    return q, alphas, z1
+    return point, alphas_at(point, g), z1
+
+
+def kernel_residue(g, lam):
+    """Res_λ of the whole symmetrized kernel."""
+    return h_tilde(build_L(g, lam.length()).fraction, lam)
 
 
 # ---------------------------------------------------------------- res_simple
@@ -158,33 +175,25 @@ class TestBuildL:
     def test_matches_direct_evaluation(self, g, n):
         rng = random.Random(100 * g + n)
         q = 2.3 + 0.5j
-        alphas = [cmath.rect(rng.uniform(0.5, 0.8), rng.uniform(0, 6.28))
-                  for _ in range(2 * g)]
+        point = weil_point(q, g, rng, 0.5, 0.8)
         zs = [cmath.rect(rng.uniform(0.3, 0.5), rng.uniform(0, 6.28))
               for _ in range(n)]
-        point = {"q": q}
-        for i, a in enumerate(alphas, 1):
-            point["a%d" % i] = a
         for i, z in enumerate(zs, 1):
             point["z%d" % i] = z
         got = build_L(g, n).fraction.eval_numeric(point)
-        want = L_num(alphas, q, zs)
+        want = L_num(alphas_at(point, g), q, zs)
         assert abs(got - want) < 1e-9 * abs(want)
 
     @pytest.mark.parametrize("g,n", [(0, 2), (1, 2), (0, 3)])
     def test_symmetrized_sum_is_permutation_invariant(self, g, n):
         # L·∏_{i<j} ζ̃(z_i/z_j) is the plain S_n sum, hence symmetric
         rng = random.Random(17 * g + n)
-        q = 2.1 + 0.3j
-        alphas = [cmath.rect(rng.uniform(0.5, 0.8), rng.uniform(0, 6.28))
-                  for _ in range(2 * g)]
+        roots = weil_point(2.1 + 0.3j, g, rng, 0.5, 0.8)
         zs = [cmath.rect(rng.uniform(0.3, 0.5), rng.uniform(0, 6.28))
               for _ in range(n)]
 
         def symmetrized(zvals):
-            point = {"q": q}
-            for i, a in enumerate(alphas, 1):
-                point["a%d" % i] = a
+            point = dict(roots)
             for i, z in enumerate(zvals, 1):
                 point["z%d" % i] = z
             val = build_L(g, n).fraction.eval_numeric(point)
@@ -202,11 +211,8 @@ class TestBuildL:
     @pytest.mark.parametrize("g", [0, 1, 2])
     def test_rho_is_zeta_tilde_ratio(self, g):
         rng = random.Random(g + 40)
-        q = 1.9 + 0.6j
-        point = {"q": q, "z1": 0.4 + 0.2j, "z2": 0.7 - 0.3j}
-        for i in range(1, 2 * g + 1):
-            point["a%d" % i] = cmath.rect(rng.uniform(0.5, 0.8),
-                                          rng.uniform(0, 6.28))
+        point = weil_point(1.9 + 0.6j, g, rng, 0.5, 0.8)
+        point.update(z1=0.4 + 0.2j, z2=0.7 - 0.3j)
         w = point["z2"] / point["z1"]
         zt = zeta_tilde(g, 1, mono(s=1))
         want = (zt.eval_numeric(dict(point, s=w))
@@ -224,7 +230,6 @@ class TestChainSpec:
         b1, b2 = spec.blocks
         assert (b1.part, b1.leader, b1.ratios) == (1, 1, (1,))
         assert (b2.part, b2.leader, b2.ratios) == (2, 3, ())
-        assert spec.n == 3
         assert spec.constraint_count == 1
 
     def test_counts(self):
@@ -232,8 +237,7 @@ class TestChainSpec:
             if lam.size() == 0:
                 continue
             spec = chain_spec(lam)
-            assert spec.n == lam.length()
-            assert spec.constraint_count == spec.n - len(spec.blocks)
+            assert spec.constraint_count == lam.length() - len(spec.blocks)
 
 
 # ---------------------------------------------------------------- h_tilde
@@ -253,29 +257,28 @@ def expected_h11(g):
 class TestHTilde:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            h_tilde(1, P())
+            h_tilde(build_L(1, 1).fraction, P())
 
     @pytest.mark.parametrize("g", [0, 1, 2])
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_single_part(self, g, m):
-        assert h_tilde(g, P(m)) == atom_inverse(1, mono(z1=1))
+        assert kernel_residue(g, P(m)) == atom_inverse(1, mono(z1=1))
 
     @pytest.mark.parametrize("g", [0, 1, 2])
     def test_two_ones(self, g):
-        assert h_tilde(g, P(1, 1)) == expected_h11(g)
+        assert kernel_residue(g, P(1, 1)) == pair_reduce(expected_h11(g), g)
 
     @pytest.mark.parametrize("g", [0, 1, 2])
     def test_two_one_is_plain_kernel(self, g):
-        assert h_tilde(g, P(2, 1)) == build_L(g, 2).fraction
+        assert kernel_residue(g, P(2, 1)) == build_L(g, 2).fraction
 
     def test_contour_oracle(self):
         # all |λ| ≤ 3 against small-circle contour integrals, 20 samples
         for seed in range(20):
             g = seed % 3
-            q, alphas, z1 = sample_point(g, seed)
-            point = {"q": q, "z1": z1}
-            for i, a in enumerate(alphas, 1):
-                point["a%d" % i] = a
+            point, alphas, z1 = sample_point(g, seed)
+            q = point["q"]
+            point["z1"] = z1
 
             def L_at(zs):
                 return L_num(alphas, q, zs)
@@ -283,52 +286,31 @@ class TestHTilde:
             # n = 1 shapes: no residues at all
             direct = L_at([z1])
             for lam in (P(1), P(2), P(3)):
-                got = h_tilde(g, lam).eval_numeric(point)
+                got = kernel_residue(g, lam).eval_numeric(point)
                 assert abs(got - direct) < 1e-6 * abs(direct)
 
             # (1,1): one residue in u1 = z2/z1 at q^{-1}, orientation
             # flips the sign once
-            got = h_tilde(g, P(1, 1)).eval_numeric(point)
+            got = kernel_residue(g, P(1, 1)).eval_numeric(point)
             want = -circle_integral(
                 lambda u: L_at([z1, z1 * u]) / u, 1 / q)
             assert abs(got - want) < 1e-6 * max(1.0, abs(want))
 
             # (2,1): no constraints, two leaders
             z2 = z1 * (0.8 + 0.3j)
-            got = h_tilde(g, P(2, 1)).eval_numeric(dict(point, z2=z2))
+            got = kernel_residue(g, P(2, 1)).eval_numeric(dict(point, z2=z2))
             want = L_at([z1, z2])
             assert abs(got - want) < 1e-6 * abs(want)
 
             # (1,1,1): nested residues, top of chain first
             if g <= 1:
-                got = h_tilde(g, P(1, 1, 1)).eval_numeric(point)
+                got = kernel_residue(g, P(1, 1, 1)).eval_numeric(point)
                 want = circle_integral(
                     lambda u1: circle_integral(
                         lambda u2: L_at([z1, z1 * u1, z1 * u1 * u2]) / u2,
                         1 / q) / u1,
                     1 / q)
                 assert abs(got - want) < 1e-6 * max(1.0, abs(want))
-
-    def test_order_independence_genus0(self):
-        for lam in partitions_up_to(4):
-            if lam.size() == 0:
-                continue
-            base = h_tilde(0, lam)
-            nblocks = len(chain_spec(lam).blocks)
-            for order in permutations(range(nblocks)):
-                assert h_tilde(0, lam, block_order=list(order)) == base
-                assert h_tilde(0, lam, block_order=list(order),
-                               reverse_chains=True) == base
-
-    def test_order_independence_genus1(self):
-        for lam in partitions_up_to(3):
-            if lam.size() == 0:
-                continue
-            base = h_tilde(1, lam)
-            assert h_tilde(1, lam, reverse_chains=True) == base
-            nblocks = len(chain_spec(lam).blocks)
-            order = list(reversed(range(nblocks)))
-            assert h_tilde(1, lam, block_order=order) == base
 
 
 # ---------------------------------------------------------------- h_factor
@@ -344,16 +326,15 @@ class TestHFactor:
 
     @pytest.mark.parametrize("g", [0, 1])
     def test_two_ones(self, g):
-        want = expected_h11(g).substitute("z1", 1, mono(z=1))
+        want = pair_reduce(expected_h11(g), g).substitute("z1", 1, mono(z=1))
         assert h_factor(g, P(1, 1)) == want
 
     @pytest.mark.parametrize("g", [0, 1, 2])
     def test_two_one_numeric(self, g):
         # leaders: z1 -> z, z2 -> z² q^{-1}
-        q, alphas, z = sample_point(g, 31 + g)
-        point = {"q": q, "z": z}
-        for i, a in enumerate(alphas, 1):
-            point["a%d" % i] = a
+        point, alphas, z = sample_point(g, 31 + g)
+        q = point["q"]
+        point["z"] = z
         got = h_factor(g, P(2, 1)).eval_numeric(point)
         want = L_num(alphas, q, [z, z * z / q])
         assert abs(got - want) < 1e-9 * abs(want)
@@ -361,10 +342,21 @@ class TestHFactor:
     def test_blocks_with_gap(self):
         # λ=(3,1): blocks are sizes 1 and 3; leaders z1 -> z, z2 -> z³ q^{-1}
         g = 1
-        q, alphas, z = sample_point(g, 77)
-        point = {"q": q, "z": z}
-        for i, a in enumerate(alphas, 1):
-            point["a%d" % i] = a
+        point, alphas, z = sample_point(g, 77)
+        q = point["q"]
+        point["z"] = z
         got = h_factor(g, P(3, 1)).eval_numeric(point)
         want = L_num(alphas, q, [z, z ** 3 / q])
         assert abs(got - want) < 1e-9 * abs(want)
+
+    @pytest.mark.parametrize("g", [0, 1, 2])
+    def test_summands_match_kernel_route(self, g):
+        # the main route takes residues summand by summand; the reference
+        # puts the whole kernel through the same residues and specialization
+        lams = [lam for lam in partitions_up_to(5)
+                if 0 < lam.length() <= 3]
+        if g == 0:
+            lams.append(P(1, 1, 1, 1))
+        for lam in lams:
+            want = specialize_leaders(kernel_residue(g, lam), lam)
+            assert h_factor(g, lam) == want, lam
