@@ -41,6 +41,25 @@ every field must agree, which holds exactly when the field, after the
 borrow from the fields below, lies in [-2**22, 2**22).  So an exponent
 beyond 2**22 in absolute value raises ExponentOverflow (one of exactly
 2**22 may raise as well); a field never wraps silently.
+
+Division filter.  Before each exact division of a numerator by a
+denominator atom, normalize runs a cheap necessary test (_DivisionFilter):
+every variable but one, w, is set to its residue mod a large prime p at
+one fixed point, drawn once from a seeded generator, and the image of the
+numerator, a Laurent polynomial in w over Z/p kept as a dict degree ->
+nonzero residue, is divided by that of the atom.  Specialization is a ring
+homomorphism, so images compose through the operations that build a
+numerator: the image of a product is the convolution of its factors'
+images, and that of a sum over a common denominator is the sum of its
+terms' images, each shifted and scaled by its prefactor and multiplied by
+its missing atoms at the point.  A FactoredRat keeps the images of its
+numerator (_images, keyed (p, w)); __mul__ and add_many hand normalize a
+seed that composes the image of the numerator they built, so eval_mod
+reduces a numerator only where no image is known, or where it involves no
+variable but w (its image is then the polynomial itself, cheaper to
+reduce than to compose).  Exact division still decides every
+cancellation: the filter changes the speed of normalize, never a normal
+form.
 """
 
 from __future__ import annotations
@@ -440,8 +459,9 @@ class SparsePoly:
     def eval_mod(self, p, assignment, main_var):
         """Reduce to a univariate polynomial in main_var over Z/p.
 
-        Returns a dict degree -> residue.  Raises ValueError when p divides
-        a coefficient denominator (caller should retry with another prime).
+        Returns a dict degree -> nonzero residue.  Raises ValueError when p
+        divides a coefficient denominator (caller should retry with
+        another prime).
         """
         terms = self.terms
         main = _slot(main_var)
@@ -482,6 +502,8 @@ class SparsePoly:
                     cache[key] = pw
                 cc = cc * pw % p
             out[d] = (out.get(d, 0) + cc) % p
+        if 0 in out.values():
+            out = {d: r for d, r in out.items() if r}
         return out
 
     def content_monomial(self):
@@ -578,79 +600,116 @@ class SparsePoly:
 
 _FILTER_PRIMES = (2305843009213693951, 4611686018427387847, 2305843009213693967)
 _FILTER_RNG = random.Random(0x1D872A5)
+# The fixed evaluation point: one residue per variable for each prime.
+_POINTS = {p: {name: _FILTER_RNG.randrange(2, p - 2) for name in _NAMES}
+           for p in _FILTER_PRIMES}
+
+
+def _reduce(poly, p, w):
+    """The image of poly at the point for p (see the module docstring), or
+    None when p divides a coefficient denominator."""
+    try:
+        return poly.eval_mod(p, _POINTS[p], w)
+    except ValueError:
+        return None
+
+
+def _residue(c, p):
+    """The rational c mod p, or None when p divides its denominator."""
+    if c.__class__ is int:
+        return c % p
+    den = c.denominator % p
+    return c.numerator * pow(den, -1, p) % p if den else None
+
+
+def _at_point(mono, p, w):
+    """(the monomial with w set aside, at the point for p; the exponent of
+    w)."""
+    point = _POINTS[p]
+    r = 1
+    for x, e in mono.items:
+        if x != w:
+            r = r * pow(point[x], e, p) % p
+    return r, mono.exponent(w)
+
+
+def _specialize(atom, p, w):
+    """c * (shape without w) at the point for p, or None when p divides
+    the denominator of c; the atom's image is 1 - that * w^e."""
+    cc = _residue(atom.constant_fast, p)
+    if cc is None:
+        return None
+    return cc * _at_point(atom.shape, p, w)[0] % p
 
 
 class _DivisionFilter:
-    """Cheap necessary tests for atom | poly via random mod-p specialization.
+    """Cheap necessary tests for atom | poly by specialization mod p.
 
-    Specializes every variable except the atom's leading one to a random
-    residue and runs synthetic division over Z/p.  A nonzero remainder
-    proves non-divisibility; a zero remainder is only evidence.  One
-    univariate reduction per (prime, main variable) is shared by every
-    candidate atom against the same polynomial, so the per-atom cost is a
-    single pass over the residue dict.
+    Specializes every variable except the atom's leading one, w, to its
+    residue at the fixed point (see the module docstring) and runs
+    synthetic division over Z/p.  A nonzero remainder proves
+    non-divisibility; a zero remainder is only evidence.  One image per
+    (prime, w) is shared by every candidate atom against the same
+    polynomial, so the per-atom cost is a single pass over the image.
+
+    A missing image comes from the seed when one is given, which composes
+    it from the images of the operands poly was built from, and from
+    eval_mod when the seed returns None or poly involves no variable but
+    w.
 
     After an exact division poly -> poly / atom, divided() updates each
-    cached reduction instead of reducing the quotient afresh: it divides
-    the reduction by the atom specialized at the same assignment.
-    Specialization is a ring homomorphism into the domain Z/p[w, 1/w], so
-    that division is exact and gives the reduction of the quotient.  For
-    the main variable w the atom specializes to 1 - c*w^e: for e != 0
-    (e > 0 when w is the atom's leading variable) the update is a
-    synthetic division, for e = 0 a multiplication by the inverse of the
-    scalar 1 - c.  An entry whose specialized atom is undefined or zero
-    mod p, or whose division leaves a remainder, is dropped and recomputed
-    from the polynomial when next needed.
+    image instead of reducing the quotient afresh, and a seeded image
+    made later follows every division made so far: the image is divided
+    by the atom specialized at the same point.  Specialization is a ring
+    homomorphism into the domain Z/p[w, 1/w], so that division is exact
+    and gives the image of the quotient.  The atom's image is 1 - c*w^e:
+    for e != 0 the update is a synthetic division, for e = 0 a
+    multiplication by the inverse of the scalar 1 - c.  An image whose
+    specialized atom is undefined or zero mod p, or whose division leaves
+    a remainder, is dropped and made again when next needed.
     """
 
-    __slots__ = ("poly", "assignments", "reductions")
+    __slots__ = ("poly", "seed", "divisors", "reductions", "_slots")
 
-    def __init__(self, poly):
+    def __init__(self, poly, seed=None):
         self.poly = poly
-        self.assignments = {}
+        self.seed = seed
+        self.divisors = []
         self.reductions = {}
+        self._slots = None
 
-    def _assignment(self, p, shape):
-        a = self.assignments.get(p)
-        if a is None:
-            a = {w: _FILTER_RNG.randrange(2, p - 2)
-                 for w in self.poly.variables()}
-            self.assignments[p] = a
-        for w in shape.variables():
-            if w not in a:
-                a[w] = _FILTER_RNG.randrange(2, p - 2)
-        return a
+    def _univariate(self, w):
+        """Whether poly involves no variable but w; the support is read
+        once, and a quotient's support lies inside its dividend's."""
+        if self._slots is None:
+            self._slots = _support(self.poly.terms)
+        return all(_NAMES[s] == w for s in self._slots)
 
-    def _specialize(self, atom, p, w):
-        """c * (shape without w) at the assignment for p, or None when p
-        divides the denominator of c."""
-        c = atom.constant
-        den = c.denominator % p
-        if den == 0:
-            return None
-        assignment = self._assignment(p, atom.shape)
-        cc = c.numerator * pow(den, -1, p) % p
-        for x, e in atom.shape.items:
-            if x != w:
-                cc = cc * pow(assignment[x], e, p) % p
-        return cc
+    def _image(self, p, w):
+        key = (p, w)
+        coeffs = self.reductions.get(key, False)
+        if coeffs is False:
+            coeffs = None
+            if self.seed is not None and not self._univariate(w):
+                coeffs = self.seed(p, w)
+                for atom in self.divisors:
+                    if coeffs is None:
+                        break
+                    coeffs = _quotient_image(coeffs, atom, p, w)
+            if coeffs is None:
+                coeffs = _reduce(self.poly, p, w)
+            self.reductions[key] = coeffs
+        return coeffs
 
     def may_divide(self, atom):
         if not self.poly.terms:
             return True
         v, d = atom.shape.leading()
         for p in _FILTER_PRIMES:
-            cc = self._specialize(atom, p, v)
+            cc = _specialize(atom, p, v)
             if cc is None:
                 continue
-            key = (p, v)
-            coeffs = self.reductions.get(key, False)
-            if coeffs is False:
-                try:
-                    coeffs = self.poly.eval_mod(p, self.assignments[p], v)
-                except ValueError:
-                    coeffs = None
-                self.reductions[key] = coeffs
+            coeffs = self._image(p, v)
             if coeffs is None:
                 continue
             return _divide_mod(coeffs, cc, d, p) is not None
@@ -659,18 +718,29 @@ class _DivisionFilter:
     def divided(self, atom, quotient):
         """Follow the exact division of the polynomial by atom."""
         self.poly = quotient
+        self.divisors.append(atom)
         for key, coeffs in list(self.reductions.items()):
-            p, w = key
-            new = None
-            if coeffs is not None:
-                cc = self._specialize(atom, p, w)
-                if cc is not None:
-                    new = _divide_binomial_mod(coeffs, cc,
-                                               atom.shape.exponent(w), p)
+            new = None if coeffs is None else _quotient_image(coeffs, atom,
+                                                              *key)
             if new is None:
                 del self.reductions[key]
             else:
                 self.reductions[key] = new
+
+    def images(self):
+        """The images of poly made so far, keyed (p, w), except those of
+        a poly univariate in w, which are cheaper to make again than to
+        carry."""
+        return {key: c for key, c in self.reductions.items()
+                if c is not None and not self._univariate(key[1])}
+
+
+def _quotient_image(coeffs, atom, p, w):
+    """The image of poly / atom from the image of poly, or None."""
+    cc = _specialize(atom, p, w)
+    if cc is None:
+        return None
+    return _divide_binomial_mod(coeffs, cc, atom.shape.exponent(w), p)
 
 
 def _divide_mod(coeffs, cc, d, p):
@@ -793,15 +863,23 @@ def _sorted_atoms(atoms):
 
 
 class FactoredRat:
-    """Rational function prefactor * numerator / prod(denominator atoms)."""
+    """Rational function prefactor * numerator / prod(denominator atoms).
 
-    __slots__ = ("prefactor", "numerator", "denominator", "_normalized")
+    _images holds images of the numerator at the fixed point, keyed
+    (p, w) (see the module docstring); it is filled by normalize and on
+    first use.
+    """
 
-    def __init__(self, prefactor=_ONE_M, numerator=None, denominator=(), normalized=False):
+    __slots__ = ("prefactor", "numerator", "denominator", "_normalized",
+                 "_images")
+
+    def __init__(self, prefactor=_ONE_M, numerator=None, denominator=(),
+                 normalized=False, images=None):
         self.prefactor = prefactor
         self.numerator = numerator if numerator is not None else SparsePoly.one()
         self.denominator = tuple(denominator)
         self._normalized = normalized
+        self._images = {} if images is None else images
 
     @classmethod
     def zero(cls):
@@ -810,10 +888,6 @@ class FactoredRat:
     @classmethod
     def one(cls):
         return cls(_ONE_M, SparsePoly.one(), (), normalized=True)
-
-    @classmethod
-    def from_const(cls, c):
-        return cls(_ONE_M, SparsePoly.const(c), (), normalized=True)
 
     @classmethod
     def from_poly(cls, p):
@@ -826,9 +900,32 @@ class FactoredRat:
     def is_zero(self):
         return self.numerator.is_zero()
 
-    def normalize(self):
+    def _image(self, p, w):
+        """The image of the numerator at (p, w), or None when p divides a
+        coefficient denominator."""
+        key = (p, w)
+        img = self._images.get(key)
+        if img is None:
+            img = _reduce(self.numerator, p, w)
+            if img is not None:
+                self._images[key] = img
+        return img
+
+    def _scaled_images(self, c):
+        """The images of the numerator times the rational c."""
+        out = {}
+        for key, img in self._images.items():
+            r = _residue(c, key[0])
+            if r is not None:
+                out[key] = {d: v * r % key[0] for d, v in img.items()}
+        return out
+
+    def normalize(self, seed=None):
         """Cancel denominator atoms dividing the numerator and pull the
-        monomial content of the numerator into the prefactor."""
+        monomial content of the numerator into the prefactor.
+
+        seed(p, w), when given, composes the image of the numerator at
+        (p, w) from the operands it was built from, or returns None."""
         if self._normalized:
             return self
         num = self.numerator
@@ -839,7 +936,7 @@ class FactoredRat:
         grouped = {}
         for a in self.denominator:
             grouped[a] = grouped.get(a, 0) + 1
-        filt = _DivisionFilter(num) if grouped else None
+        filt = _DivisionFilter(num, seed) if grouped else None
         for atom in sorted(grouped, key=Atom.key):
             k = grouped[atom]
             while k:
@@ -852,18 +949,25 @@ class FactoredRat:
                 filt.divided(atom, q)
                 k -= 1
             out_den.extend([atom] * k)
+        images = filt.images() if filt is not None else {}
         mc = num.content_monomial()
         if not mc.is_one():
             pre = pre * mc
             num = num.mul_monomial(mc ** -1)
-        return FactoredRat(pre, num, _sorted_atoms(out_den), normalized=True)
+            for (p, w), img in images.items():
+                r, e = _at_point(mc, p, w)
+                inv = pow(r, -1, p)
+                images[p, w] = {d - e: v * inv % p for d, v in img.items()}
+        return FactoredRat(pre, num, _sorted_atoms(out_den), normalized=True,
+                           images=images)
 
     def __add__(self, other):
         return add_many((self, other))
 
     def __neg__(self):
         return FactoredRat(self.prefactor, -self.numerator, self.denominator,
-                           normalized=self._normalized)
+                           normalized=self._normalized,
+                           images=self._scaled_images(-1))
 
     def __sub__(self, other):
         return add_many((self, -other))
@@ -871,9 +975,15 @@ class FactoredRat:
     def __mul__(self, other):
         if self.is_zero() or other.is_zero():
             return FactoredRat.zero()
+
+        def seed(p, w):
+            a = self._image(p, w)
+            b = other._image(p, w) if a is not None else None
+            return None if b is None else _convolve_mod(a, b, p)
+
         return FactoredRat(self.prefactor * other.prefactor,
                            self.numerator * other.numerator,
-                           self.denominator + other.denominator).normalize()
+                           self.denominator + other.denominator).normalize(seed)
 
     def __truediv__(self, other):
         return self * other.inverse()
@@ -882,7 +992,8 @@ class FactoredRat:
         if not c:
             return FactoredRat.zero()
         return FactoredRat(self.prefactor, self.numerator.mul_scalar(c),
-                           self.denominator, normalized=self._normalized)
+                           self.denominator, normalized=self._normalized,
+                           images=self._scaled_images(c))
 
     def adams(self, k):
         if k == 1:
@@ -1119,7 +1230,47 @@ def add_many(fracs):
     den = []
     for a, k in lcm.items():
         den.extend([a] * k)
-    return FactoredRat(_ONE_M, num, _sorted_atoms(den)).normalize()
+
+    def seed(p, w):
+        out = {}
+        for f, c in zip(live, counts):
+            img = f._image(p, w)
+            if img is None:
+                return None
+            r, e = _at_point(f.prefactor, p, w)
+            img = {d + e: v * r for d, v in img.items()}
+            for a, k in lcm.items():
+                for _ in range(k - c.get(a, 0)):
+                    cc = _specialize(a, p, w)
+                    if cc is None:
+                        return None
+                    img = _mul_binomial_mod(img, cc, a.shape.exponent(w), p)
+            for d, v in img.items():
+                out[d] = out.get(d, 0) + v
+        return {d: v % p for d, v in out.items() if v % p}
+
+    return FactoredRat(_ONE_M, num, _sorted_atoms(den)).normalize(seed)
+
+
+def _convolve_mod(a, b, p):
+    """The product of two images."""
+    out = {}
+    get = out.get
+    for i, x in a.items():
+        for j, y in b.items():
+            out[i + j] = get(i + j, 0) + x * y
+    return {d: v % p for d, v in out.items() if v % p}
+
+
+def _mul_binomial_mod(coeffs, cc, e, p):
+    """An image times 1 - cc*w^e."""
+    if not e:
+        s = (1 - cc) % p
+        return {d: v * s % p for d, v in coeffs.items()}
+    out = {d: v % p for d, v in coeffs.items()}
+    for d, v in coeffs.items():
+        out[d + e] = (out.get(d + e, 0) - cc * v) % p
+    return out
 
 
 def atom_inverse(constant, shape):
@@ -1127,8 +1278,3 @@ def atom_inverse(constant, shape):
     u, um, at = Atom.make(constant, shape)
     return FactoredRat(um ** -1, SparsePoly.const(Fraction(1) / Fraction(u)), (at,),
                        normalized=True)
-
-
-def geometric(constant=1, **exponents):
-    """Convenience: 1/(1 - constant*monomial(**exponents))."""
-    return atom_inverse(constant, Monomial(exponents))

@@ -158,10 +158,6 @@ class BiSeries:
                    [FactoredRat.one()] + [FactoredRat.zero()] * order,
                    z_order)
 
-    @classmethod
-    def from_coefficients(cls, var, coeffs, z_order=None):
-        return cls(var, len(coeffs) - 1, coeffs, z_order)
-
     def coefficient(self, j):
         if not 0 <= j <= self.order:
             raise ValueError("coefficient %d outside truncation order %d"
@@ -228,11 +224,6 @@ class BiSeries:
             if not c.is_zero():
                 out[j * k] = self._snap(c.adams(k))
         return BiSeries(self.var, self.order, out, self.z_order)
-
-    def truncate_z(self, D):
-        """Convert to (or re-truncate within) the z-polynomial mode."""
-        return BiSeries(self.var, self.order,
-                        [z_truncate_frac(c, D) for c in self.coeffs], D)
 
     def __eq__(self, other):
         if not isinstance(other, BiSeries):

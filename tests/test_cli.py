@@ -21,8 +21,9 @@ import census.pipeline as pipeline
 import census.zeta as zeta
 from census.cli import main
 from census.pipeline import ENGINE_VERSION, KacResult
-from census.ring import FactoredRat
 from fractions import Fraction
+
+from builders import const
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -321,8 +322,7 @@ class TestReports:
         real = zeta.zeta_at
 
         def corrupted(g, coeff, monomial):
-            return real(g, coeff, monomial) * FactoredRat.from_const(
-                Fraction(101, 100))
+            return real(g, coeff, monomial) * const(Fraction(101, 100))
 
         monkeypatch.setattr(zeta, "zeta_at", corrupted)
         code, out, err = run_cli(capsys, "identities", "-g", "1", "-L", "4")

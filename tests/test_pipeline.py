@@ -36,6 +36,8 @@ from census.zeta import (
     zeta_star,
 )
 
+from builders import const
+
 
 def mono(**e):
     return Monomial.of(**e)
@@ -72,12 +74,12 @@ def rank2_display(g):
     inv_q2m1 = atom_inverse(1, mono(q=2)).mul_scalar(-1)
     inv_1pq = atom_inverse(-1, mono(q=1))
     t1 = prod_roots(g, 1, 1) * inv_qm1 * inv_q2m1
-    t2 = prod_roots(g, -1, 0) * inv_1pq * FactoredRat.from_const(Fraction(-1, 4))
-    bracket = FactoredRat.from_const(Fraction(1, 2)) - inv_qm1
+    t2 = prod_roots(g, -1, 0) * inv_1pq * const(Fraction(-1, 4))
+    bracket = const(Fraction(1, 2)) - inv_qm1
     for name in alpha_names(g):
         bracket = bracket - atom_inverse(1, mono(**{name: 1}))
     t3 = (prod_roots(g) * inv_qm1 * bracket
-          * FactoredRat.from_const(Fraction(1, 2)))
+          * const(Fraction(1, 2)))
     return prod_roots(g) * (t1 + t2 + t3)
 
 
@@ -412,8 +414,7 @@ class TestIdentities:
         real = zeta.zeta_at
 
         def corrupted(g, coeff, monomial):
-            return real(g, coeff, monomial) * FactoredRat.from_const(
-                Fraction(101, 100))
+            return real(g, coeff, monomial) * const(Fraction(101, 100))
 
         monkeypatch.setattr(zeta, "zeta_at", corrupted)
         with pytest.raises(IdentityViolation):

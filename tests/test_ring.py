@@ -9,9 +9,9 @@ from pathlib import Path
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from census import ring
+from census import pipeline, ring
 from census.errors import ExponentOverflow, PoleAtPoint, SubstitutionToZeroPole
 from census.ring import (
     Atom,
@@ -20,9 +20,11 @@ from census.ring import (
     SparsePoly,
     add_many,
     atom_inverse,
-    geometric,
     var_key,
 )
+from census.residues import h_factor
+
+from builders import geometric
 
 
 def fr_poly(*terms):
@@ -269,7 +271,10 @@ def to_sympy(f):
 
 
 def sym_equal(a, b):
-    return sympy.cancel(sympy.together(a - b)) == 0
+    # a - b is num/den, zero exactly when num expands to 0; sympy.cancel
+    # can leave an unevaluated sum such as -1/4 + 1/4 instead of 0
+    num, _ = sympy.fraction(sympy.together(a - b))
+    return sympy.expand(num) == 0
 
 
 def sym_atom(atom):
@@ -333,8 +338,13 @@ def test_diff_add_many(fs):
     assert sym_equal(to_sympy(add_many(fs)), want)
 
 
+Q_PLUS_HALF = FactoredRat.from_poly(SparsePoly([(Monomial.of(q=1), 1),
+                                              (Monomial(), Fraction(1, 2))]))
+
+
 @DIFF
 @given(raw_fracs(max_terms=2), raw_fracs(max_terms=2))
+@example(Q_PLUS_HALF, Q_PLUS_HALF)
 def test_diff_mul(a, b):
     assert sym_equal(to_sympy(a * b), to_sympy(a) * to_sympy(b))
 
@@ -362,7 +372,7 @@ def test_diff_substitute(f, var, coeff, image):
     try:
         got = f.substitute(var, coeff, image)
     except SubstitutionToZeroPole:
-        assert any(sympy.cancel(sym_atom(a).subs(point)) == 0
+        assert any(sym_equal(sym_atom(a).subs(point), sympy.Integer(0))
                    for a in f.denominator)
         return
     assert sym_equal(to_sympy(got), to_sympy(f).subs(point))
@@ -394,7 +404,7 @@ def test_diff_adams(f, k):
 # ---------------------------------------------------------------------------
 # The division filter of normalize follows each exact division by updating
 # its cached mod-p reductions; the updated reductions must equal fresh ones
-# of the quotient at the same assignment.
+# of the quotient at the fixed point.
 
 
 @contextmanager
@@ -419,9 +429,8 @@ def checked_filter_updates():
                 continue
             seen.add(kind)
             p, w = key
-            fresh = quotient.eval_mod(p, filt.assignments[p], w)
-            assert filt.reductions[key] == {d: r for d, r in fresh.items()
-                                            if r}
+            assert filt.reductions[key] == quotient.eval_mod(
+                p, ring._POINTS[p], w)
 
     ring._DivisionFilter.divided = checked
     try:
@@ -480,6 +489,96 @@ def test_filter_update_random(poly, atoms, data):
     assert sym_equal(to_sympy(n), to_sympy(f))
     for atom in set(n.denominator):
         assert n.numerator.divide_atom(atom) is None
+
+
+# ---------------------------------------------------------------------------
+# × and + hand normalize a seed that composes the image of the numerator
+# they built from the images of their operands; every composed image, and
+# every image a fraction carries, must equal a fresh eval_mod at the fixed
+# point.
+
+
+def assert_images(f):
+    for (p, w), img in f._images.items():
+        assert img == f.numerator.eval_mod(p, ring._POINTS[p], w)
+
+
+@contextmanager
+def checked_images():
+    """Within the block, every image a seed composes is compared with
+    eval_mod of the numerator it was built for, and every normalized
+    result's images with eval_mod of its numerator; yields the list of
+    (p, w) keys composed."""
+    composed = []
+    init = ring._DivisionFilter.__init__
+    normalize = FactoredRat.normalize
+
+    def checked_init(filt, poly, seed=None):
+        def checked(p, w):
+            img = seed(p, w)
+            if img is not None:
+                assert img == poly.eval_mod(p, ring._POINTS[p], w)
+                composed.append((p, w))
+            return img
+
+        init(filt, poly, None if seed is None else checked)
+
+    def checked_normalize(f, seed=None):
+        out = normalize(f, seed)
+        assert_images(out)
+        return out
+
+    ring._DivisionFilter.__init__ = checked_init
+    FactoredRat.normalize = checked_normalize
+    try:
+        yield composed
+    finally:
+        ring._DivisionFilter.__init__ = init
+        FactoredRat.normalize = normalize
+
+
+@DIFF
+@given(raw_fracs(max_terms=2), raw_fracs(max_terms=2),
+       st.lists(raw_fracs(max_terms=2), min_size=1, max_size=3),
+       st.sampled_from(DIFF_CONSTANTS + (Fraction(-3, 7),)))
+def test_images_compose(a, b, fs, c):
+    with checked_images():
+        product = a * b
+        for f in (product, -product, product.mul_scalar(c), add_many(fs),
+                  add_many([-product, b.mul_scalar(c)] + fs)):
+            assert_images(f)
+
+
+def test_images_follow_the_content_monomial():
+    # the numerator q*z^2*(1 + a1*q) carries its content q*z^2 out
+    atoms = [_atom(1, q=1, z=1), _atom(2, a1=1, z=1)]
+    num = SparsePoly([(Monomial.of(q=1, z=2), 1), (Monomial.of(a1=1, q=2, z=2),
+                                                   1)])
+    f = _planted(num, atoms[:1])
+    f = FactoredRat(f.prefactor, f.numerator, f.denominator + (atoms[1],))
+    with checked_images() as composed:
+        n = f * FactoredRat.from_poly(SparsePoly([(Monomial.of(a2=1), 3),
+                                                  (Monomial(), 1)]))
+    assert n.prefactor == Monomial.of(q=1, z=2)
+    assert n.denominator == (atoms[1],)
+    assert composed and n._images
+
+
+def test_images_on_the_main_route():
+    for cached in (pipeline.kac_rational, pipeline.degree_class_sums,
+                   pipeline._constant_class_sums, h_factor):
+        cached.cache_clear()
+    with checked_images() as composed:
+        for d in range(2):
+            pipeline.kac_polynomial(2, 2, d)
+        pipeline.kac_series_oracle(1, 2)
+    assert composed
+    # the constant-term route is univariate in z, so every seed is declined
+    with checked_images() as composed:
+        for r in range(1, 5):
+            for d in range(r):
+                pipeline.constant_term(2, r, d)
+    assert not composed
 
 
 # ---------------------------------------------------------------------------
@@ -588,11 +687,12 @@ def test_code_out_of_range_raises():
 def test_slot_layout_independent_of_first_use():
     """A FactoredRat pickled by a process that met the variables in
     another order is the same value in this one."""
-    build = ("geometric(2, a4=1, z2=-1) * FactoredRat.from_poly(SparsePoly("
-             "[(Monomial.of(u3=2, q=-1), 3), (Monomial.of(z2=1, a1=1), -1)]))")
+    build = ("atom_inverse(2, Monomial.of(a4=1, z2=-1)) * FactoredRat.from_poly("
+             "SparsePoly([(Monomial.of(u3=2, q=-1), 3), "
+             "(Monomial.of(z2=1, a1=1), -1)]))")
     child = ("import pickle, sys\n"
              "from census.ring import FactoredRat, Monomial, SparsePoly, "
-             "geometric\n"
+             "atom_inverse\n"
              "for name in ('u3', 'a4', 'z2'):\n"
              "    Monomial({name: 1})\n"
              "sys.stdout.buffer.write(pickle.dumps(%s))\n" % build)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from census.errors import NotAugmented, NotUnitConstantTerm
-from census.ring import FactoredRat, Monomial, SparsePoly, geometric
+from census.ring import FactoredRat, Monomial, SparsePoly
 from census.series import (
     BiSeries,
     mobius,
@@ -18,6 +18,8 @@ from census.series import (
     z_truncate_frac,
 )
 
+from builders import const, geometric, series, truncate_z
+
 
 def fr(*terms):
     """FactoredRat polynomial from (coeff, **exps)-style term specs."""
@@ -28,12 +30,8 @@ def fr(*terms):
     return FactoredRat.from_poly(SparsePoly(d))
 
 
-def const(c):
-    return FactoredRat.from_const(c)
-
-
 def T_series(*coeffs, z_order=None):
-    return BiSeries.from_coefficients(
+    return series(
         "T", [c if isinstance(c, FactoredRat) else const(c) for c in coeffs],
         z_order)
 
@@ -152,13 +150,13 @@ def small_fracs():
 
 def augmented_series(order):
     return st.builds(
-        lambda tail: BiSeries.from_coefficients("T", [ZERO] + tail),
+        lambda tail: series("T", [ZERO] + tail),
         st.lists(small_fracs(), min_size=order, max_size=order))
 
 
 def unit_series(order):
     return st.builds(
-        lambda tail: BiSeries.from_coefficients("T", [ONE] + tail),
+        lambda tail: series("T", [ONE] + tail),
         st.lists(small_fracs(), min_size=order, max_size=order))
 
 
@@ -212,7 +210,7 @@ class TestPlethystic:
 class TestTruncatedMode:
     def test_exp_of_z_constant(self):
         # Exp(z) truncated: 1/(1-z) through z^5, no T dependence
-        f = BiSeries.from_coefficients(
+        f = series(
             "T", [fr((1, {"z": 1})), ZERO, ZERO], z_order=5)
         got = pleth_exp(f)
         want_c0 = fr(*((1, {"z": k}) for k in range(6)))
@@ -221,13 +219,13 @@ class TestTruncatedMode:
         assert got.coeffs[2].is_zero()
 
     def test_augmentation_checks_z_constant(self):
-        bad = BiSeries.from_coefficients(
+        bad = series(
             "T", [fr((1, {}), (1, {"z": 1})), ZERO], z_order=4)
         with pytest.raises(NotAugmented):
             pleth_exp(bad)
 
     def test_truncated_round_trip_with_z_constant(self):
-        f = BiSeries.from_coefficients(
+        f = series(
             "T", [fr((1, {"z": 1})), fr((1, {"q": 1})), ZERO], z_order=4)
         assert pleth_log(pleth_exp(f)) == f
 
@@ -235,13 +233,13 @@ class TestTruncatedMode:
     @settings(max_examples=10, deadline=None)
     def test_exp_commutes_with_z_truncation(self, f):
         D = 8
-        assert pleth_exp(f).truncate_z(D) == pleth_exp(f.truncate_z(D))
+        assert truncate_z(pleth_exp(f), D) == pleth_exp(truncate_z(f, D))
 
     @given(unit_series(4))
     @settings(max_examples=10, deadline=None)
     def test_log_commutes_with_z_truncation(self, f):
         D = 8
-        assert pleth_log(f).truncate_z(D) == pleth_log(f.truncate_z(D))
+        assert truncate_z(pleth_log(f), D) == pleth_log(truncate_z(f, D))
 
 
 class TestMobius:
@@ -327,7 +325,7 @@ class TestLogRecurrence:
     def test_rational_mode_matches_power_loop(self, order, data):
         tail = data.draw(st.lists(qza_fracs(), min_size=order,
                                   max_size=order))
-        f = BiSeries.from_coefficients("T", [ONE] + tail)
+        f = series("T", [ONE] + tail)
         assert series_log(f) == _log_by_powers(f)
 
     @given(st.integers(min_value=0, max_value=4),
@@ -343,5 +341,5 @@ class TestLogRecurrence:
             f0 = f0 + c * FactoredRat.from_monomial(Monomial.of(z=j))
         tail = data.draw(st.lists(qza_fracs(), min_size=order,
                                   max_size=order))
-        f = BiSeries.from_coefficients("T", [f0] + tail).truncate_z(D)
+        f = truncate_z(series("T", [f0] + tail), D)
         assert series_log(f) == _log_by_powers(f)
