@@ -1,5 +1,5 @@
 """Partitions, box statistics, conjugation, the pairing <lambda, mu>, and
-the block/multiplicity profile that drives the residue chains.
+the blocks of kernel variables that drive the residue chains.
 
 Young diagrams use the bottom-up convention: a box is addressed as
 (i, j) with j the row (row 1 at the bottom), i the column, 1 <= i <=
@@ -9,7 +9,6 @@ the leg counts boxes strictly above in the same column.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 
@@ -102,58 +101,16 @@ def pairing(lam, mu):
     return sum(a * b for a, b in zip(lc, mc))
 
 
-@dataclass(frozen=True)
-class BlockProfile:
-    """Multiplicity view: lambda = (1^{r_1} 2^{r_2} ... t^{r_t}), r_t >= 1.
-
-    Kernel variables z_1..z_n are grouped into consecutive blocks, block i
-    occupying indices 1 + r_{<i} .. r_{<=i}; the first index of each
-    nonempty block is its leader.
-    """
-
-    multiplicities: tuple
-
-    @property
-    def t(self):
-        return len(self.multiplicities)
-
-    @property
-    def n(self):
-        return sum(self.multiplicities)
-
-    def prefix(self, i):
-        """r_{<i}: number of kernel variables in blocks below i."""
-        return sum(self.multiplicities[: i - 1])
-
-    def suffix(self, i):
-        """r_{>i}: number of kernel variables in blocks above i."""
-        return sum(self.multiplicities[i:])
-
-    def leader(self, i):
-        """Index of the leader variable of (nonempty) block i."""
-        if self.multiplicities[i - 1] == 0:
-            raise ValueError("block %d is empty" % (i,))
-        return 1 + self.prefix(i)
-
-    def blocks(self):
-        """(part size i, first index, last index) for every nonempty block."""
-        out = []
-        start = 1
-        for i, r in enumerate(self.multiplicities, start=1):
-            if r:
-                out.append((i, start, start + r - 1))
-                start += r
-        return out
-
-
 @lru_cache(maxsize=None)
-def block_profile(lam):
-    """Multiplicities r_1..r_t of lam together with the derived indexing."""
-    parts = lam.parts
-    if not parts:
-        return BlockProfile(())
-    t = parts[0]
-    mult = [0] * t
-    for p in parts:
-        mult[p - 1] += 1
-    return BlockProfile(tuple(mult))
+def chain_blocks(lam):
+    """(part i, first index, last index) for every distinct part i of lam,
+    smallest first: the kernel variables z_1..z_n are grouped into
+    consecutive blocks, one per distinct part, each as long as that part's
+    multiplicity."""
+    out = []
+    last = 0
+    for part in sorted(set(lam.parts)):
+        first = last + 1
+        last += lam.parts.count(part)
+        out.append((part, first, last))
+    return tuple(out)

@@ -131,7 +131,7 @@ def lift_paired(f, g):
     (α_{2i-1}^{-1} = α_{2i}/q); leftover q powers stay as q.  Returns None
     when f is not a polynomial modulo the pairing relations.
     """
-    f = f if f._normalized else f.normalize()
+    f = f.normalize()
     if f.is_zero():
         return SparsePoly.zero()
     if f.denominator:
@@ -281,7 +281,7 @@ def kac_series_oracle(g, r, D=None):
 
 def _as_rational(f):
     """A constant FactoredRat as a Fraction."""
-    f = f if f._normalized else f.normalize()
+    f = f.normalize()
     if f.denominator:
         raise ValueError("not constant: %r" % (f,))
     poly = f.numerator.mul_monomial(f.prefactor)
@@ -604,13 +604,8 @@ def check_identities(g, L):
 # ---------------------------------------------------------------------------
 # LaTeX
 
-_SUBSCRIPT = {"q": "q", "t": "t", "z": "z", "T": "T", "s": "s"}
-
-
 def _latex_var(name, e):
-    if name in _SUBSCRIPT:
-        base = _SUBSCRIPT[name]
-    elif name.startswith("a") and name[1:].isdigit():
+    if name.startswith("a") and name[1:].isdigit():
         base = "\\alpha_{%s}" % name[1:] if len(name) > 2 \
             else "\\alpha_%s" % name[1:]
     else:
@@ -715,7 +710,7 @@ def latex_value(res):
 
 
 def _latex_fraction(f):
-    f = f if f._normalized else f.normalize()
+    f = f.normalize()
     num = f.numerator.mul_monomial(f.prefactor)
     if not f.denominator:
         return latex_poly(num)

@@ -8,9 +8,10 @@ one ratio factor ρ(z_a/z_b) = ζ̃(z_a/z_b)/ζ̃(z_b/z_a) per inversion of σ,
 and ρ collapses to −(w−q)∏_i(1−α_i w) / ((1−qw)∏_i(w−α_i)), independent
 of the genus; it is kept modulo the Weil relations α_{2i−1}α_{2i} = q.
 
-Residues are taken in ratio coordinates: inside a block the non-leader
-variables are rewritten as leader·u_j·…, each constraint becomes
-u_j = q^{-1}, and the measure dz_j/z_j becomes du_j/u_j.
+Residues are taken in the kernel variables themselves: inside a block,
+the constraint z_k = q^{-1}z_{k-1} is a simple pole in z_k once the
+variables below it are held fixed, and the measure is dz_k/z_k.  Blocks
+come from partitions.chain_blocks.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from functools import lru_cache
 from itertools import permutations
 
 from .errors import HigherOrderPole
-from .partitions import block_profile
+from .partitions import chain_blocks
 from .ring import (
     Atom,
     FactoredRat,
@@ -36,34 +37,6 @@ from .zeta import alpha_names, pair_reduce
 
 def _z(i):
     return "z%d" % i
-
-
-def _u(i):
-    return "u%d" % i
-
-
-@dataclass(frozen=True)
-class ChainBlock:
-    part: int         # the part size this block represents
-    leader: int       # index of the surviving variable
-    ratios: tuple     # u-indices j, each meaning z_{j+1}/z_j = q^{-1}
-
-
-@dataclass(frozen=True)
-class ChainSpec:
-    blocks: tuple
-
-    @property
-    def constraint_count(self):
-        return sum(len(b.ratios) for b in self.blocks)
-
-
-def chain_spec(lam):
-    prof = block_profile(lam)
-    blocks = []
-    for part, start, end in prof.blocks():
-        blocks.append(ChainBlock(part, start, tuple(range(start, end))))
-    return ChainSpec(tuple(blocks))
 
 
 @dataclass(frozen=True)
@@ -122,27 +95,23 @@ def build_L(g, n):
         [_summand(g, sigma) for sigma in permutations(range(1, n + 1))]))
 
 
-def res_simple(f, var, coeff, monomial=ONE_MONOMIAL):
-    """Residue of the form f·d(var)/var at var = coeff·monomial.
+def res_simple(f, var, point=ONE_MONOMIAL):
+    """Residue of the form f·d(var)/var at var = point, a monomial.
 
     The pole must be structurally simple after normalization: exactly one
     denominator atom may vanish identically on the substitution.  Returns
     0 when f is regular there.
     """
-    c = Fraction(coeff)
-    if c == 0:
-        raise ValueError("residue point must be away from the origin")
-    if monomial.exponent(var):
+    if point.exponent(var):
         raise ValueError("residue point may not involve %s" % (var,))
-    if not f._normalized:
-        f = f.normalize()
+    f = f.normalize()
     singular = []
     regular = []
     for atom in f.denominator:
         e = atom.shape.exponent(var)
         if e:
-            rest = atom.shape.without(var) * monomial ** e
-            if rest.is_one() and atom.constant * c ** e == 1:
+            rest = atom.shape.without(var) * point ** e
+            if rest.is_one() and atom.constant == 1:
                 singular.append((atom, e))
                 continue
         regular.append(atom)
@@ -150,48 +119,41 @@ def res_simple(f, var, coeff, monomial=ONE_MONOMIAL):
         return FactoredRat.zero()
     if len(singular) > 1:
         raise HigherOrderPole(
-            "pole of order %d at %s = %s*%r" % (len(singular), var, c,
-                                                monomial))
+            "pole of order %d at %s = %r" % (len(singular), var, point))
     _, e = singular[0]
     rest = FactoredRat(f.prefactor, f.numerator, tuple(regular))
-    return rest.substitute(var, c, monomial).mul_scalar(Fraction(-1, e))
+    return rest.substitute(var, 1, point).mul_scalar(Fraction(-1, e))
 
 
 def h_tilde(f, lam):
     """Res_λ of f, a fraction in z_1..z_n with n = ℓ(λ); a FactoredRat in
-    the block leader variables.
+    the first variable of each block.
 
-    The defining orientation integrates out the non-final variable of each
-    chain constraint (the survivor of a block is its last variable, later
-    rewritten through the chain in terms of the leader).  Computing in
-    ratio coordinates u_j = z_{j+1}/z_j instead picks up a factor -1 per
-    constraint, compensated at the end.  Every root-carrying atom of a
+    Each block's chain is resolved from the top: the residue in z_k at
+    z_k = q^{-1}z_{k-1}, for k = last down to first+1.  The defining
+    orientation integrates out the non-final variable of each chain
+    constraint; integrating the final one instead picks up a factor -1
+    per constraint, compensated at the end.  Every root-carrying atom of a
     pair-reduced f keeps exactly one odd root, so the pole bookkeeping
     needs no Weil relations."""
-    spec = chain_spec(lam)
-    if not spec.blocks:
+    blocks = chain_blocks(lam)
+    if not blocks:
         raise ValueError("partition must be nonempty")
-    for block in spec.blocks:
-        image = {_z(block.leader): 1}
-        for k, j in enumerate(block.ratios, start=1):
-            image[_u(j)] = 1
-            f = f.substitute(_z(block.leader + k), 1, Monomial.of(**image))
-    qinv = Monomial.of(q=-1)
-    for block in spec.blocks:
-        for j in reversed(block.ratios):
-            f = res_simple(f, _u(j), 1, qinv)
-    if spec.constraint_count % 2:
+    for _, first, last in blocks:
+        for k in range(last, first, -1):
+            f = res_simple(f, _z(k), Monomial.of(q=-1, **{_z(k - 1): 1}))
+    if (lam.length() - len(blocks)) % 2:
         f = f.mul_scalar(-1)
-    return f if f._normalized else f.normalize()
+    return f.normalize()
 
 
 def specialize_leaders(f, lam):
-    """Every block leader of λ specialized to z^i q^{-r_{<i}}."""
-    prof = block_profile(lam)
-    for block in chain_spec(lam).blocks:
-        image = Monomial.of(z=block.part, q=-prof.prefix(block.part))
-        f = f.substitute(_z(block.leader), 1, image)
-    return f if f._normalized else f.normalize()
+    """The first variable of block i (part i) specialized to z^i q^{-r_{<i}},
+    where r_{<i}, the number of variables in the blocks below, is its index
+    less one."""
+    for part, first, _ in chain_blocks(lam):
+        f = f.substitute(_z(first), 1, Monomial.of(z=part, q=1 - first))
+    return f.normalize()
 
 
 @lru_cache(maxsize=None)

@@ -12,9 +12,9 @@ and a nonconstant Laurent monomial m.  Denominators are never expanded;
 cancellation happens through exact division by atoms.
 
 Variable names follow a fixed ambient scheme: "a1".."a2g" for the Weil
-coordinates, "q", "z", "T", the kernel variables "z1".."zn", the ratio
-variables "u1".."un", and the specialization variables "t" and "s".  The
-canonical order is a* < q < z < T < z* < u* < t < s.
+coordinates, "q", "z", "T", the kernel variables "z1".."zn", and the
+specialization variables "t" and "s".  The canonical order is
+a* < q < z < T < z* < t < s.
 
 Packed monomials.  A monomial is one Python int, its code: every
 variable owns a signed 24-bit field, and the code of the exponent vector
@@ -26,13 +26,13 @@ shift and one mask.  SparsePoly.terms is keyed by codes, so monomials
 are hashed and compared in C.  Monomial wraps one code for callers.
 
 Slot order.  The slot of a variable is a pure function of its name: q,
-z, T, t and s take slots 0..4, and the i-th variable of the a, z and u
-families takes slot 5 + 3(i-1), 6 + 3(i-1) and 7 + 3(i-1).  A code
-therefore means the same monomial in every process, whatever order the
-names were first met in, so pickles and cache files written by one
-process read back the same in another.  Each family has 128 variables (so
-genus <= 64); any other name is rejected as unknown.  Decoding lists the variables in canonical
-order; a whole polynomial puts its support in that order once.
+z, T, t and s take slots 0..4, and the i-th variable of the a and z
+families takes slot 5 + 2(i-1) and 6 + 2(i-1).  A code therefore means
+the same monomial in every process, whatever order the names were first
+met in, so pickles and cache files written by one process read back the
+same in another.  Each family has 128 variables (so genus <= 64); any
+other name is rejected as unknown.  Decoding lists the variables in
+canonical order; a whole polynomial puts its support in that order once.
 
 Overflow.  Exponents must satisfy |e| < 2**22.  Encoding rejects larger
 ones.  Every code made by a product, power, substitution or Adams
@@ -73,7 +73,7 @@ from operator import and_, index, itemgetter, lshift, or_, rshift, xor
 from .errors import ExponentOverflow, PoleAtPoint, SubstitutionToZeroPole
 
 _VAR_FIXED = {"q": (1, 0), "z": (2, 0), "T": (3, 0), "t": (6, 0), "s": (7, 0)}
-_VAR_FAMILY = {"a": 0, "z": 4, "u": 5}
+_VAR_FAMILY = {"a": 0, "z": 4}
 
 
 @lru_cache(maxsize=None)
@@ -104,7 +104,7 @@ _WINDOW_MASK = (1 << _W * _WINDOW) - 1
 
 _NAMES = ["q", "z", "T", "t", "s"]
 for _i in range(1, 129):
-    _NAMES += ["a%d" % _i, "z%d" % _i, "u%d" % _i]
+    _NAMES += ["a%d" % _i, "z%d" % _i]
 _SLOT = {name: slot for slot, name in enumerate(_NAMES)}
 _KEY = [var_key(name) for name in _NAMES]
 _SHIFT = [_W * slot for slot in range(len(_NAMES))]

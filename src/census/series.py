@@ -60,8 +60,7 @@ def z_truncate_frac(f, bound, var="z"):
     The result agrees with f through var-degree bound and carries no
     denominator atom involving var.
     """
-    if not f._normalized:
-        f = f.normalize()
+    f = f.normalize()
     if f.is_zero():
         return f
     keep = []
@@ -102,8 +101,7 @@ def z_decompose(f, var="z"):
     Denominator atoms must be free of var; Laurent (negative) degrees from
     the prefactor are allowed.
     """
-    if not f._normalized:
-        f = f.normalize()
+    f = f.normalize()
     if f.is_zero():
         return {}
     for atom in f.denominator:

@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy
-
 from .errors import NotWeil, PoleArgument
 from .partitions import box_stats
 from .ring import (
@@ -204,6 +202,8 @@ def weil_from_counts(q, counts, genus=None):
 
     if g == 0:
         return CurveData(q, 0, counts, (1,), ())
+
+    import numpy    # only this numeric step needs it; importing is slow
 
     try:
         roots = numpy.roots([a[k] for k in range(2 * g, -1, -1)])

@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from census.partitions import (
-    BlockProfile,
     Partition,
-    block_profile,
     box_stats,
+    chain_blocks,
     conjugate,
     pairing,
     partitions_up_to,
@@ -136,8 +135,8 @@ class TestPairing:
     @given(partitions())
     def test_self_pairing_via_multiplicities(self, lam):
         # <lam, lam> = sum_i i r_i^2 + 2 sum_{i<j} i r_i r_j
-        r = block_profile(lam).multiplicities
-        t = len(r)
+        t = lam[0] if lam.length() else 0
+        r = [lam.parts.count(i) for i in range(1, t + 1)]
         expect = sum((i + 1) * r[i] ** 2 for i in range(t))
         expect += 2 * sum((i + 1) * r[i] * r[j]
                           for i in range(t) for j in range(i + 1, t))
@@ -145,48 +144,33 @@ class TestPairing:
 
 
 class TestBlockProfile:
+    """The blocks of kernel variables, one per distinct part: chain_blocks
+    gives (part, first index, last index)."""
+
     def test_mixed(self):
-        prof = block_profile(P(2, 1, 1))
-        assert prof.multiplicities == (2, 1)
-        assert prof.n == 3
-        assert prof.t == 2
-        assert prof.leader(1) == 1
-        assert prof.leader(2) == 3
-        assert prof.blocks() == [(1, 1, 2), (2, 3, 3)]
+        assert chain_blocks(P(2, 1, 1)) == ((1, 1, 2), (2, 3, 3))
 
     def test_gap(self):
-        prof = block_profile(P(2))
-        assert prof.multiplicities == (0, 1)
-        assert prof.t == 2
-        assert prof.leader(2) == 1
-        with pytest.raises(ValueError):
-            prof.leader(1)
-        assert prof.blocks() == [(2, 1, 1)]
+        # no part 1, so the one block is part 2's and starts at z1
+        assert chain_blocks(P(2)) == ((2, 1, 1),)
 
     def test_empty(self):
-        prof = block_profile(P())
-        assert prof.multiplicities == ()
-        assert prof.n == 0
-        assert prof.blocks() == []
+        assert chain_blocks(P()) == ()
 
     def test_prefix_suffix(self):
-        prof = block_profile(P(3, 3, 1))
-        assert prof.multiplicities == (1, 0, 2)
-        assert prof.prefix(3) == 1
-        assert prof.suffix(1) == 2
-        assert prof.leader(3) == 2
+        # part 3's block starts after the r_1 = 1 variable of part 1
+        assert chain_blocks(P(3, 3, 1)) == ((1, 1, 1), (3, 2, 3))
 
     @given(partitions())
     def test_weight_identity(self, lam):
-        prof = block_profile(lam)
-        assert sum(i * r for i, r in
-                   enumerate(prof.multiplicities, start=1)) == lam.size()
-        assert prof.n == lam.length()
+        blocks = chain_blocks(lam)
+        assert sum(part * (last - first + 1)
+                   for part, first, last in blocks) == lam.size()
+        assert [part for part, _, _ in blocks] == sorted(set(lam.parts))
 
     @given(partitions())
     def test_blocks_tile_indices(self, lam):
-        prof = block_profile(lam)
         covered = []
-        for _, start, end in prof.blocks():
+        for _, start, end in chain_blocks(lam):
             covered.extend(range(start, end + 1))
-        assert covered == list(range(1, prof.n + 1))
+        assert covered == list(range(1, lam.length() + 1))

@@ -1,6 +1,8 @@
 """Kernels, chain residues, H-weights: exact values, numeric contours."""
 
 import cmath
+import hashlib
+import json
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -10,9 +12,7 @@ import pytest
 from census.errors import HigherOrderPole
 from census.partitions import Partition, partitions_up_to
 from census.residues import (
-    ChainSpec,
     build_L,
-    chain_spec,
     h_factor,
     h_tilde,
     res_simple,
@@ -106,50 +106,48 @@ def kernel_residue(g, lam):
 
 class TestResSimple:
     def test_pole_at_one(self):
-        f = atom_inverse(1, mono(u1=1))
-        got = res_simple(f, "u1", 1)
+        f = atom_inverse(1, mono(z2=1))
+        got = res_simple(f, "z2")
         assert got == const(-1)
 
     def test_regular_point(self):
-        f = atom_inverse(1, mono(q=1, u1=1))
-        assert res_simple(f, "u1", 1).is_zero()
+        f = atom_inverse(1, mono(q=1, z2=1))
+        assert res_simple(f, "z2").is_zero()
 
     def test_pole_at_q_inverse(self):
-        f = atom_inverse(1, mono(q=1, u1=1))
-        got = res_simple(f, "u1", 1, mono(q=-1))
+        f = atom_inverse(1, mono(q=1, z2=1))
+        got = res_simple(f, "z2", mono(q=-1))
         assert got == const(-1)
 
     def test_double_pole_raises(self):
-        a = Atom(Fraction(1), mono(q=1, u1=1))
+        a = Atom(Fraction(1), mono(q=1, z2=1))
         f = FactoredRat(ONE_MONOMIAL, SparsePoly.one(), (a, a))
         with pytest.raises(HigherOrderPole):
-            res_simple(f, "u1", 1, mono(q=-1))
+            res_simple(f, "z2", mono(q=-1))
 
     def test_removable_branch(self):
-        # (1-q u)/(1-q²u²) = 1/(1+qu) is regular at u = q^{-1}
+        # (1-q z2)/(1-q²z2²) = 1/(1+q z2) is regular at z2 = q^{-1}
         f = (FactoredRat.from_poly(
-                SparsePoly({ONE_MONOMIAL: 1, mono(q=1, u1=1): -1}))
-             * atom_inverse(1, mono(q=2, u1=2)))
-        assert res_simple(f, "u1", 1, mono(q=-1)).is_zero()
+                SparsePoly({ONE_MONOMIAL: 1, mono(q=1, z2=1): -1}))
+             * atom_inverse(1, mono(q=2, z2=2)))
+        assert res_simple(f, "z2", mono(q=-1)).is_zero()
 
     def test_exponent_two_atom(self):
-        f = atom_inverse(1, mono(q=2, u1=2))
-        got = res_simple(f, "u1", 1, mono(q=-1))
+        f = atom_inverse(1, mono(q=2, z2=2))
+        got = res_simple(f, "z2", mono(q=-1))
         assert got == const(Fraction(-1, 2))
 
     def test_extra_variables_ride_along(self):
-        # z1/(1-qu) at u=q^{-1} -> -z1
+        # z1/(1-q z2) at z2=q^{-1} -> -z1
         f = (FactoredRat.from_monomial(mono(z1=1))
-             * atom_inverse(1, mono(q=1, u1=1)))
-        got = res_simple(f, "u1", 1, mono(q=-1))
+             * atom_inverse(1, mono(q=1, z2=1)))
+        got = res_simple(f, "z2", mono(q=-1))
         assert got == FactoredRat.from_monomial(mono(z1=1)).mul_scalar(-1)
 
     def test_bad_arguments(self):
-        f = atom_inverse(1, mono(u1=1))
+        f = atom_inverse(1, mono(z2=1))
         with pytest.raises(ValueError):
-            res_simple(f, "u1", 0)
-        with pytest.raises(ValueError):
-            res_simple(f, "u1", 1, mono(u1=1))
+            res_simple(f, "z2", mono(z2=1))
 
 
 # ---------------------------------------------------------------- kernels
@@ -221,25 +219,6 @@ class TestBuildL:
                 / zt.eval_numeric(dict(point, s=1 / w)))
         got = _rho(g, 2, 1).eval_numeric(point)
         assert abs(got - want) < 1e-9 * abs(want)
-
-
-# ---------------------------------------------------------------- chain spec
-
-class TestChainSpec:
-    def test_structure(self):
-        spec = chain_spec(P(2, 1, 1))
-        assert len(spec.blocks) == 2
-        b1, b2 = spec.blocks
-        assert (b1.part, b1.leader, b1.ratios) == (1, 1, (1,))
-        assert (b2.part, b2.leader, b2.ratios) == (2, 3, ())
-        assert spec.constraint_count == 1
-
-    def test_counts(self):
-        for lam in partitions_up_to(6):
-            if lam.size() == 0:
-                continue
-            spec = chain_spec(lam)
-            assert spec.constraint_count == lam.length() - len(spec.blocks)
 
 
 # ---------------------------------------------------------------- h_tilde
@@ -362,3 +341,65 @@ class TestHFactor:
         for lam in lams:
             want = specialize_leaders(kernel_residue(g, lam), lam)
             assert h_factor(g, lam) == want, lam
+
+    def test_pinned_bytes(self):
+        # exact bytes recorded from the route that took the residues in
+        # ratio coordinates z_{k+1}/z_k: the sha256 of the sorted JSON,
+        # keyed "g parts"
+        for key, digest in H_DIGESTS.items():
+            g, parts = key.split()
+            lam = Partition(tuple(int(p) for p in parts.split(",")))
+            text = json.dumps(h_factor(int(g), lam).to_json(), sort_keys=True)
+            assert hashlib.sha256(text.encode()).hexdigest() == digest, key
+
+
+# every λ with ℓ(λ) ≤ 3 and |λ| ≤ 5 at g ≤ 2, and (1,1,1,1) at g ≤ 1
+H_DIGESTS = {
+    "0 1": "4a93c7dcdd40c99c1bfc5cf6f40c8ed6712da7c3eefdd2ec6afb57d7b4724a74",
+    "0 2": "a478944528cf131e6703f457ed562a42a9144d006553a048c9c163fa09a35f0c",
+    "0 1,1": "34e9b13343c6cf660bce079e8849f8668da9f5c5c960f6b697d939ed5db54044",
+    "0 3": "2c81803446ae18e0b25af96a0af5168efb8f22f52a9fb8a9578b534e9f65305c",
+    "0 2,1": "929ab667fb8031d7d2f4ba81d8e1cc788f392532fe8b9baba13a6ad25821f8f4",
+    "0 1,1,1": "0150a0c46b4f60a45a96ef2591e915b071556bc98e6bc65bdfc135a7bd36cf71",
+    "0 4": "97b8405e3491011a31e6e9b338493a91a4df3a3c8a21702245eaffd261fea9d4",
+    "0 3,1": "80220ab13d0a9b65444c1e4145bdffb1055dea8229813c0d56dbd818ad8f9274",
+    "0 2,2": "5f8314b262d80dfd42cf31b8b0155a177284f3fa0c78f63b81b59328aed7dc6d",
+    "0 2,1,1": "5babf22f86483672cd1ef99febd971da98f4e0b85e1849c730076efacd66128d",
+    "0 5": "f66220f2942d200e5c68c495e28651d5cc080bc76c35deea3328b582f7efefb9",
+    "0 4,1": "fa7853adcc7f0abae0374765d87b1f57b00f08edb400765f81bb461b8489d1e9",
+    "0 3,2": "e1ac09ac77894613c5792c8c06e65d77839049bac3c6a55cb70473062a5dc72d",
+    "0 3,1,1": "98b4cd8bc01893f7fe4414d52c911a2ad29560875a429f67475bfb01b0439aed",
+    "0 2,2,1": "50b4aa52ade2d1ca78590ef74e277d1a3a155ef4d111d0b1156d76ac3f026a5f",
+    "0 1,1,1,1": "7bab30e8b4e46a027f0df34b8973fa6ef3fb2939a95d1e6a2c4367a34528d9b9",
+    "1 1": "4a93c7dcdd40c99c1bfc5cf6f40c8ed6712da7c3eefdd2ec6afb57d7b4724a74",
+    "1 2": "a478944528cf131e6703f457ed562a42a9144d006553a048c9c163fa09a35f0c",
+    "1 1,1": "302d3a18f57aab58dc871d2aa5bbbd42a4d28569736532e314c03f2c6c5fffca",
+    "1 3": "2c81803446ae18e0b25af96a0af5168efb8f22f52a9fb8a9578b534e9f65305c",
+    "1 2,1": "9f3c5493af1efc17cc039a3f59e68703de7defa3bea0e9552236a663b12aa2fa",
+    "1 1,1,1": "23acf597881a9c536522fe9a43c2768707927e2ef68e9d4244e10d834f19dd31",
+    "1 4": "97b8405e3491011a31e6e9b338493a91a4df3a3c8a21702245eaffd261fea9d4",
+    "1 3,1": "8c13dfc1f4d3e21c9edbc2899eab4e5b87150607348653087f6af41d8a55423c",
+    "1 2,2": "ad24f8c62b1fd3972bf52c38c03d254e1add2056ba7d1f74f7ca2d7019bd2550",
+    "1 2,1,1": "9098a71b463d2ffab25a4384570083889883c8d122c79cfd3ac9a2ee66329425",
+    "1 5": "f66220f2942d200e5c68c495e28651d5cc080bc76c35deea3328b582f7efefb9",
+    "1 4,1": "1c171d51b56e6c16352fe98be8361fb31791b09755a8fb55b520228b75fa0e25",
+    "1 3,2": "bdcec889a98870b7a384398f2c39ef97aa27eb9ff212457b7237a22d84209a0c",
+    "1 3,1,1": "648ee208ce18394ebcece482a5399c1489fd929941c0ef726ab9b4ba0527ab9c",
+    "1 2,2,1": "a5bca33dc8f8edfa3812b5f19527147964cd0a5a01f1ff8a0cc7e843d70f11bd",
+    "1 1,1,1,1": "da623893ffec6951e65490fc8b293e0f179f3097af4b5f069a7b6c438ab36339",
+    "2 1": "4a93c7dcdd40c99c1bfc5cf6f40c8ed6712da7c3eefdd2ec6afb57d7b4724a74",
+    "2 2": "a478944528cf131e6703f457ed562a42a9144d006553a048c9c163fa09a35f0c",
+    "2 1,1": "de3bb1934dd6978e737e10a75241fc49731b43d3a20402c8289b69b14b11ecd2",
+    "2 3": "2c81803446ae18e0b25af96a0af5168efb8f22f52a9fb8a9578b534e9f65305c",
+    "2 2,1": "bf71a2360a91de54cb72df5f0e21aa3b7c8236f23897abb1f499444c89ba07ad",
+    "2 1,1,1": "7c406f5703d0542727f002734eb5a9dba27ae4ed3630d7c850adb59e397e22d6",
+    "2 4": "97b8405e3491011a31e6e9b338493a91a4df3a3c8a21702245eaffd261fea9d4",
+    "2 3,1": "b53b1aadfc8e6d5e5a7096d82d15e14c864aa0b474b48f088a54485b90f1f8c7",
+    "2 2,2": "16b565d5bce5f7bc0b2d24525f837ea3d72ac751e50388cb77b55bd92df38360",
+    "2 2,1,1": "50f69a2dc70d265feead5df5ab78a2bf0bd4bd632de741244f34c3056dc5fdcb",
+    "2 5": "f66220f2942d200e5c68c495e28651d5cc080bc76c35deea3328b582f7efefb9",
+    "2 4,1": "0342d90a2af813c71c8a083c4eb6a83c18820bac57fa2053be94719b5fe17625",
+    "2 3,2": "f36d9aa76a876f1a5dd3ab3826d04c3d556ec44f1ee3e01bc4ac6742adf9f591",
+    "2 3,1,1": "2548fc2191e0b7f892117980d528983fe735520fedcb4ad522d37f56986c544b",
+    "2 2,2,1": "8963e8aa83aed6a79742f0b5f20efd8f2e25ce87d7b421de2e65a844e2ba52c5",
+}

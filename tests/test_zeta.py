@@ -1,8 +1,12 @@
 """Zeta values, J-weights, Weil-number recovery, volume identities."""
 
 import cmath
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -243,6 +247,20 @@ class TestWeilFromCounts:
         point = weil_from_counts(2, [3, 13]).assignment()
         assert abs(point["a1"] * point["a2"] - 2) < 1e-6
         assert abs(point["a3"] * point["a4"] - 2) < 1e-6
+
+    def test_numpy_is_imported_on_first_use(self):
+        # numpy is most of the import time of census; only
+        # weil_from_counts needs it
+        child = ("import sys\n"
+                 "import census\n"
+                 "assert 'numpy' not in sys.modules\n"
+                 "curve = census.weil_from_counts(2, [3])\n"
+                 "assert curve.numerator == (1, 0, 2)\n"
+                 "assert 'numpy' in sys.modules\n")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        subprocess.run([sys.executable, "-c", child], env=env, check=True,
+                       timeout=120)
 
     def test_from_dict(self):
         curve = CurveData.from_dict(
