@@ -60,14 +60,16 @@ def _partitions_of(k, max_part):
             yield (first,) + rest
 
 
+def partitions_of(k):
+    """All partitions of k, largest first."""
+    return [Partition(p) for p in _partitions_of(k, k)]
+
+
 def partitions_up_to(R):
     """All partitions of size 0..R, size-major, largest first within a size."""
     if R < 0:
         raise ValueError("bound must be nonnegative")
-    out = []
-    for k in range(R + 1):
-        out.extend(Partition(p) for p in _partitions_of(k, k))
-    return out
+    return [lam for k in range(R + 1) for lam in partitions_of(k)]
 
 
 def conjugate(lam):

@@ -1,11 +1,15 @@
 """End-to-end assembly of the indecomposable-bundle census.
 
-The main entry point is kac_polynomial(g, r, d): the partition sum over
-partitions of size <= r, plethystic Log, extraction of the T^r
-coefficient, clearing of (1 - z^r), and summation of one degree class.
-Around it sit the independent cross-checking routes (a truncated series
-oracle and a pure-z constant-term pipeline), the Poincare specialization,
-numeric point counts, and the conjecture/identity checkers.
+The main entry point is kac_polynomial(g, r, d): the T^r coefficient of
+the plethystic Log of the partition sum, clearing of (1 - z^r), and
+summation of one degree class.  The log of the partition sum is kept per
+genus and grown one T-degree at a time (each T^k coefficient one sum over
+the partitions of k), so all ranks of a genus share it, and [T^r] Log is
+read from it as Σ_{k|r} μ(k)/k ψ_k(L_{r/k}).  Around it sit the
+independent cross-checking routes (a truncated series oracle, and a pure-z
+constant-term pipeline that keeps its own memo, sharing none with the main
+route), the Poincare specialization, numeric point counts, and the
+conjecture/identity checkers.
 
 Everything is exact rational arithmetic; floats appear only in
 count_points and in the numeric convergence identities.
@@ -24,12 +28,12 @@ from functools import lru_cache
 
 from .errors import (IdentityViolation, NegativeBettiCoefficient,
                      NotPolynomialAfterClearing, RoundingFailure)
-from .partitions import pairing, partitions_up_to
+from .partitions import pairing, partitions_of
 from .residues import h_factor
 from .ring import (Atom, FactoredRat, Monomial, SparsePoly, add_many,
                    atom_inverse, poly_from_json, poly_to_json)
-from .series import BiSeries, frac_to_series, pleth_exp, pleth_log, \
-    series_exp, z_decompose, z_truncate_frac
+from .series import BiSeries, LazyLog, frac_to_series, pleth_exp, \
+    pleth_log, series_exp, z_decompose, z_truncate_frac
 from . import zeta as _zeta
 from .zeta import CurveData, alpha_name, alpha_names, pair_reduce
 
@@ -58,26 +62,49 @@ def _lambda_term(g, lam):
             * FactoredRat.from_monomial(w)).normalize()
 
 
-def rhs_series(g, R, z_order=None):
-    """The partition sum Σ_λ q^{(g-1)<λ,λ>} J_λ(z) H_λ(z) T^{|λ|} through T^R,
-    one λ-term after another in this process.
+def _partition_sum_log(term, z_order=None):
+    """log of the partition sum Σ_λ term(λ) T^{|λ|}, grown one T-degree at
+    a time; each T^k coefficient is the sum of the λ-terms with |λ| = k.
 
-    z_order=None keeps coefficients rational in z; an integer switches the
-    whole computation to truncated z-series mode (used by the oracle).
+    The terms are added pairwise: those of one size share few atoms, so one
+    add_many over their multiset-max denominator multiplies each numerator
+    by the atoms of all the others (twice the time at |λ| = 4, g <= 2).
+    """
+    def coefficient(k):
+        if not k:
+            return FactoredRat.one()
+        terms = [term(lam) for lam in partitions_of(k)]
+        return sum(terms[1:], terms[0])
+
+    return LazyLog(coefficient, z_order)
+
+
+@lru_cache(maxsize=None)
+def _partition_log(g):
+    """log of Σ_λ q^{(g-1)<λ,λ>} J_λ(z) H_λ(z) T^{|λ|}, kept per genus so
+    that every rank shares one sum and one recurrence."""
+    return _partition_sum_log(lambda lam: _lambda_term(g, lam))
+
+
+def _truncated_log(g, z_order):
+    """The same log in the oracle's truncated z-series mode, built afresh
+    on each call: the oracle's z-order grows with the rank, so a memo
+    would keep the whole truncated sum alive and seldom be read again."""
+    return _partition_sum_log(
+        lambda lam: z_truncate_frac(_lambda_term(g, lam), z_order), z_order)
+
+
+def rhs_series(g, R, z_order=None):
+    """The partition sum Σ_λ q^{(g-1)<λ,λ>} J_λ(z) H_λ(z) T^{|λ|} through T^R.
+
+    z_order=None keeps coefficients rational in z and reads the memo of
+    _partition_log; an integer switches to the truncated z-series mode.
     """
     if R < 1:
         raise ValueError("rank bound must be at least 1")
-    coeffs = [FactoredRat.zero() for _ in range(R + 1)]
-    coeffs[0] = FactoredRat.one()
-    for lam in partitions_up_to(R):
-        k = lam.size()
-        if not k:
-            continue
-        term = _lambda_term(g, lam)
-        if z_order is not None:
-            term = z_truncate_frac(term, z_order)
-        coeffs[k] = coeffs[k] + term
-    return BiSeries("T", R, coeffs, z_order)
+    log = _partition_log(g) if z_order is None else _truncated_log(g, z_order)
+    return BiSeries("T", R, [log.coefficient(k) for k in range(R + 1)],
+                    z_order)
 
 
 @lru_cache(maxsize=None)
@@ -91,7 +118,7 @@ def kac_rational(g, r):
     pole structure is visible.
     """
     _validate_gr(g, r)
-    A = pleth_log(rhs_series(g, r)).coefficient(r) * _q_minus_one()
+    A = _partition_log(g).pleth_coefficient(r) * _q_minus_one()
     return pair_reduce(A, g)
 
 
@@ -261,8 +288,7 @@ def kac_series_oracle(g, r, D=None):
     if D <= (g - 1) * r * (r - 1) + r:
         raise ValueError("z-order %d does not reach past the stabilization "
                          "bound %d" % (D, (g - 1) * r * (r - 1)))
-    S = rhs_series(g, r, z_order=D)
-    A = pleth_log(S).coefficient(r) * _q_minus_one()
+    A = _truncated_log(g, D).pleth_coefficient(r) * _q_minus_one()
     A = pair_reduce(A, g)
     dec = z_decompose(A)
     out = []
@@ -294,20 +320,23 @@ def _as_rational(f):
 
 
 @lru_cache(maxsize=None)
-def _constant_class_sums(g, r):
-    coeffs = [FactoredRat.zero() for _ in range(r + 1)]
-    coeffs[0] = FactoredRat.one()
-    for lam in partitions_up_to(r):
-        k = lam.size()
-        if not k:
-            continue
-        term = FactoredRat.from_monomial(
+def _constant_log(g):
+    """The constant-term route's own Log memo: it shares none with the main
+    route, so that the route stays an independent check."""
+    def term(lam):
+        t = FactoredRat.from_monomial(
             Monomial.of(z=(g - 1) * pairing(lam, lam) - len(lam)))
         for mult in Counter(tuple(lam)).values():
             for j in range(1, mult + 1):
-                term = term * atom_inverse(1, Monomial.of(z=-j))
-        coeffs[k] = coeffs[k] + term
-    A0 = pleth_log(BiSeries("T", r, coeffs)).coefficient(r).mul_scalar(-1)
+                t = t * atom_inverse(1, Monomial.of(z=-j))
+        return t
+
+    return _partition_sum_log(term)
+
+
+@lru_cache(maxsize=None)
+def _constant_class_sums(g, r):
+    A0 = _constant_log(g).pleth_coefficient(r).mul_scalar(-1)
     Q0 = (A0 * _one_minus_z_pow(r)).normalize()
     if Q0.denominator:
         raise NotPolynomialAfterClearing(

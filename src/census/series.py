@@ -5,9 +5,12 @@ Coefficients may be rational in z (the default) or truncated z-polynomials
 of degree <= z_order; the second mode re-truncates after every product so
 that truncation commutes with all the series operations.
 
-The logarithm solves F·L' = F' one coefficient at a time (O(order²)
-coefficient products, one sum per coefficient); the exponential sums the
-powers of its argument.
+LazyLog holds log F and grows it one degree at a time, on demand: it
+solves F·L' = F' (O(n²) coefficient products through degree n, one sum
+per coefficient), so a caller that keeps one can extend it instead of
+starting again.  [T^n] of the plethystic Log is read from it alone, as
+Σ_{k|n} μ(k)/k ψ_k(L_{n/k}) in one sum.  The exponential sums the powers
+of its argument.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from .ring import (FactoredRat, Monomial, ONE_MONOMIAL, SparsePoly,
 
 __all__ = [
     "BiSeries",
+    "LazyLog",
     "frac_to_series",
     "mobius",
     "pleth_exp",
@@ -124,6 +128,13 @@ def frac_to_series(f, var, order, z_order=None):
                      for j in range(order + 1)], z_order)
 
 
+def _snap(f, z_order):
+    """Normalize f, or in the z-truncated mode truncate it to z_order."""
+    if z_order is None:
+        return f.normalize()
+    return z_truncate_frac(f, z_order)
+
+
 class BiSeries:
     """Series Σ c_j * var^j, exact through degree `order`.
 
@@ -175,11 +186,6 @@ class BiSeries:
             raise ValueError("series z-truncation modes differ")
         return min(self.order, other.order)
 
-    def _snap(self, f):
-        if self.z_order is None:
-            return f.normalize()
-        return z_truncate_frac(f, self.z_order)
-
     def __add__(self, other):
         n = self._align(other)
         return BiSeries(self.var, n,
@@ -204,7 +210,7 @@ class BiSeries:
                 if a.is_zero() or b.is_zero():
                     continue
                 acc = acc + a * b
-            out.append(self._snap(acc))
+            out.append(_snap(acc, self.z_order))
         return BiSeries(self.var, n, out, self.z_order)
 
     def mul_scalar(self, c):
@@ -220,7 +226,7 @@ class BiSeries:
             if j * k > self.order:
                 break
             if not c.is_zero():
-                out[j * k] = self._snap(c.adams(k))
+                out[j * k] = _snap(c.adams(k), self.z_order)
         return BiSeries(self.var, self.order, out, self.z_order)
 
     def __eq__(self, other):
@@ -282,91 +288,123 @@ def series_exp(f):
     return result
 
 
-def _log_coeffs(coeffs, snap, inv0=None):
-    """[L_0 = 0, L_1, ..., L_n] for L = log F, F = Σ F_j x^j, by the
-    logarithmic-derivative recurrence n·F_0·L_n = n·F_n − Σ_{0<k<n} k·L_k·F_{n−k}.
+class LazyLog:
+    """log F for F = Σ_j F_j x^j, grown one x-degree at a time on demand,
+    and the coefficients of Log F read from it.
 
-    It runs on M_n = n·L_n, so every scalar is an integer until the final
-    M_n/n.  inv0 is 1/F_0, or None when F_0 = 1; each M_n is one add_many,
-    then snap.
+    source(j) gives F_j, called once per j in increasing order.  F_0 = 1,
+    or, in the z-truncated mode, inv0 = 1/F_0 and log0 = log F_0.
     """
-    ms = [None]
-    for n in range(1, len(coeffs)):
-        parts = [coeffs[n].mul_scalar(n)]
-        for k in range(1, n):
-            a, b = ms[k], coeffs[n - k]
-            if not (a.is_zero() or b.is_zero()):
-                parts.append(-(a * b))
-        mn = add_many(parts)
-        if inv0 is not None:
-            mn = mn * inv0
-        ms.append(snap(mn))
-    return [FactoredRat.zero()] + [m.mul_scalar(Fraction(1, n))
-                                   for n, m in enumerate(ms[1:], 1)]
+
+    __slots__ = ("z_order", "_source", "_inv0", "_fs", "_ms", "_logs")
+
+    def __init__(self, source, z_order=None, inv0=None, log0=None):
+        self.z_order = z_order
+        self._source = source
+        self._inv0 = inv0
+        self._fs = [source(0)]
+        self._ms = [None]
+        self._logs = [FactoredRat.zero() if log0 is None else log0]
+
+    def coefficient(self, j):
+        """F_j."""
+        while len(self._fs) <= j:
+            self._fs.append(self._source(len(self._fs)))
+        return self._fs[j]
+
+    def log(self, n):
+        """L_n, by n·F_0·L_n = n·F_n − Σ_{0<k<n} k·L_k·F_{n−k} run on
+        M_n = n·L_n, so every scalar is an integer until the final M_n/n;
+        each M_n is one add_many, then snap."""
+        ms, fs = self._ms, self._fs
+        while len(ms) <= n:
+            m = len(ms)
+            parts = [self.coefficient(m).mul_scalar(m)]
+            for k in range(1, m):
+                a, b = ms[k], fs[m - k]
+                if not (a.is_zero() or b.is_zero()):
+                    parts.append(-(a * b))
+            mm = add_many(parts)
+            if self._inv0 is not None:
+                mm = mm * self._inv0
+            ms.append(_snap(mm, self.z_order))
+            self._logs.append(ms[m].mul_scalar(Fraction(1, m)))
+        return self._logs[n]
+
+    def pleth_coefficient(self, n):
+        """[x^n] Log F = [x^n] Σ_k μ(k)/k ψ_k(log F), as one add_many.
+
+        For n >= 1 only the k dividing n reach x^n, so this is
+        Σ_{k|n} μ(k)/k ψ_k(L_{n/k}) and reads L_1..L_n alone; at n = 0,
+        ψ_k of the z-positive log F_0 truncates to zero past z_order.
+        """
+        if n:
+            ks = [k for k in range(1, n + 1) if not n % k]
+        else:
+            ks = range(1, max(self.z_order or 0, 1) + 1)
+        parts = []
+        for k in ks:
+            mu = mobius(k)
+            c = self.log(n // k)
+            if mu and not c.is_zero():
+                parts.append(_snap(c.adams(k), self.z_order)
+                             .mul_scalar(Fraction(mu, k)))
+        return add_many(parts)
 
 
 def _z_log_and_inverse(f0, D):
     """(log f0, 1/f0) through z-degree D for a z-polynomial f0 with
     z-constant 1: f0 − 1 is nilpotent modulo z^(D+1), so both are finite
-    z-polynomials.  The log is the recurrence of _log_coeffs run in z; the
-    inverse is G_n = −Σ_{0<k<=n} c_k·G_{n−k}."""
+    z-polynomials, the log from the recurrence run in z and the inverse
+    exp(−log f0)."""
     parts = z_decompose(z_truncate_frac(f0, D))
-    c = [parts.get(j, FactoredRat.zero()) for j in range(D + 1)]
-    inv = [FactoredRat.one()]
-    for n in range(1, D + 1):
-        inv.append(add_many([(c[k] * inv[n - k]).mul_scalar(-1)
-                             for k in range(1, n + 1)
-                             if not c[k].is_zero()]))
+    log = series_log(BiSeries("z", D, [parts.get(j, FactoredRat.zero())
+                                       for j in range(D + 1)]))
 
-    def as_poly(coeffs):
+    def as_poly(s):
         return add_many([c_j * FactoredRat.from_monomial(Monomial.of(z=j))
-                         for j, c_j in enumerate(coeffs)])
+                         for j, c_j in enumerate(s.coeffs)])
 
-    return as_poly(_log_coeffs(c, FactoredRat.normalize)), as_poly(inv)
+    return as_poly(log), as_poly(series_exp(-log))
+
+
+def _lazy_log(f):
+    """The LazyLog of a series with unit constant term."""
+    _check_unit(f)
+    if f.z_order is None or f.coeffs[0] == FactoredRat.one():
+        return LazyLog(f.coeffs.__getitem__, f.z_order)
+    log0, inv0 = _z_log_and_inverse(f.coeffs[0], f.z_order)
+    return LazyLog(f.coeffs.__getitem__, f.z_order, inv0, log0)
 
 
 def series_log(f):
     """Ordinary logarithm of a series with unit constant term.
 
-    Solves F·L' = F' coefficientwise: n·F_0·L_n = n·F_n − Σ_{0<k<n}
-    k·L_k·F_{n−k}, O(order²) coefficient products.  In rational mode
-    F_0 = 1 exactly.  In the z-truncated mode F_0 may be 1 plus a
-    z-positive part; then L_0 = log F_0 and 1/F_0 come from the same
-    recurrence run in z (_z_log_and_inverse), once per call.
+    Solves F·L' = F' coefficientwise (LazyLog.log), O(order²)
+    coefficient products.  In rational mode F_0 = 1 exactly.  In the
+    z-truncated mode F_0 may be 1 plus a z-positive part; then
+    L_0 = log F_0 and 1/F_0 come from _z_log_and_inverse, once per call.
     """
-    _check_unit(f)
-    f0 = f.coeffs[0]
-    if f.z_order is None or f0 == FactoredRat.one():
-        log0, inv0 = FactoredRat.zero(), None
-    else:
-        log0, inv0 = _z_log_and_inverse(f0, f.z_order)
-    logs = _log_coeffs(f.coeffs, f._snap, inv0)
-    logs[0] = log0
-    return BiSeries(f.var, f.order, logs, f.z_order)
+    log = _lazy_log(f)
+    return BiSeries(f.var, f.order, [log.log(n) for n in range(f.order + 1)],
+                    f.z_order)
 
-
-def _adams_reach(f):
-    # psi_k(f) survives truncation only while k stays within the main order
-    # (for T-positive parts) or the z-order (for a z-positive constant term)
-    if f.z_order is not None and not f.coeffs[0].is_zero():
-        return max(f.order, f.z_order)
-    return f.order
 
 def pleth_exp(f):
     """Exp(f) = exp(Σ_k ψ_k(f)/k) for f in the augmentation ideal."""
     _check_augmented(f)
     acc = BiSeries.zero(f.var, f.order, f.z_order)
-    for k in range(1, _adams_reach(f) + 1):
+    # ψ_k(f) survives truncation only while k stays within the main order
+    # (T-positive parts) or the z-order (a z-positive constant term)
+    for k in range(1, max(f.order, f.z_order or 0) + 1):
         acc = acc + f.adams(k).mul_scalar(Fraction(1, k))
     return series_exp(acc)
 
 
 def pleth_log(f):
-    """Log(f) = Σ_k μ(k)/k ψ_k(log f) for f with unit constant term."""
-    g = series_log(f)
-    acc = BiSeries.zero(f.var, f.order, f.z_order)
-    for k in range(1, _adams_reach(g) + 1):
-        mu = mobius(k)
-        if mu:
-            acc = acc + g.adams(k).mul_scalar(Fraction(mu, k))
-    return acc
+    """Log(f) = Σ_k μ(k)/k ψ_k(log f) for f with unit constant term, one
+    T-degree at a time (LazyLog.pleth_coefficient)."""
+    log = _lazy_log(f)
+    return BiSeries(f.var, f.order,
+                    [log.pleth_coefficient(n) for n in range(f.order + 1)],
+                    f.z_order)

@@ -31,6 +31,8 @@ from builders import const
 pipeline.kac_rational.cache_clear()
 pipeline.degree_class_sums.cache_clear()
 pipeline._constant_class_sums.cache_clear()
+pipeline._partition_log.cache_clear()
+pipeline._constant_log.cache_clear()
 h_factor.cache_clear()
 
 REPORT = []

@@ -3,7 +3,12 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 import census
 from census import pipeline
 from census.errors import IdentityViolation, RoundingFailure
+from census.partitions import pairing, partitions_up_to
 from census.pipeline import (
     KacResult,
     betti_polynomial,
@@ -28,6 +34,7 @@ from census.pipeline import (
     rhs_series,
 )
 from census.ring import FactoredRat, Monomial, SparsePoly, atom_inverse
+from census.series import BiSeries, series_log, z_truncate_frac
 from census.zeta import (
     CurveData,
     alpha_names,
@@ -333,6 +340,164 @@ class TestEngineVersion:
                   for v in (constant_term(2, r, d)
                             for r in range(1, 5) for d in range(r))]
         assert _sha256(values) == self.CONSTANT_TERMS
+
+
+def _pinned_digests(descending=False):
+    """sha256 of the "n/d" strings of constant_term(g, r, d) over every d,
+    for g in {2, 5} and r <= 10, and of kac_rational(g, r).to_json() for
+    g <= 2 and r <= 3, with the ranks of each genus requested in
+    ascending or descending order."""
+    out = {}
+    for g in (2, 5):
+        for r in sorted(range(1, 11), reverse=descending):
+            out["constant_term(%d,%d)" % (g, r)] = _sha256(
+                ["%d/%d" % (v.numerator, v.denominator)
+                 for v in (constant_term(g, r, d) for d in range(r))])
+    for g in range(3):
+        for r in sorted(range(1, 4), reverse=descending):
+            out["kac_rational(%d,%d)" % (g, r)] = _sha256(
+                kac_rational(g, r).to_json())
+    return out
+
+
+class TestPinnedBytes:
+    """Bytes of both routes that read the per-genus Log memo, pinned
+    before the memo existed; the order in which ranks fill the memo must
+    not show in them."""
+
+    DIGESTS = {
+        "constant_term(2,1)":
+            "de0096061c0d648eac30cdeb53c0576e1c781c0406a09937a92966797dc3d5a4",
+        "constant_term(2,2)":
+            "ac60b1cb065b56255fd9b495078fb8a7bc0dc7e32c47fb97799ba1aacfae4a06",
+        "constant_term(2,3)":
+            "9866d93b7aa33feec6ac4a864b6dcb293ca69088067ce2eb1905f4d0fb429aa8",
+        "constant_term(2,4)":
+            "396389809b78aec4763cc6f7d4d74ee27c835aa34f3272cf46952a8a1f63151d",
+        "constant_term(2,5)":
+            "a8c017ed8fb6f29d9bb2a97b824699833492d5e110c4f4ca1c2f8e88f5b56023",
+        "constant_term(2,6)":
+            "2935937caddc6f42133619dfe80e50bcc678f3546fde50ba02ab7098b262941f",
+        "constant_term(2,7)":
+            "ddb1c798a5da30f71b899f7353767e2c33455cd1c9661cd6296116f3e1b973ee",
+        "constant_term(2,8)":
+            "a39a51308f259b38a34a124e5f931acddd09d6740e7b434304c4495b7fa6fe99",
+        "constant_term(2,9)":
+            "84f7021b9f65fb0f5c4bccf24290e39fbbe8667c14174eda2f47b6387bcb62e9",
+        "constant_term(2,10)":
+            "0f183066f78d63b6bc45e16b9f6ee4bfdadb9157fc7131f40b5e1fa47bdd7b5c",
+        "constant_term(5,1)":
+            "de0096061c0d648eac30cdeb53c0576e1c781c0406a09937a92966797dc3d5a4",
+        "constant_term(5,2)":
+            "dc9dc969d139ccb6326f10ccb3b78e0bf1899fea43bf6bb481c0695c4a671fbd",
+        "constant_term(5,3)":
+            "6e75e45ac6b1d13e2c82ffc9ec597face1e3fa985edccf525b4da9258ebf2703",
+        "constant_term(5,4)":
+            "ba29505ae30350894750def74db6fb5cce18936eb966e4618f58588dc0e9fc3e",
+        "constant_term(5,5)":
+            "6a640362db687bc04fd64972ae8ba07c4a02f3b871f3c64147f8a6ae6f42da3b",
+        "constant_term(5,6)":
+            "68b771bf287096706beef8bae8f4200ff9bd711999c8963ba02e08ef54fdbb5a",
+        "constant_term(5,7)":
+            "c414f30d891294046b60146b55cb9225c721d1c6c83e798b87b0fd143a43efe1",
+        "constant_term(5,8)":
+            "093caed59f3b9680894052999e4a79e558dbbd3982b9d900b75ac61175171cfa",
+        "constant_term(5,9)":
+            "c0b232292c6363840168875dc487105b06c6ad2fda7a402f599ed75686c1b61c",
+        "constant_term(5,10)":
+            "60ddfdf375f476753f27192079b18c12687557957c1fa61439a0a8fcb1d0ceae",
+        "kac_rational(0,1)":
+            "4a93c7dcdd40c99c1bfc5cf6f40c8ed6712da7c3eefdd2ec6afb57d7b4724a74",
+        "kac_rational(0,2)":
+            "f360365a7183081ab0b371aa508d7b239ba90cb866e0afd774cc1953304b9a15",
+        "kac_rational(0,3)":
+            "f360365a7183081ab0b371aa508d7b239ba90cb866e0afd774cc1953304b9a15",
+        "kac_rational(1,1)":
+            "28daf60eb776f9aa900aa2500f45cc24560d92b1a284e376f7425884de7dd9cd",
+        "kac_rational(1,2)":
+            "a5ea75bad6a6719b78146ab1b4cbaad1c8798c89dfd239f13e1803bede80ec48",
+        "kac_rational(1,3)":
+            "91e5a264fe1ff9151ba565607a6d3b6dba5b181e64a75bead7341058b93898d9",
+        "kac_rational(2,1)":
+            "701ac3ab750fc861d192a8e27ca6a2060b19656f3809a4410e44e9b9f1d2d961",
+        "kac_rational(2,2)":
+            "b368a34bfcb79afc228897d36eeb8388c6bee5e9f82ab0e66c2889e7c7fef97f",
+        "kac_rational(2,3)":
+            "4c5e8d652c42370337ab0fdab129b9b4abe863e5b04c45a956cc38ca99ec23d2",
+    }
+
+    def test_ascending(self):
+        for cached in (kac_rational, degree_class_sums,
+                       pipeline._constant_class_sums,
+                       pipeline._partition_log, pipeline._constant_log):
+            cached.cache_clear()
+        assert _pinned_digests() == self.DIGESTS
+
+    def test_descending_in_a_fresh_interpreter(self):
+        tests = Path(__file__).resolve().parent
+        child = ("import json, sys\n"
+                 "sys.path.insert(0, %r)\n"
+                 "from test_pipeline import _pinned_digests\n"
+                 "print(json.dumps(_pinned_digests(descending=True)))\n"
+                 % str(tests))
+        env = dict(os.environ, PYTHONPATH=str(tests.parent / "src"))
+        run = subprocess.run([sys.executable, "-c", child], env=env,
+                             check=True, timeout=300, capture_output=True,
+                             text=True)
+        assert json.loads(run.stdout) == self.DIGESTS
+
+
+def _partition_sum_by_loop(term, R, z_order=None):
+    """Reference: the partition sum built the way the memo replaced, one
+    pairwise + per λ of partitions_up_to(R)."""
+    coeffs = [FactoredRat.one()] + [FactoredRat.zero()] * R
+    for lam in partitions_up_to(R):
+        if lam.size():
+            coeffs[lam.size()] = coeffs[lam.size()] + term(lam)
+    return BiSeries("T", R, coeffs, z_order)
+
+
+class TestPartitionLogMemo:
+    """The per-genus memos, and the oracle's truncated log, hold the
+    partition sum built the old way and the series_log of it, coefficient
+    by coefficient."""
+
+    @staticmethod
+    def check(log, old):
+        logs = series_log(old)
+        for n in range(old.order + 1):
+            assert log.coefficient(n) == old.coefficient(n)
+            assert log.log(n) == logs.coefficient(n)
+
+    @pytest.mark.parametrize("g", [0, 1, 2])
+    def test_main_route(self, g):
+        old = _partition_sum_by_loop(
+            lambda lam: pipeline._lambda_term(g, lam), 3)
+        self.check(pipeline._partition_log(g), old)
+        assert rhs_series(g, 3) == old
+
+    @pytest.mark.parametrize("g", [0, 1])
+    def test_truncated_route(self, g):
+        D = 6
+        old = _partition_sum_by_loop(
+            lambda lam: z_truncate_frac(pipeline._lambda_term(g, lam), D),
+            3, D)
+        self.check(pipeline._truncated_log(g, D), old)
+        assert rhs_series(g, 3, D) == old
+
+    @pytest.mark.parametrize("g", [2, 5])
+    def test_constant_term_route(self, g):
+        def term(lam):
+            # z^{(g-1)<λ,λ>-ℓ(λ)} ∏_i ∏_{j<=m_i(λ)} 1/(1 - z^{-j})
+            t = FactoredRat.from_monomial(
+                mono(z=(g - 1) * pairing(lam, lam) - len(lam)))
+            for mult in Counter(tuple(lam)).values():
+                for j in range(1, mult + 1):
+                    t = t * atom_inverse(1, mono(z=-j))
+            return t
+
+        old = _partition_sum_by_loop(term, 6)
+        self.check(pipeline._constant_log(g), old)
 
 
 class TestCounts:

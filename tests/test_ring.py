@@ -566,7 +566,8 @@ def test_images_follow_the_content_monomial():
 
 def test_images_on_the_main_route():
     for cached in (pipeline.kac_rational, pipeline.degree_class_sums,
-                   pipeline._constant_class_sums, h_factor):
+                   pipeline._constant_class_sums, pipeline._partition_log,
+                   pipeline._constant_log, h_factor):
         cached.cache_clear()
     with checked_images() as composed:
         for d in range(2):

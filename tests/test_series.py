@@ -9,6 +9,7 @@ from census.errors import NotAugmented, NotUnitConstantTerm
 from census.ring import FactoredRat, Monomial, SparsePoly
 from census.series import (
     BiSeries,
+    _lazy_log,
     mobius,
     pleth_exp,
     pleth_log,
@@ -343,3 +344,62 @@ class TestLogRecurrence:
                                   max_size=order))
         f = truncate_z(series("T", [f0] + tail), D)
         assert series_log(f) == _log_by_powers(f)
+
+
+def _pleth_log_by_adams(f):
+    """Reference: the whole-series sum Σ_k μ(k)/k ψ_k(log f) that the
+    per-degree extraction (LazyLog.pleth_coefficient) replaced; ψ_k of a
+    z-positive log f_0 survives up to k = z_order."""
+    g = series_log(f)
+    reach = f.order
+    if f.z_order is not None and not g.coeffs[0].is_zero():
+        reach = max(f.order, f.z_order)
+    acc = BiSeries.zero(f.var, f.order, f.z_order)
+    for k in range(1, reach + 1):
+        mu = mobius(k)
+        if mu:
+            acc = acc + g.adams(k).mul_scalar(Fraction(mu, k))
+    return acc
+
+
+class TestPlethLogExtraction:
+    """[T^n] Log f read as Σ_{k|n} μ(k)/k ψ_k(L_{n/k}) equals the
+    whole-series sum it replaced, for every n, whether the recurrence is
+    grown to the top at once or one degree at a time."""
+
+    @staticmethod
+    def check(f):
+        want = _pleth_log_by_adams(f)
+        lazy = _lazy_log(f)
+        for n in reversed(range(f.order + 1)):
+            assert lazy.pleth_coefficient(n) == want.coefficient(n)
+        assert pleth_log(f) == want
+
+    @given(st.integers(min_value=1, max_value=6), st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_rational_mode(self, order, data):
+        tail = data.draw(st.lists(qza_fracs(), min_size=order,
+                                  max_size=order))
+        self.check(series("T", [ONE] + tail))
+
+    @given(st.integers(min_value=0, max_value=4),
+           st.integers(min_value=1, max_value=5), st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_truncated_mode(self, D, order, data):
+        # F_0 = 1 plus a z-positive part (empty when the draw is all zero)
+        lows = data.draw(st.lists(qza_fracs(z_free=True), min_size=D,
+                                  max_size=D))
+        f0 = ONE
+        for j, c in enumerate(lows, start=1):
+            f0 = f0 + c * FactoredRat.from_monomial(Monomial.of(z=j))
+        tail = data.draw(st.lists(qza_fracs(), min_size=order,
+                                  max_size=order))
+        self.check(truncate_z(series("T", [f0] + tail), D))
+
+    def test_z_positive_constant_term(self):
+        # F = 1/(1-z) + T^2 = Exp(z)·(1 + (1-z)T^2): Log F = z at T^0,
+        # where only k = 1 survives, and 1 - z at T^2
+        f = truncate_z(series("T", [geometric(1, z=1), ZERO, ONE]), 4)
+        lazy = _lazy_log(f)
+        assert lazy.pleth_coefficient(0) == fr((1, {"z": 1}))
+        assert lazy.pleth_coefficient(2) == fr((1, {}), (-1, {"z": 1}))
