@@ -8,8 +8,18 @@ A rational function is stored as
 where the prefactor is a Laurent monomial, the numerator is a sparse
 multivariate polynomial with exact rational coefficients, and every
 denominator factor is a binomial atom (1 - c*m) for a nonzero rational c
-and a nonconstant Laurent monomial m.  Denominators are never expanded;
-cancellation happens through exact division by atoms.
+and a nonconstant Laurent monomial m.  Denominators are never expanded.
+
+Cancellation.  normalize divides the numerator by each denominator atom
+as often as it divides, in Atom.key order, and moves the numerator's
+content monomial into the prefactor.  For a fixed multiset of atoms left
+that form is unique, so only how often each atom cancels decides the
+bytes.  A product first divides each operand's numerator by the primitive
+atoms (shape exponents of gcd 1, so irreducible) of the other's
+denominator, which cancel as often in any order (cross-cancellation;
+Henrici 1956, Knuth TAOCP 4.5.1).  The other atoms, and primitive ones
+dividing a non-primitive atom that sorts before them, are left to the
+product's normalize.
 
 Variable names follow a fixed ambient scheme: "a1".."a2g" for the Weil
 coordinates, "q", "z", "T", the kernel variables "z1".."zn", and the
@@ -65,9 +75,11 @@ form.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import repeat
+from math import gcd
 from operator import and_, index, itemgetter, lshift, or_, rshift, xor
 
 from .errors import ExponentOverflow, PoleAtPoint, SubstitutionToZeroPole
@@ -715,6 +727,18 @@ class _DivisionFilter:
             return _divide_mod(coeffs, cc, d, p) is not None
         return True
 
+    def cancel(self, atom, k):
+        """Divide poly by atom while it divides, at most k times; the
+        number of divisions made."""
+        n = 0
+        while n < k and self.may_divide(atom):
+            q = self.poly.divide_atom(atom)
+            if q is None:
+                break
+            self.divided(atom, q)
+            n += 1
+        return n
+
     def divided(self, atom, quotient):
         """Follow the exact division of the polynomial by atom."""
         self.poly = quotient
@@ -862,6 +886,60 @@ def _sorted_atoms(atoms):
     return tuple(sorted(atoms, key=Atom.key))
 
 
+def _primitive(atom):
+    """Whether the exponents of atom's shape have gcd 1: atom is then
+    irreducible."""
+    return gcd(*map(itemgetter(1), atom.shape.items)) == 1
+
+
+def _divides(atom, other):
+    """Whether the primitive atom divides other: other's c*m is a power of
+    atom's."""
+    v, e = atom.shape.leading()
+    j, r = divmod(other.shape.exponent(v), e)
+    return (not r and other.shape.code == atom.shape.code * j
+            and other.constant == atom.constant ** j)
+
+
+def _cross_atoms(a, b):
+    """The atoms a * b cancels before it multiplies the numerators (see
+    the module docstring): those of b's denominator to try on a's
+    numerator and those of a's on b's, each {atom: multiplicity}, or ().
+    An atom of both denominators divides neither numerator.  Nothing is
+    tried unless both operands are normalized, a numerator has two terms
+    or more (no atom divides a monomial), and the numerators together
+    involve two variables or more: on a univariate numerator the filter's
+    image is the polynomial itself, so testing the operands first only
+    adds work."""
+    na, nb = a.numerator.terms, b.numerator.terms
+    if (not (a._normalized and b._normalized) or len(na) + len(nb) < 3
+            or len(_support([*na, *nb])) < 2):
+        return ()
+    da, db = Counter(a.denominator), Counter(b.denominator)
+    mine = {x: k for x, k in da.items() if x not in db and _primitive(x)}
+    theirs = {x: k for x, k in db.items() if x not in da and _primitive(x)}
+    held = [r for r in da | db if not _primitive(r)]
+    if held:
+        def free(x):
+            return not any(_divides(x, r) and r.key() < x.key() for r in held)
+        mine = {x: k for x, k in mine.items() if free(x)}
+        theirs = {x: k for x, k in theirs.items() if free(x)}
+    return theirs, mine
+
+
+def _cancel(num, image, atoms, den):
+    """Divide num by each atom of {atom: multiplicity} as often as it
+    divides, removing the atoms cancelled from the list den; the quotient
+    and the function that gives its images (image gives num's)."""
+    if not atoms:
+        return num, image
+    filt = _DivisionFilter(num, image)
+    for atom, k in atoms.items():
+        for _ in range(filt.cancel(atom, k)):
+            den.remove(atom)
+    return filt.poly, filt._image
+
+
 class FactoredRat:
     """Rational function prefactor * numerator / prod(denominator atoms).
 
@@ -936,20 +1014,13 @@ class FactoredRat:
         grouped = {}
         for a in self.denominator:
             grouped[a] = grouped.get(a, 0) + 1
-        filt = _DivisionFilter(num, seed) if grouped else None
-        for atom in sorted(grouped, key=Atom.key):
-            k = grouped[atom]
-            while k:
-                if not filt.may_divide(atom):
-                    break
-                q = num.divide_atom(atom)
-                if q is None:
-                    break
-                num = q
-                filt.divided(atom, q)
-                k -= 1
-            out_den.extend([atom] * k)
-        images = filt.images() if filt is not None else {}
+        images = {}
+        if grouped:
+            filt = _DivisionFilter(num, seed)
+            for atom in sorted(grouped, key=Atom.key):
+                k = grouped[atom]
+                out_den.extend([atom] * (k - filt.cancel(atom, k)))
+            num, images = filt.poly, filt.images()
         mc = num.content_monomial()
         if not mc.is_one():
             pre = pre * mc
@@ -975,15 +1046,22 @@ class FactoredRat:
     def __mul__(self, other):
         if self.is_zero() or other.is_zero():
             return FactoredRat.zero()
+        num_a, image_a = self.numerator, self._image
+        num_b, image_b = other.numerator, other._image
+        den = self.denominator + other.denominator
+        across = _cross_atoms(self, other)
+        if across:
+            den = list(den)
+            num_a, image_a = _cancel(num_a, image_a, across[0], den)
+            num_b, image_b = _cancel(num_b, image_b, across[1], den)
 
         def seed(p, w):
-            a = self._image(p, w)
-            b = other._image(p, w) if a is not None else None
+            a = image_a(p, w)
+            b = image_b(p, w) if a is not None else None
             return None if b is None else _convolve_mod(a, b, p)
 
-        return FactoredRat(self.prefactor * other.prefactor,
-                           self.numerator * other.numerator,
-                           self.denominator + other.denominator).normalize(seed)
+        return FactoredRat(self.prefactor * other.prefactor, num_a * num_b,
+                           den).normalize(seed)
 
     def __truediv__(self, other):
         return self * other.inverse()
@@ -1074,22 +1152,13 @@ class FactoredRat:
     __hash__ = None
 
     def _cross_equal(self, other):
-        mine = {}
-        for a in self.denominator:
-            mine[a] = mine.get(a, 0) + 1
-        theirs = {}
-        for a in other.denominator:
-            theirs[a] = theirs.get(a, 0) + 1
+        mine, theirs = Counter(self.denominator), Counter(other.denominator)
         left = self.numerator.mul_monomial(self.prefactor)
         right = other.numerator.mul_monomial(other.prefactor)
-        for a, k in theirs.items():
-            extra = k - mine.get(a, 0)
-            for _ in range(max(extra, 0)):
-                left = left.mul_atom(a)
-        for a, k in mine.items():
-            extra = k - theirs.get(a, 0)
-            for _ in range(max(extra, 0)):
-                right = right.mul_atom(a)
+        for a in (theirs - mine).elements():
+            left = left.mul_atom(a)
+        for a in (mine - theirs).elements():
+            right = right.mul_atom(a)
         return left == right
 
     def variables(self):
@@ -1206,16 +1275,8 @@ def add_many(fracs):
     live = [f for f in fracs if not f.numerator.is_zero()]
     if not live:
         return FactoredRat.zero()
-    counts = []
-    lcm = {}
-    for f in live:
-        c = {}
-        for a in f.denominator:
-            c[a] = c.get(a, 0) + 1
-        counts.append(c)
-        for a, k in c.items():
-            if k > lcm.get(a, 0):
-                lcm[a] = k
+    counts = [Counter(f.denominator) for f in live]
+    lcm = reduce(or_, counts)
     total = {}
     tget = total.get
     for f, c in zip(live, counts):

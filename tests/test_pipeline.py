@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 import census
 from census import pipeline
 from census.errors import IdentityViolation, RoundingFailure
-from census.partitions import pairing, partitions_up_to
+from census.partitions import Partition, pairing, partitions_up_to
 from census.pipeline import (
     KacResult,
     betti_polynomial,
@@ -445,6 +445,75 @@ class TestPinnedBytes:
                              check=True, timeout=300, capture_output=True,
                              text=True)
         assert json.loads(run.stdout) == self.DIGESTS
+
+
+class TestPinnedLambdaTerms:
+    """The bytes of each λ-term q^{(g-1)<λ,λ>} J_λ H_λ, pinned before ×
+    cancelled atoms across its operands: sha256 of the sorted JSON, keyed
+    "g parts", for every λ with |λ| <= 3 at g <= 3 and (1,1,1,1) at
+    g <= 1."""
+
+    DIGESTS = {
+        "0 1":
+            "57c75d13568ad0202945b1341328d61b2e6dd10a6ba2ac547667002a0f2d281a",
+        "0 2":
+            "87b8c41ad6665eebf3a5fcdbdf629fa8c6fa4d022088cfe5c880d4fef10d806c",
+        "0 1,1":
+            "ad2e18df57566cda87e92356ecd3e7e1d300ab5018ccbfb0db35cd3f16ddb26e",
+        "0 3":
+            "241436f3fdce2687250548d477a364d5f025b899b519a449347fc47c80d8631c",
+        "0 2,1":
+            "6d5848aa6823edde02706e1681047698190d7ef7587d17b9a6273d6f842fa5a7",
+        "0 1,1,1":
+            "fde181b4dbe0c8f2168e1cdd27fb60bbe7826502128879f9ac798e665528645b",
+        "0 1,1,1,1":
+            "85431e22fb5e292c68042accc778172cfc64b77fa0a43a143741e5c19a4b8f22",
+        "1 1":
+            "b83c5d0b46ec14e300077d547870e275227a20d3b1441e476a7d4d5b2bcb9129",
+        "1 2":
+            "1cca5da6e8570179fde41c40f2381c6bcc799d765f40986beb7a54dfbc4cf945",
+        "1 1,1":
+            "7ad780d9f8bf1419c2a6d69425ab10643f304acd9d8e237a48021c3d239a0434",
+        "1 3":
+            "d2830fb512aa27b294676d40579567a2a5bc902c26c1254176a3a3a5987e8e29",
+        "1 2,1":
+            "5d18c9910e9005f54ef56bdce70ebefb3e841649a893dbc7e92ab5c836740194",
+        "1 1,1,1":
+            "5c01aae9a364768390ebe03c393549e373721d3446b309c6be850db9533f974c",
+        "1 1,1,1,1":
+            "1e13f6be7ea7f81936196eff955c339ae64938e52a80b6b13b90d5439d7a2151",
+        "2 1":
+            "5b71a0b194aea94ce7cd7a0de692328b0791f1fed843f9bc3258a0a2f69d095c",
+        "2 2":
+            "3a0d2a545f39a09cee63e902868f6157415a9377e4ad593d249e9ea7e2637f65",
+        "2 1,1":
+            "6de6b1f5f1253fd26fc1db94098382ae219e653c3dceda4aba038a57325ba43c",
+        "2 3":
+            "8f0e57a291f0265317c086138f4de2854179d9ce04713d04d86a3997f8ab7317",
+        "2 2,1":
+            "8f74382c9384a14937cf6b85d3ca0463de5dd0b73cc3542cc052fde3aa1666e4",
+        "2 1,1,1":
+            "885238f4e22e24e565aba5b9f65ac3625a7c3437d68db5d1ece7b13b5c79f8c3",
+        "3 1":
+            "769f4832585fe7c45be04fda9562cb82e4646ebd35d8295fcd21b0fcdc1da645",
+        "3 2":
+            "407f68bb8bd180cce794514fb5812be8d2dd1fc501c0992b305c5165f54a5edf",
+        "3 1,1":
+            "436d3b0568d54ec25f8f80e49b215e01ec0338b2a5dd9c0284b847dde77a5e29",
+        "3 3":
+            "1c220621b72aee15123d2707b4484a62c61340d53073b2fc0a4f2a8e9e78682a",
+        "3 2,1":
+            "ccf4f03d535713d2b3b13a610631f6a30ad6798135dae34ae39ae3e10284ea9c",
+        "3 1,1,1":
+            "44789f241f56f65878ab94a3c157f085394b659cd881ab3b40a5970eba9edd61",
+    }
+
+    def test_digests(self):
+        for key, digest in self.DIGESTS.items():
+            g, parts = key.split()
+            lam = Partition(tuple(int(p) for p in parts.split(",")))
+            assert _sha256(pipeline._lambda_term(int(g), lam).to_json()) \
+                == digest, key
 
 
 def _partition_sum_by_loop(term, R, z_order=None):

@@ -583,6 +583,69 @@ def test_images_on_the_main_route():
 
 
 # ---------------------------------------------------------------------------
+# × cancels the primitive atoms of one operand's denominator against the
+# other's numerator before multiplying; the product must keep the bytes of
+# normalizing the full product, in which the atoms are tried in Atom.key
+# order.  Non-primitive atoms sit beside their factors: (1 - q^-2 z^2)
+# sorts before its factor (1 - q^-1 z), (1 - z) before (1 - z^2).
+
+CROSS_ATOMS = (_atom(1, z=1), _atom(-1, z=1), _atom(1, z=2), _atom(1, z=3),
+               _atom(1, q=-1, z=1), _atom(-1, q=-1, z=1), _atom(1, q=-2, z=2),
+               _atom(2, a1=1, q=1))
+CROSS_FACTORS = tuple(a.as_poly() for a in CROSS_ATOMS) + (
+    SparsePoly([(Monomial(), 1), (Monomial.of(z=1), 1),
+                (Monomial.of(z=2), 1)]),)
+X = SparsePoly([(Monomial(), 1), (Monomial.of(a1=1, q=1), 1)])
+Y = SparsePoly([(Monomial(), 1), (Monomial.of(q=1), 3)])
+
+
+def normal_frac(num, *den):
+    return FactoredRat(Monomial(), num, den).normalize()
+
+
+@st.composite
+def cross_pairs(draw):
+    """Normalized pairs whose numerators carry factors of the atoms in the
+    other operand's denominator."""
+    dens = [draw(st.lists(st.sampled_from(CROSS_ATOMS), max_size=3))
+            + draw(st.lists(diff_atoms(), max_size=1)) for _ in range(2)]
+    pair = []
+    for mine, theirs in (dens, dens[::-1]):
+        num = draw(st.one_of(st.sampled_from((X, Y)),
+                             diff_polys(min_terms=1)))
+        factors = [atom.as_poly() for atom in theirs] + list(CROSS_FACTORS)
+        for factor in draw(st.lists(st.sampled_from(factors), max_size=3)):
+            num = num * factor
+        pair.append(FactoredRat(draw(diff_monomials()), num, mine).normalize())
+    return pair
+
+
+def reference_product(a, b):
+    return FactoredRat(a.prefactor * b.prefactor, a.numerator * b.numerator,
+                       a.denominator + b.denominator).normalize()
+
+
+@settings(max_examples=150, deadline=None)
+@given(cross_pairs())
+# (1 - z^2) sorts before (1 - z^3) and takes the product's one factor
+# 1 - z, so (1 - z^3) must not leave a's numerator first: only primitive
+# atoms go first
+@example([normal_frac(CROSS_FACTORS[3] * X, CROSS_ATOMS[2]),
+          normal_frac(CROSS_FACTORS[1] * Y, CROSS_ATOMS[3])])
+# (1 - q^-1 z) divides (1 - q^-2 z^2), which sorts before it: held back
+@example([normal_frac(X, CROSS_ATOMS[6], CROSS_ATOMS[4]),
+          normal_frac(CROSS_FACTORS[6] * Y)])
+def test_cross_cancellation_keeps_the_bytes(pair):
+    a, b = pair
+    got, want = a * b, reference_product(a, b)
+    assert got.to_json() == want.to_json()
+    assert got.denominator == want.denominator
+    for (p, w), img in got._images.items():
+        assert img == want._image(p, w)
+        assert img == got.numerator.eval_mod(p, ring._POINTS[p], w)
+
+
+# ---------------------------------------------------------------------------
 # Packed monomial codes: a monomial is one int with a signed 24-bit field
 # per variable; every exponent with |e| < 2**22 is exact, and anything
 # beyond 2**22 raises ExponentOverflow.
