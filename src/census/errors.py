@@ -39,7 +39,7 @@ class NotWeil(CensusError):
 
 
 class HigherOrderPole(CensusError):
-    """A chain residue met a pole of order >= 2 after full cancellation."""
+    """A chain residue met a pole that is not structurally simple."""
 
 
 class NotPolynomialAfterClearing(CensusError):

@@ -1,7 +1,19 @@
 """Value builders that only the tests use."""
 
-from census.ring import ONE_MONOMIAL, FactoredRat, Monomial, atom_inverse
+from fractions import Fraction
+
+from census.errors import HigherOrderPole
+from census.partitions import chain_blocks
+from census.ring import (
+    ONE_MONOMIAL,
+    Atom,
+    FactoredRat,
+    Monomial,
+    SparsePoly,
+    atom_inverse,
+)
 from census.series import BiSeries, z_truncate_frac
+from census.zeta import alpha_names, pair_reduce
 
 
 def geometric(constant=1, **exponents):
@@ -23,3 +35,106 @@ def truncate_z(f, D):
     """f in (or re-truncated within) the z-polynomial mode of degree D."""
     return BiSeries(f.var, f.order, [z_truncate_frac(c, D) for c in f.coeffs],
                     D)
+
+
+# ---------------------------------------------------------------------------
+# The fraction route to H_λ that census.residues replaced: each summand K_σ
+# multiplied out, then residues and leader specialization on FactoredRat.
+# The tests compare the factor-list route against it.
+
+def _z(i):
+    return "z%d" % i
+
+
+def rho(g, hi, lo):
+    """ζ̃(z_hi/z_lo)/ζ̃(z_lo/z_hi) for hi > lo, modulo the Weil relations:
+    -(w-q)∏(1-α_i w) / ((1-qw)∏(w-α_i)) with w = z_hi/z_lo, then
+    pair-reduced, so every product downstream stays in the g odd roots."""
+    w = Monomial.of(**{_z(hi): 1, _z(lo): -1})
+    num = SparsePoly({Monomial.of(q=1): 1, w: -1})      # q - w
+    pref = ONE_MONOMIAL
+    dens = []
+    for name in alpha_names(g):
+        am = Monomial.of(**{name: 1})
+        num = num.mul_atom(Atom(Fraction(1), w * am))
+        # (w - α) = -α(1 - w/α); the 2g sign flips cancel pairwise
+        pref = pref * am ** -1
+        dens.append(Atom(Fraction(1), w * am ** -1))
+    dens.append(Atom(Fraction(1), w * Monomial.of(q=1)))
+    return pair_reduce(FactoredRat(pref, num, tuple(dens)), g)
+
+
+def kernel_summand(g, sigma):
+    """K_σ: the chain atoms 1/(1-z_σ1) ∏ 1/(1-q z_σ(i+1)/z_σi) times one ρ
+    per inversion of σ, multiplied out but not normalized."""
+    n = len(sigma)
+    pieces = [atom_inverse(1, Monomial.of(**{_z(sigma[0]): 1}))]
+    for i in range(n - 1):
+        shape = Monomial.of(q=1, **{_z(sigma[i + 1]): 1, _z(sigma[i]): -1})
+        pieces.append(atom_inverse(1, shape))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if sigma[i] > sigma[j]:
+                pieces.append(rho(g, sigma[i], sigma[j]))
+    pref = ONE_MONOMIAL
+    num = SparsePoly.one()
+    dens = []
+    for p in pieces:
+        pref = pref * p.prefactor
+        num = num * p.numerator
+        dens.extend(p.denominator)
+    return FactoredRat(pref, num, tuple(dens))
+
+
+def res_simple(f, var, point=ONE_MONOMIAL):
+    """Residue of the form f·d(var)/var at var = point, a monomial.
+
+    The pole must be structurally simple after normalization: exactly one
+    denominator atom may vanish identically on the substitution.  Returns
+    0 when f is regular there.
+    """
+    if point.exponent(var):
+        raise ValueError("residue point may not involve %s" % (var,))
+    f = f.normalize()
+    singular = []
+    regular = []
+    for atom in f.denominator:
+        e = atom.shape.exponent(var)
+        if e:
+            rest = atom.shape.without(var) * point ** e
+            if rest.is_one() and atom.constant == 1:
+                singular.append((atom, e))
+                continue
+        regular.append(atom)
+    if not singular:
+        return FactoredRat.zero()
+    if len(singular) > 1:
+        raise HigherOrderPole(
+            "pole of order %d at %s = %r" % (len(singular), var, point))
+    _, e = singular[0]
+    rest = FactoredRat(f.prefactor, f.numerator, tuple(regular))
+    return rest.substitute(var, 1, point).mul_scalar(Fraction(-1, e))
+
+
+def h_tilde(f, lam):
+    """Res_λ of f, a fraction in z_1..z_n with n = ℓ(λ); a FactoredRat in
+    the first variable of each block.  Each block's chain is resolved from
+    the top, and the sign (-1)^{ℓ(λ) - #blocks} restores the orientation."""
+    blocks = chain_blocks(lam)
+    if not blocks:
+        raise ValueError("partition must be nonempty")
+    for _, first, last in blocks:
+        for k in range(last, first, -1):
+            f = res_simple(f, _z(k), Monomial.of(q=-1, **{_z(k - 1): 1}))
+    if (lam.length() - len(blocks)) % 2:
+        f = f.mul_scalar(-1)
+    return f.normalize()
+
+
+def specialize_leaders(f, lam):
+    """The first variable of block i (part i) specialized to z^i q^{-r_{<i}},
+    where r_{<i}, the number of variables in the blocks below, is its index
+    less one."""
+    for part, first, _ in chain_blocks(lam):
+        f = f.substitute(_z(first), 1, Monomial.of(z=part, q=1 - first))
+    return f.normalize()

@@ -34,7 +34,7 @@ from census.pipeline import (
     rhs_series,
 )
 from census.ring import FactoredRat, Monomial, SparsePoly, atom_inverse
-from census.series import BiSeries, series_log, z_truncate_frac
+from census.series import BiSeries, mobius, series_log, z_truncate_frac
 from census.zeta import (
     CurveData,
     alpha_names,
@@ -141,12 +141,26 @@ class TestKacPolynomial:
         assert kac_polynomial(1, 1, 0).lifted == poly(
             (1, {}), (-1, {"a1": 1}), (-1, {"a2": 1}), (1, {"q": 1}))
 
-    @pytest.mark.parametrize("d", [0, 1, 2, 3])
-    def test_genus1_rank4_atiyah(self, d):
+    @pytest.mark.parametrize("r,d", [(4, 0), (4, 1), (4, 2), (4, 3),
+                                     (5, 0), (5, 1), (5, 2), (5, 3), (5, 4)],
+                             ids=["0", "1", "2", "3", "r5-0", "r5-1", "r5-2",
+                                  "r5-3", "r5-4"])
+    def test_genus1_rank4_atiyah(self, r, d):
         # Atiyah (1957): on an elliptic curve A_{1,r,d} = q + 1 - α1 - α2
         # for every rank and degree
-        assert kac_polynomial(1, 4, d).lifted == poly(
+        assert kac_polynomial(1, r, d).lifted == poly(
             (1, {}), (-1, {"a1": 1}), (-1, {"a2": 1}), (1, {"q": 1}))
+
+    def test_genus2_rank4_classes(self):
+        # (1-z^4) clears the z-poles of A_{2,4}(z), and the four degree
+        # classes are one polynomial
+        Q = (kac_rational(2, 4) * pipeline._one_minus_z_pow(4)).normalize()
+        assert not pipeline._z_atoms(Q)
+        results = [kac_polynomial(2, 4, d) for d in range(4)]
+        for res in results:
+            assert res.is_polynomial and res.is_d_independent
+            assert res.value == results[0].value
+            assert res.lifted == results[0].lifted
 
     def test_genus0_rank2_vanishes(self):
         for d in (0, 1):
@@ -304,6 +318,36 @@ class TestBetti:
         want = SparsePoly({mono(t=20 - k): c for k, c in enumerate(coeffs)
                            if c})
         assert betti_polynomial(2, 2, 1) == want
+
+
+def _poly_in_t(p):
+    """The coefficients of a polynomial in t, lowest degree first."""
+    out = {}
+    for m, c in p.sorted_terms():
+        assert set(m.variables()) <= {"t"}
+        out[m.exponent("t")] = Fraction(c)
+    return [out.get(k, 0) for k in range(max(out) + 1)]
+
+
+class TestEulerAnchor:
+    """Hausel and Rodriguez-Villegas (arXiv:math/0612668): the twisted
+    PGL_r character variety of a genus-g curve has Euler characteristic
+    μ(r)·r^{2g-3}.  For coprime (r, d) and g >= 2, betti(g, r, d) is that
+    variety's Poincaré polynomial times the Jacobian factor (1+t)^{2g}.
+    At g = 1 the formula is not integral, so that genus is left out."""
+
+    @pytest.mark.parametrize("g,r,d,euler", [
+        (2, 2, 1, -2), (3, 2, 1, -8), (4, 2, 1, -32), (2, 3, 1, -3),
+        (2, 3, 2, -3), (3, 3, 1, -27), (2, 4, 1, 0), (2, 4, 3, 0)])
+    def test_euler_characteristic(self, g, r, d, euler):
+        coeffs = _poly_in_t(betti_polynomial(g, r, d))
+        for _ in range(2 * g):
+            # divide by 1 + t from the low end; the remainder is left on top
+            for k in range(len(coeffs) - 1):
+                coeffs[k + 1] -= coeffs[k]
+            assert coeffs.pop() == 0
+        assert sum(c * (-1) ** k for k, c in enumerate(coeffs)) == euler
+        assert euler == mobius(r) * r ** (2 * g - 3)
 
 
 def _sha256(obj):
@@ -514,6 +558,65 @@ class TestPinnedLambdaTerms:
             lam = Partition(tuple(int(p) for p in parts.split(",")))
             assert _sha256(pipeline._lambda_term(int(g), lam).to_json()) \
                 == digest, key
+
+
+class TestPinnedRanks4And5:
+    """Bytes recorded by hand at commit bc9c21b, whose route multiplied
+    every kernel summand out before its residues: the λ-terms of every
+    λ ⊢ 5 at g = 1 and of (1,1,1,1) at g = 2, keyed "g parts", and
+    kac_polynomial(g, r, d).to_json() at (1, 5) and (2, 4), keyed
+    "g r d"."""
+
+    LAMBDA_TERMS = {
+        "1 5":
+            "fac1b73268cc4da87cfb6bc3dc9ebd33cf58e9ba0d018fb05fa51c677c3d0326",
+        "1 4,1":
+            "50514b148d30de35a309669724736fbe96c5f225eae845101288b75bcec78fa1",
+        "1 3,2":
+            "e9fa2ad4b2023b96a5c2921ede26821a4dace4f91509b0c08387d09e6c4ca465",
+        "1 3,1,1":
+            "d33317d03ba727102f1f7e66a0e563921346d290752bb098953e3dd89ae28532",
+        "1 2,2,1":
+            "174eb5ef5aa8e50bd3bf2f81e97cb50969e62d280b553cecda9756ca2a1a0b5a",
+        "1 2,1,1,1":
+            "e87e0b5aea8cdf9781d89d260343f612dcf5da7f7e015050cb3ea10c4cfe3d7f",
+        "1 1,1,1,1,1":
+            "28ede16cbc9da3ec7b0013106997fd1109577c750bdd3df1be51835bd6d57c96",
+        "2 1,1,1,1":
+            "50777188385ce657a82729efe5c448bb7ced88bc01dd00d1e4495046d3ca15d4",
+    }
+    KAC = {
+        "1 5 0":
+            "f1f1b934d3f1c88c8e5a82650487cc45a0ea803375722e1b11d0cc7043385f3d",
+        "1 5 1":
+            "d639860cc399ee032fb7bfd59985a6e3af993dfea8d7ceb82c3a1341f1ef069c",
+        "1 5 2":
+            "8536dc52605c5181d9701bdc8038709cfff938f6027efc713d779e892657b442",
+        "1 5 3":
+            "cf9a26c33890e7c91643ec2a21d5caf1a0fa3f47ddaefb151a11f1b5b6e060ca",
+        "1 5 4":
+            "793123be304b5cd413cc19021fed6242f1c8dc73f2a136abfeda5be28c817c96",
+        "2 4 0":
+            "7c4c72faa5f4f914ab9ce468d48698cc108a00135d38532ea9acbd19eaf4e355",
+        "2 4 1":
+            "12c18d8bef46a3808e0d0238984c11a8d3aff4d2b416a527300a7a8971e15562",
+        "2 4 2":
+            "dae49e26bf05a37917b7c63cb49c0c1b5511e91626f3f5b17b3f6e7fe06b6d18",
+        "2 4 3":
+            "c95cd1a021820898dc96a305a8a715989dd4dd1895b3353b7f44d19f5c28c3e8",
+    }
+
+    def test_lambda_terms(self):
+        for key, digest in self.LAMBDA_TERMS.items():
+            g, parts = key.split()
+            lam = Partition(tuple(int(p) for p in parts.split(",")))
+            assert _sha256(pipeline._lambda_term(int(g), lam).to_json()) \
+                == digest, key
+
+    def test_kac(self):
+        for key, digest in self.KAC.items():
+            g, r, d = map(int, key.split())
+            assert _sha256(kac_polynomial(g, r, d).to_json()) == digest, key
 
 
 def _partition_sum_by_loop(term, R, z_order=None):

@@ -3,22 +3,20 @@
 import cmath
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 
-from census.errors import HigherOrderPole
+from census import residues
+from census.errors import HigherOrderPole, SubstitutionToZeroPole
 from census.partitions import Partition, partitions_up_to
-from census.residues import (
-    build_L,
-    h_factor,
-    h_tilde,
-    res_simple,
-    specialize_leaders,
-    _rho,
-)
+from census.residues import build_L, h_factor
 from census.ring import (
     Atom,
     FactoredRat,
@@ -29,7 +27,14 @@ from census.ring import (
 )
 from census.zeta import alpha_names, pair_reduce, paired_point, zeta_tilde
 
-from builders import const
+from builders import (
+    const,
+    h_tilde,
+    kernel_summand,
+    res_simple,
+    rho,
+    specialize_leaders,
+)
 
 
 def mono(**e):
@@ -98,8 +103,22 @@ def sample_point(g, seed):
 
 
 def kernel_residue(g, lam):
-    """Res_λ of the whole symmetrized kernel."""
+    """Res_λ of the whole symmetrized kernel, by the fraction reference."""
     return h_tilde(build_L(g, lam.length()).fraction, lam)
+
+
+def list_route(g, sigma, lam):
+    """The specialized Res_λ K_σ of the main route, multiplied out."""
+    term = residues.h_tilde(residues._summand(g, sigma), lam, sigma)
+    if term is not None:
+        term = residues._specialize(term, lam)
+    return FactoredRat.zero() if term is None else residues._expand(term)
+
+
+def factor_list(*factors):
+    """The factor list of ∏ (1 - c*m)^k over (k, c, exponents) triples."""
+    return Fraction(1), ONE_MONOMIAL, {Atom(Fraction(c), mono(**e)): k
+                                       for k, c, e in factors}
 
 
 # ---------------------------------------------------------------- res_simple
@@ -217,8 +236,13 @@ class TestBuildL:
         zt = zeta_tilde(g, 1, mono(s=1))
         want = (zt.eval_numeric(dict(point, s=w))
                 / zt.eval_numeric(dict(point, s=1 / w)))
-        got = _rho(g, 2, 1).eval_numeric(point)
+        got = rho(g, 2, 1).eval_numeric(point)
         assert abs(got - want) < 1e-9 * abs(want)
+        # the factor list K_(2,1) = ρ(z2/z1) / ((1-z2)(1-q z1/z2))
+        chain = (1 - point["z2"]) * (1 - point["q"] / w)
+        got = residues._expand(residues._summand(g, (2, 1))).eval_numeric(
+            point)
+        assert abs(got * chain - want) < 1e-9 * abs(want)
 
 
 # ---------------------------------------------------------------- h_tilde
@@ -239,6 +263,8 @@ class TestHTilde:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             h_tilde(build_L(1, 1).fraction, P())
+        with pytest.raises(ValueError):
+            residues.h_tilde(residues._summand(1, (1,)), P())
 
     @pytest.mark.parametrize("g", [0, 1, 2])
     @pytest.mark.parametrize("m", [1, 2, 3])
@@ -352,6 +378,99 @@ class TestHFactor:
             text = json.dumps(h_factor(int(g), lam).to_json(), sort_keys=True)
             assert hashlib.sha256(text.encode()).hexdigest() == digest, key
 
+    def test_pinned_bytes_beyond_three_parts(self):
+        # recorded by hand at commit bc9c21b, whose route multiplied every
+        # summand out before its residues: about 70 s for (1,1,1,1) at
+        # g = 2 and 4 min for (1,1,1,1,1) at g = 1 there
+        for key, digest in H_DIGESTS_WIDE.items():
+            g, parts = key.split()
+            lam = Partition(tuple(int(p) for p in parts.split(",")))
+            text = json.dumps(h_factor(int(g), lam).to_json(), sort_keys=True)
+            assert hashlib.sha256(text.encode()).hexdigest() == digest, key
+
+
+# ---------------------------------------------------------------- factor lists
+
+Z2_POLE = dict(q=1, z2=1, z1=-1)        # 1 - q z2/z1 vanishes at z2 = z1/q
+
+
+class TestFactorList:
+    @pytest.mark.parametrize("g", [0, 1, 2])
+    def test_matches_reference_per_summand(self, g):
+        # each summand's residues, specialized and multiplied out, has the
+        # bytes of the fraction reference on the expanded K_σ
+        lams = [lam for lam in partitions_up_to(4)
+                if 0 < lam.length() <= 3]
+        if g < 2:
+            lams.append(P(1, 1, 1, 1))
+        for lam in lams:
+            for sigma in permutations(range(1, lam.length() + 1)):
+                want = specialize_leaders(
+                    h_tilde(kernel_summand(g, sigma), lam), lam)
+                got = list_route(g, sigma, lam)
+                assert got.to_json() == want.to_json(), (lam, sigma)
+
+    def test_simple_pole(self):
+        # Res 1/((1-z1)(1-q z2/z1)) at z2 = z1/q is -1/(1-z1); the
+        # orientation of the one constraint flips the sign back
+        term = factor_list((-1, 1, Z2_POLE), (-1, 1, dict(z1=1)))
+        got = residues._expand(residues.h_tilde(term, P(1, 1)))
+        assert got == atom_inverse(1, mono(z1=1))
+
+    def test_exponent_two_pole(self):
+        term = factor_list((-1, 1, dict(q=2, z2=2, z1=-2)))
+        got = residues._expand(residues.h_tilde(term, P(1, 1)))
+        assert got == const(Fraction(1, 2))
+
+    def test_no_pole_gives_zero(self):
+        term = factor_list((-1, 1, dict(z2=1)), (1, 1, Z2_POLE))
+        assert residues.h_tilde(term, P(1, 1)) is None
+
+    @pytest.mark.parametrize("factors", [
+        [(-1, 1, Z2_POLE), (-1, 1, dict(q=2, z2=2, z1=-2))],
+        [(-2, 1, Z2_POLE)],
+        [(1, 1, Z2_POLE), (-1, 1, dict(q=2, z2=2, z1=-2))],
+    ], ids=["two-atoms", "double-atom", "vanishing-numerator"])
+    def test_higher_order_pole_raises(self, factors):
+        with pytest.raises(HigherOrderPole, match=r"\(2, 1\).*z2"):
+            residues.h_tilde(factor_list(*factors), P(1, 1), (2, 1))
+
+    def test_leader_zero_numerator(self):
+        term = factor_list((1, 1, dict(z=-1, z1=1)), (-1, 1, dict(z1=1)))
+        assert residues._specialize(term, P(1)) is None
+
+    def test_leader_pole_raises(self):
+        term = factor_list((-1, 1, dict(z=-1, z1=1)))
+        with pytest.raises(SubstitutionToZeroPole):
+            residues._specialize(term, P(1))
+
+
+class TestFrozenTracer:
+    def test_install_and_trace_in_a_fresh_interpreter(self):
+        # perfbench/tracer.py hooks residues.build_L (memoized),
+        # residues.h_tilde and pipeline.h_factor by name; h_factor must
+        # reach h_tilde through the module global for the hook to time it
+        root = Path(__file__).resolve().parent.parent
+        child = ("import json, sys\n"
+                 "sys.path[:0] = [%r, %r]\n"
+                 "import tracer\n"
+                 "from census.pipeline import kac_polynomial\n"
+                 "t = tracer.Tracer()\n"
+                 "t.install()\n"
+                 "t.active = True\n"
+                 "kac_polynomial(1, 2, 0)\n"
+                 "t.active = False\n"
+                 "print(json.dumps([sorted(t.self_times()),\n"
+                 "                  tracer.nesting_errors(t.spans)]))\n"
+                 % (str(root / "src"), str(root / "perfbench")))
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        run = subprocess.run([sys.executable, "-c", child], env=env,
+                             timeout=120, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        names, errors = json.loads(run.stdout)
+        assert {"residues.h_factor", "residues.h_tilde"} <= set(names)
+        assert errors == []
+
 
 # every λ with ℓ(λ) ≤ 3 and |λ| ≤ 5 at g ≤ 2, and (1,1,1,1) at g ≤ 1
 H_DIGESTS = {
@@ -402,4 +521,11 @@ H_DIGESTS = {
     "2 3,2": "f36d9aa76a876f1a5dd3ab3826d04c3d556ec44f1ee3e01bc4ac6742adf9f591",
     "2 3,1,1": "2548fc2191e0b7f892117980d528983fe735520fedcb4ad522d37f56986c544b",
     "2 2,2,1": "8963e8aa83aed6a79742f0b5f20efd8f2e25ce87d7b421de2e65a844e2ba52c5",
+}
+
+# the λ ⊢ 5 at g = 1 that H_DIGESTS leaves out, and (1,1,1,1) at g = 2
+H_DIGESTS_WIDE = {
+    "1 2,1,1,1": "ca70c5d2affa6e7d1cbf77f9cd885a56ebb87e7aee0ec90edafef49ed573a266",
+    "1 1,1,1,1,1": "46ac5f0a3aa4db072495bbbb6166a173de0d2db45435a0aa84461c7d4cab15b4",
+    "2 1,1,1,1": "0b4ea825afb77aa9c9642f0a69a59ec0cb405514defa1a8097f71596e92b54d9",
 }
