@@ -6,10 +6,10 @@ summation of one degree class.  The log of the partition sum is kept per
 genus and grown one T-degree at a time (each T^k coefficient one sum over
 the partitions of k), so all ranks of a genus share it, and [T^r] Log is
 read from it as Σ_{k|r} μ(k)/k ψ_k(L_{r/k}).  Around it sit the
-independent cross-checking routes (a truncated series oracle, and a pure-z
-constant-term pipeline that keeps its own memo, sharing none with the main
-route), the Poincare specialization, numeric point counts, and the
-conjecture/identity checkers.
+cross-checking routes (a truncated series oracle that shares only the
+λ-terms with the main route, and a pure-z constant-term pipeline that
+keeps its own memo, sharing none), the Poincare specialization, numeric
+point counts, and the conjecture/identity checkers.
 
 Everything is exact rational arithmetic; floats appear only in
 count_points and in the numeric convergence identities.
@@ -30,8 +30,9 @@ from .errors import (IdentityViolation, NegativeBettiCoefficient,
                      NotPolynomialAfterClearing, RoundingFailure)
 from .partitions import pairing, partitions_of
 from .residues import h_factor
-from .ring import (Atom, FactoredRat, Monomial, SparsePoly, add_many,
-                   atom_inverse, poly_from_json, poly_to_json)
+from .ring import (Atom, FactoredRat, Monomial, SparsePoly, _check,
+                   _check_codes, _clean, _read, _slot, add_many, atom_inverse,
+                   poly_from_json, poly_to_json)
 from .series import BiSeries, LazyLog, frac_to_series, pleth_exp, \
     pleth_log, series_exp, z_decompose, z_truncate_frac
 from . import zeta as _zeta
@@ -167,20 +168,24 @@ def lift_paired(f, g):
     poly = f.numerator.mul_monomial(f.prefactor)
     if not poly.variables() <= set(odd) | {"q"}:
         return None
-    # α_{2i-1}^{-1} = α_{2i}/q, applied once per negative power
-    moves = [(name, Monomial.of(q=-1, **{name: 1, alpha_name(2 * i): 1}))
+    # α_{2i-1}^{-1} = α_{2i}/q: each negative power b adds -b times the
+    # code of α_{2i-1}α_{2i}/q
+    moves = [(_slot(name), Monomial.of(q=-1, **{name: 1,
+                                               alpha_name(2 * i): 1}).code)
              for i, name in enumerate(odd, start=1)]
+    q = _slot("q")
     out = {}
     for code, c in poly.terms.items():
-        m = Monomial.from_code(code)
-        for name, move in moves:
-            b = m.exponent(name)
+        for slot, move in moves:
+            b = _read(code, slot)
             if b < 0:
-                m = m * move ** -b
-        if m.exponent("q") < 0:
+                code -= b * move
+        if _read(code, q) < 0:
+            _check(code)
             return None
-        out[m] = out.get(m, 0) + c
-    return SparsePoly(out)
+        out[code] = out.get(code, 0) + c
+    _check_codes(out)
+    return SparsePoly._raw({m: _clean(c) for m, c in out.items() if c})
 
 
 class KacResult:
@@ -275,12 +280,14 @@ def kac_polynomial(g, r, d):
 
 
 def kac_series_oracle(g, r, D=None):
-    """Independent route: coefficients A^{>=0}_{g,r,d} for d = 0..D.
+    """Cross-check route: coefficients A^{>=0}_{g,r,d} for d = 0..D.
 
-    Runs the whole pipeline with every rational function expanded as a
-    z-series to order D, so no clearing or residue step is shared with
-    kac_polynomial.  For d past the stabilization bound (g-1)r(r-1) the
-    list must be r-periodic and match the degree classes.
+    Each λ-term, the same _lambda_term (and so the same h_factor) that
+    kac_polynomial uses, is expanded as a z-series to order D, and the
+    partition sum and its Log are taken in that truncated mode; the
+    rational Log, the (1 - z^r) clearing and the degree-class sums are not
+    shared with kac_polynomial.  For d past the stabilization bound
+    (g-1)r(r-1) the list must be r-periodic and match the degree classes.
     """
     _validate_gr(g, r)
     if D is None:

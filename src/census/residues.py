@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations, permutations
 
 from .errors import HigherOrderPole, SubstitutionToZeroPole
 from .partitions import chain_blocks
@@ -33,35 +33,44 @@ def _z(i):
     return "z%d" % i
 
 
-def _summand(g, sigma):
-    """K_σ: the chain atoms 1/(1-z_σ1) ∏ 1/(1-q z_σ(i+1)/z_σi) times one ρ
-    per inversion, in the odd roots (α_{2i} = q/α_{2i−1}): with w = z_hi/z_lo
-    ρ = q^{1−g}(1−w/q)∏_i(1−α_i w)(1−qw/α_i) / ((1−qw)∏_i(1−w/α_i)(1−α_i w/q))."""
-    n = len(sigma)
-    scalar, mono, atoms = Fraction(1), ONE_MONOMIAL, Counter()
-
-    def put(k, **shape):
-        nonlocal scalar, mono
-        u, um, atom = Atom.make(1, Monomial.of(**shape))
+def _factor_list(factors, mono=ONE_MONOMIAL):
+    """mono times ∏ (1 − m)^k over the (k, {variable: exponent of m})
+    pairs, as a factor list."""
+    scalar, atoms = Fraction(1), Counter()
+    for k, shape in factors:
+        u, um, atom = Atom.make(1, Monomial(shape))
         scalar *= Fraction(u) ** k
         mono = mono * um ** k
         atoms[atom] += k
+    return scalar, mono, atoms
 
-    put(-1, **{_z(sigma[0]): 1})
-    for i in range(n - 1):
-        put(-1, q=1, **{_z(sigma[i + 1]): 1, _z(sigma[i]): -1})
-    for i in range(n):
-        for j in range(i + 1, n):
-            if sigma[i] > sigma[j]:
-                w = {_z(sigma[i]): 1, _z(sigma[j]): -1}
-                mono = mono * Monomial.of(q=1 - g)
-                put(1, q=-1, **w)
-                put(-1, q=1, **w)
-                for name in alpha_names(g)[::2]:
-                    put(1, **{name: 1}, **w)
-                    put(1, q=1, **{name: -1}, **w)
-                    put(-1, **{name: -1}, **w)
-                    put(-1, q=-1, **{name: 1}, **w)
+
+@lru_cache(maxsize=None)
+def _rho(g, hi, lo):
+    """ρ(z_hi/z_lo) in the odd roots (α_{2i} = q/α_{2i−1}), as a factor list
+    shared by every σ: with w = z_hi/z_lo, ρ = q^{1−g}(1−w/q)
+    ∏_i(1−α_i w)(1−qw/α_i) / ((1−qw)∏_i(1−w/α_i)(1−α_i w/q))."""
+    w = {_z(hi): 1, _z(lo): -1}
+    factors = [(1, dict(w, q=-1)), (-1, dict(w, q=1))]
+    for a in alpha_names(g)[::2]:
+        factors += [(1, dict(w, **{a: 1})), (1, dict(w, q=1, **{a: -1})),
+                    (-1, dict(w, **{a: -1})), (-1, dict(w, q=-1, **{a: 1}))]
+    scalar, mono, atoms = _factor_list(factors, Monomial.of(q=1 - g))
+    return scalar, mono, tuple(atoms.items())
+
+
+def _summand(g, sigma):
+    """K_σ: the chain atoms 1/(1-z_σ1) ∏ 1/(1-q z_σ(i+1)/z_σi) times one ρ
+    per inversion."""
+    chain = [(-1, {_z(sigma[0]): 1})] + [
+        (-1, {"q": 1, _z(b): 1, _z(a): -1}) for a, b in zip(sigma, sigma[1:])]
+    scalar, mono, atoms = _factor_list(chain)
+    for a, b in combinations(sigma, 2):
+        if a > b:
+            s, m, rho = _rho(g, a, b)
+            scalar, mono = scalar * s, mono * m
+            for atom, k in rho:
+                atoms[atom] += k
     return scalar, mono, {a: k for a, k in atoms.items() if k}
 
 

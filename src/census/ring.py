@@ -64,12 +64,17 @@ images, and that of a sum over a common denominator is the sum of its
 terms' images, each shifted and scaled by its prefactor and multiplied by
 its missing atoms at the point.  A FactoredRat keeps the images of its
 numerator (_images, keyed (p, w)); __mul__ and add_many hand normalize a
-seed that composes the image of the numerator they built, so eval_mod
-reduces a numerator only where no image is known, or where it involves no
-variable but w (its image is then the polynomial itself, cheaper to
-reduce than to compose).  Exact division still decides every
-cancellation: the filter changes the speed of normalize, never a normal
-form.
+seed that composes the image of the numerator they built (add_many only
+from images its terms already hold), so eval_mod reduces a numerator only
+where no image is known, or where it involves no variable but w (its
+image is then the polynomial itself, cheaper to reduce than to compose).
+Where it must reduce while w sorts before z and the numerator involves
+z, the atom is z-free and divides the numerator only if it divides every
+z-slice (the terms of one z-degree), so the filter reduces the
+fewest-term slice alone.  Its images follow divisions by z-free atoms,
+are dropped by one in z, and are never kept on the FactoredRat.  Exact
+division still decides every cancellation: the filter changes the speed
+of normalize, never a normal form.
 """
 
 from __future__ import annotations
@@ -78,7 +83,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import repeat
+from itertools import compress, repeat
 from math import gcd
 from operator import and_, index, itemgetter, lshift, or_, rshift, xor
 
@@ -468,12 +473,13 @@ class SparsePoly:
         return sum((c * Monomial._raw(m).eval(assignment)
                     for m, c in self.terms.items()), complex(0))
 
-    def eval_mod(self, p, assignment, main_var):
+    def eval_mod(self, p, assignment, main_var, support=None):
         """Reduce to a univariate polynomial in main_var over Z/p.
 
         Returns a dict degree -> nonzero residue.  Raises ValueError when p
         divides a coefficient denominator (caller should retry with
-        another prime).
+        another prime).  support, when the caller knows it, lists slots
+        that hold every variable of the terms, and saves a pass over them.
         """
         terms = self.terms
         main = _slot(main_var)
@@ -482,7 +488,9 @@ class SparsePoly:
         # one shift and mask each; a window's product of powers is cached
         # under its biased value.
         windows = []
-        slots = sorted(s for s in _support(terms) if s != main)
+        if support is None:
+            support = _support(terms)
+        slots = sorted(s for s in support if s != main)
         while slots:
             lo = slots[0]
             inside = [s for s in slots if s < lo + _WINDOW]
@@ -610,6 +618,8 @@ class SparsePoly:
         return " + ".join(bits)
 
 
+_Z_SLOT = _SLOT["z"]
+_Z_KEY = _KEY[_Z_SLOT]
 _FILTER_PRIMES = (2305843009213693951, 4611686018427387847, 2305843009213693967)
 _FILTER_RNG = random.Random(0x1D872A5)
 # The fixed evaluation point: one residue per variable for each prime.
@@ -617,11 +627,11 @@ _POINTS = {p: {name: _FILTER_RNG.randrange(2, p - 2) for name in _NAMES}
            for p in _FILTER_PRIMES}
 
 
-def _reduce(poly, p, w):
+def _reduce(poly, p, w, support=None):
     """The image of poly at the point for p (see the module docstring), or
     None when p divides a coefficient denominator."""
     try:
-        return poly.eval_mod(p, _POINTS[p], w)
+        return poly.eval_mod(p, _POINTS[p], w, support)
     except ValueError:
         return None
 
@@ -667,7 +677,8 @@ class _DivisionFilter:
     A missing image comes from the seed when one is given, which composes
     it from the images of the operands poly was built from, and from
     eval_mod when the seed returns None or poly involves no variable but
-    w.
+    w; eval_mod then reduces one z-slice where one decides (see the module
+    docstring), and that image is kept in slices, apart from reductions.
 
     After an exact division poly -> poly / atom, divided() updates each
     image instead of reducing the quotient afresh, and a seeded image
@@ -678,40 +689,74 @@ class _DivisionFilter:
     for e != 0 the update is a synthetic division, for e = 0 a
     multiplication by the inverse of the scalar 1 - c.  An image whose
     specialized atom is undefined or zero mod p, or whose division leaves
-    a remainder, is dropped and made again when next needed.
+    a remainder, is dropped and made again when next needed.  Slice
+    images follow a z-free atom, which divides each slice, and are all
+    dropped by an atom in z, which mixes the slices.
     """
 
-    __slots__ = ("poly", "seed", "divisors", "reductions", "_slots")
+    __slots__ = ("poly", "seed", "divisors", "reductions", "slices",
+                 "zslice", "_slots")
 
     def __init__(self, poly, seed=None):
         self.poly = poly
         self.seed = seed
         self.divisors = []
         self.reductions = {}
+        self.slices = {}
+        self.zslice = None       # (z-degree, slice) of the slice images
         self._slots = None
 
-    def _univariate(self, w):
-        """Whether poly involves no variable but w; the support is read
-        once, and a quotient's support lies inside its dividend's."""
+    def _support(self):
+        """The slots of poly, read once: a quotient's lie in its
+        dividend's."""
         if self._slots is None:
             self._slots = _support(self.poly.terms)
-        return all(_NAMES[s] == w for s in self._slots)
+        return self._slots
+
+    def _univariate(self, w):
+        """Whether poly involves no variable but w."""
+        return all(_NAMES[s] == w for s in self._support())
+
+    def _seeded(self, p, w):
+        """The seed's image of poly after the divisions so far, or None."""
+        if self.seed is None or self._univariate(w):
+            return None
+        coeffs = self.seed(p, w)
+        for atom in self.divisors:
+            if coeffs is None:
+                break
+            coeffs = _quotient_image(coeffs, atom, p, w)
+        return coeffs
 
     def _image(self, p, w):
+        """The image of poly at (p, w), or None."""
         key = (p, w)
         coeffs = self.reductions.get(key, False)
         if coeffs is False:
-            coeffs = None
-            if self.seed is not None and not self._univariate(w):
-                coeffs = self.seed(p, w)
-                for atom in self.divisors:
-                    if coeffs is None:
-                        break
-                    coeffs = _quotient_image(coeffs, atom, p, w)
+            coeffs = self._seeded(p, w)
             if coeffs is None:
-                coeffs = _reduce(self.poly, p, w)
+                coeffs = _reduce(self.poly, p, w, self._support())
             self.reductions[key] = coeffs
         return coeffs
+
+    def _test_image(self, p, w):
+        """The image may_divide tests: one z-slice's where no image of poly
+        is known or seeded and a slice decides, else poly's."""
+        key = (p, w)
+        coeffs = self.slices.get(key, False)
+        if coeffs is not False:
+            return coeffs
+        if (key not in self.reductions and _KEY[_SLOT[w]] < _Z_KEY
+                and _Z_SLOT in self._support()):
+            coeffs = self._seeded(p, w)
+            if coeffs is None:
+                if self.zslice is None:
+                    self.zslice = _thinnest_z_slice(self.poly.terms)
+                coeffs = _reduce(self.zslice[1], p, w, self._support())
+                self.slices[key] = coeffs
+                return coeffs
+            self.reductions[key] = coeffs
+        return self._image(p, w)
 
     def may_divide(self, atom):
         if not self.poly.terms:
@@ -721,7 +766,7 @@ class _DivisionFilter:
             cc = _specialize(atom, p, v)
             if cc is None:
                 continue
-            coeffs = self._image(p, v)
+            coeffs = self._test_image(p, v)
             if coeffs is None:
                 continue
             return _divide_mod(coeffs, cc, d, p) is not None
@@ -743,13 +788,20 @@ class _DivisionFilter:
         """Follow the exact division of the polynomial by atom."""
         self.poly = quotient
         self.divisors.append(atom)
-        for key, coeffs in list(self.reductions.items()):
-            new = None if coeffs is None else _quotient_image(coeffs, atom,
-                                                              *key)
-            if new is None:
-                del self.reductions[key]
-            else:
-                self.reductions[key] = new
+        if atom.shape.exponent("z"):
+            self.slices.clear()
+            self.zslice = None
+        elif self.zslice is not None:
+            d, part = self.zslice
+            self.zslice = d, part.divide_atom(atom)
+        for images in (self.reductions, self.slices):
+            for key, coeffs in list(images.items()):
+                new = None if coeffs is None else _quotient_image(
+                    coeffs, atom, *key)
+                if new is None:
+                    del images[key]
+                else:
+                    images[key] = new
 
     def images(self):
         """The images of poly made so far, keyed (p, w), except those of
@@ -757,6 +809,19 @@ class _DivisionFilter:
         carry."""
         return {key: c for key, c in self.reductions.items()
                 if c is not None and not self._univariate(key[1])}
+
+
+def _thinnest_z_slice(terms):
+    """(d, slice): the z-degree d with the fewest terms, and those terms
+    without z; the degrees are read and the slice found in C."""
+    rnd, sh = _ROUND[_Z_SLOT], _SHIFT[_Z_SLOT]
+    degrees = list(map(and_, map(rshift, map(rnd.__add__, terms),
+                                 repeat(sh)), repeat(_MASK)))
+    counts = Counter(degrees)
+    d = min(counts, key=counts.__getitem__)
+    strip = (d - _HALF) << sh
+    return d - _HALF, SparsePoly._raw(
+        {m - strip: terms[m] for m in compress(terms, map(d.__eq__, degrees))})
 
 
 def _quotient_image(coeffs, atom, p, w):
@@ -1295,7 +1360,7 @@ def add_many(fracs):
     def seed(p, w):
         out = {}
         for f, c in zip(live, counts):
-            img = f._image(p, w)
+            img = f._images.get((p, w))
             if img is None:
                 return None
             r, e = _at_point(f.prefactor, p, w)

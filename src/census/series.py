@@ -2,8 +2,12 @@
 coefficients, plus the plethystic exponential and logarithm.
 
 Coefficients may be rational in z (the default) or truncated z-polynomials
-of degree <= z_order; the second mode re-truncates after every product so
-that truncation commutes with all the series operations.
+of degree <= z_order, whose denominators are free of z.  The second mode
+forms no term past z_order: a product multiplies only the z-slices of
+the numerators whose degrees sum within it (_times), z_truncate_frac
+divides by each z-atom as a power series one z-degree at a time, and an
+Adams operation drops what it lifts past the bound, so truncation
+commutes with all the series operations.
 
 LazyLog holds log F and grows it one degree at a time, on demand: it
 solves F·L' = F' (O(n²) coefficient products through degree n, one sum
@@ -18,8 +22,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import NotAugmented, NotUnitConstantTerm
-from .ring import (FactoredRat, Monomial, ONE_MONOMIAL, SparsePoly,
-                   _read, _slot, add_many)
+from .ring import (FactoredRat, Monomial, SparsePoly, _SHIFT, _check_codes,
+                   _clean, _slot, add_many)
 
 __all__ = [
     "BiSeries",
@@ -52,17 +56,13 @@ def mobius(k):
     return out
 
 
-def _poly_drop_high(poly, var, dmax):
-    slot = _slot(var)
-    return SparsePoly._raw({m: c for m, c in poly.terms.items()
-                            if _read(m, slot) <= dmax})
-
-
 def z_truncate_frac(f, bound, var="z"):
     """Drop everything of var-degree > bound, expanding var-denominators.
 
     The result agrees with f through var-degree bound and carries no
-    denominator atom involving var.
+    denominator atom involving var.  The numerator is divided by each
+    var-atom (1 - c·m) as a power series, Q = N + c·m·Q, one var-degree at
+    a time from the bottom, so no term past bound is ever formed.
     """
     f = f.normalize()
     if f.is_zero():
@@ -74,29 +74,31 @@ def z_truncate_frac(f, bound, var="z"):
             expand.append(atom)
         else:
             keep.append(atom)
-    az = f.prefactor.exponent(var)
-    slot = _slot(var)
-    low = min(_read(m, slot) for m in f.numerator.terms) + az
-    if low > bound:
+    sh = _SHIFT[_slot(var)]
+    cap = bound - f.prefactor.exponent(var)
+    slices = f.numerator.split(var)
+    low = min(slices)
+    if low > cap:
         return FactoredRat.zero()
-    num = _poly_drop_high(f.numerator, var, bound - az)
     for atom in expand:
         e = atom.shape.exponent(var)
         if e <= 0:
             raise ValueError("denominator atom %r not expandable in %s"
                              % (atom, var))
-        # each geometric factor has unit constant term, so the lowest
-        # var-degree of the running product never drops below `low`
-        kmax = (bound - low) // e
-        geom = {ONE_MONOMIAL: 1}
-        mk = ONE_MONOMIAL
-        ck = 1
-        for _ in range(kmax):
-            mk = mk * atom.shape
-            ck = ck * atom.constant
-            geom[mk] = geom.get(mk, 0) + ck
-        num = _poly_drop_high(num * SparsePoly(geom), var, bound - az)
-    return FactoredRat(f.prefactor, num, tuple(keep)).normalize()
+        rest, c = atom.shape.code - (e << sh), atom.constant_fast
+        for k in range(low + e, cap + 1):
+            below = slices.get(k - e)
+            if below:
+                blk = slices.setdefault(k, {})
+                get = blk.get
+                for m, cf in below.items():
+                    m += rest
+                    blk[m] = get(m, 0) + c * cf
+    num = {m + (k << sh): _clean(cf) for k, blk in slices.items()
+           if k <= cap for m, cf in blk.items() if cf}
+    _check_codes(num)
+    return FactoredRat(f.prefactor, SparsePoly._raw(num),
+                       tuple(keep)).normalize()
 
 
 def z_decompose(f, var="z"):
@@ -133,6 +135,33 @@ def _snap(f, z_order):
     if z_order is None:
         return f.normalize()
     return z_truncate_frac(f, z_order)
+
+
+def _times(a, b, z_order):
+    """a * b; in the z-truncated mode only the z-slices i, j of the
+    numerators with i + j <= z_order less the prefactor's z-exponent are
+    multiplied, so no term past z_order is formed."""
+    if z_order is None:
+        return a * b
+    pre = a.prefactor * b.prefactor
+    cap = z_order - pre.exponent("z")
+    sh = _SHIFT[_slot("z")]
+    right = sorted(b.numerator.split("z").items())
+    out = {}
+    get = out.get
+    for i, left in a.numerator.split("z").items():
+        for j, blk in right:
+            if i + j > cap:
+                break
+            shift = (i + j) << sh
+            for mb, cb in blk.items():
+                mb += shift
+                for ma, ca in left.items():
+                    m = ma + mb
+                    out[m] = get(m, 0) + ca * cb
+    _check_codes(out)
+    num = SparsePoly._raw({m: _clean(c) for m, c in out.items() if c})
+    return FactoredRat(pre, num, a.denominator + b.denominator).normalize()
 
 
 class BiSeries:
@@ -209,8 +238,8 @@ class BiSeries:
                 b = other.coeffs[j - i]
                 if a.is_zero() or b.is_zero():
                     continue
-                acc = acc + a * b
-            out.append(_snap(acc, self.z_order))
+                acc = acc + _times(a, b, self.z_order)
+            out.append(acc)
         return BiSeries(self.var, n, out, self.z_order)
 
     def mul_scalar(self, c):
@@ -315,7 +344,7 @@ class LazyLog:
     def log(self, n):
         """L_n, by n·F_0·L_n = n·F_n − Σ_{0<k<n} k·L_k·F_{n−k} run on
         M_n = n·L_n, so every scalar is an integer until the final M_n/n;
-        each M_n is one add_many, then snap."""
+        each M_n is one add_many."""
         ms, fs = self._ms, self._fs
         while len(ms) <= n:
             m = len(ms)
@@ -323,11 +352,11 @@ class LazyLog:
             for k in range(1, m):
                 a, b = ms[k], fs[m - k]
                 if not (a.is_zero() or b.is_zero()):
-                    parts.append(-(a * b))
+                    parts.append(-_times(a, b, self.z_order))
             mm = add_many(parts)
             if self._inv0 is not None:
-                mm = mm * self._inv0
-            ms.append(_snap(mm, self.z_order))
+                mm = _times(mm, self._inv0, self.z_order)
+            ms.append(mm)
             self._logs.append(ms[m].mul_scalar(Fraction(1, m)))
         return self._logs[n]
 

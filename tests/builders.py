@@ -10,10 +10,12 @@ from census.ring import (
     FactoredRat,
     Monomial,
     SparsePoly,
+    _read,
+    _slot,
     atom_inverse,
 )
 from census.series import BiSeries, z_truncate_frac
-from census.zeta import alpha_names, pair_reduce
+from census.zeta import alpha_name, alpha_names, pair_reduce
 
 
 def geometric(constant=1, **exponents):
@@ -138,3 +140,81 @@ def specialize_leaders(f, lam):
     for part, first, _ in chain_blocks(lam):
         f = f.substitute(_z(first), 1, Monomial.of(z=part, q=1 - first))
     return f.normalize()
+
+
+# ---------------------------------------------------------------------------
+# The routes that the z-truncated series mode and lift_paired replaced:
+# each z-atom expanded as a geometric series multiplied in whole, then the
+# terms past the bound dropped; and the lift taken one Monomial at a time.
+# The tests compare the new routes against them.
+
+def _drop_high(poly, var, dmax):
+    slot = _slot(var)
+    return SparsePoly._raw({m: c for m, c in poly.terms.items()
+                            if _read(m, slot) <= dmax})
+
+
+def z_truncate_by_geometric(f, bound, var="z"):
+    """z_truncate_frac by multiplying the numerator by Σ_k (c·m)^k for each
+    var-atom (1 - c·m) and dropping what lies past bound."""
+    f = f.normalize()
+    if f.is_zero():
+        return f
+    keep = []
+    expand = []
+    for atom in f.denominator:
+        if atom.shape.exponent(var):
+            expand.append(atom)
+        else:
+            keep.append(atom)
+    az = f.prefactor.exponent(var)
+    slot = _slot(var)
+    low = min(_read(m, slot) for m in f.numerator.terms) + az
+    if low > bound:
+        return FactoredRat.zero()
+    num = _drop_high(f.numerator, var, bound - az)
+    for atom in expand:
+        e = atom.shape.exponent(var)
+        if e <= 0:
+            raise ValueError("denominator atom %r not expandable in %s"
+                             % (atom, var))
+        # each geometric factor has unit constant term, so the lowest
+        # var-degree of the running product never drops below `low`
+        kmax = (bound - low) // e
+        geom = {ONE_MONOMIAL: 1}
+        mk = ONE_MONOMIAL
+        ck = 1
+        for _ in range(kmax):
+            mk = mk * atom.shape
+            ck = ck * atom.constant
+            geom[mk] = geom.get(mk, 0) + ck
+        num = _drop_high(num * SparsePoly(geom), var, bound - az)
+    return FactoredRat(f.prefactor, num, tuple(keep)).normalize()
+
+
+def lift_paired_by_terms(f, g):
+    """lift_paired one Monomial at a time: α_{2i-1}^{-1} = α_{2i}/q applied
+    once per negative power; None when f is not a polynomial modulo the
+    pairing relations."""
+    f = f.normalize()
+    if f.is_zero():
+        return SparsePoly.zero()
+    if f.denominator:
+        return None
+    odd = [alpha_name(2 * i - 1) for i in range(1, g + 1)]
+    poly = f.numerator.mul_monomial(f.prefactor)
+    if not poly.variables() <= set(odd) | {"q"}:
+        return None
+    moves = [(name, Monomial.of(q=-1, **{name: 1, alpha_name(2 * i): 1}))
+             for i, name in enumerate(odd, start=1)]
+    out = {}
+    for code, c in poly.terms.items():
+        m = Monomial.from_code(code)
+        for name, move in moves:
+            b = m.exponent(name)
+            if b < 0:
+                m = m * move ** -b
+        if m.exponent("q") < 0:
+            return None
+        out[m] = out.get(m, 0) + c
+    return SparsePoly(out)

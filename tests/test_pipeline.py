@@ -11,7 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import census
 from census import pipeline
@@ -43,7 +43,7 @@ from census.zeta import (
     zeta_star,
 )
 
-from builders import const
+from builders import const, lift_paired_by_terms
 
 
 def mono(**e):
@@ -237,6 +237,37 @@ class TestLift:
         assert reduced(FactoredRat.from_poly(lifted), 1) == f
 
 
+@st.composite
+def paired_values(draw):
+    """(value, genus): Laurent polynomials in the odd roots and q at g <= 2,
+    some with an even root, a denominator atom or a negative q power after
+    the lift, which return None."""
+    g = draw(st.integers(min_value=1, max_value=2))
+    names = ["q"] + alpha_names(g)[::2]
+    if draw(st.booleans()):
+        names.append("a2")
+    exps = st.integers(min_value=-3, max_value=3)
+    terms = draw(st.lists(
+        st.tuples(st.sampled_from([-2, -1, 1, 3, Fraction(1, 2)]),
+                  st.lists(exps, min_size=len(names), max_size=len(names))),
+        max_size=4))
+    f = FactoredRat.from_poly(SparsePoly(
+        [(Monomial(dict(zip(names, e))), c) for c, e in terms]))
+    if draw(st.integers(min_value=0, max_value=5)) == 0:
+        f = f * atom_inverse(1, mono(q=1))
+    return f, g
+
+
+@given(paired_values())
+@example((FactoredRat.from_monomial(mono(q=1, a1=-2)), 1))
+@example((FactoredRat.from_monomial(mono(a2=1)), 1))
+@example((atom_inverse(1, mono(q=1)), 1))
+@settings(max_examples=150, deadline=None)
+def test_lift_matches_term_route(value):
+    f, g = value
+    assert lift_paired(f, g) == lift_paired_by_terms(f, g)
+
+
 class TestSeriesOracle:
     @pytest.mark.parametrize("g", [0, 1, 2])
     def test_rank1_every_degree(self, g):
@@ -247,7 +278,7 @@ class TestSeriesOracle:
         with pytest.raises(ValueError):
             kac_series_oracle(1, 2, D=2)
 
-    @pytest.mark.parametrize("g,r", [(0, 2), (1, 2), (0, 3)])
+    @pytest.mark.parametrize("g,r", [(0, 2), (1, 2), (0, 3), (3, 2), (1, 4)])
     def test_tail_matches_main_route(self, g, r):
         coeffs = kac_series_oracle(g, r)
         start = max(0, (g - 1) * r * (r - 1) + 1)
@@ -258,6 +289,25 @@ class TestSeriesOracle:
         coeffs = kac_series_oracle(1, 2)   # stabilizes past degree 0
         for d in range(1, len(coeffs) - 2):
             assert coeffs[d] == coeffs[d + 2]
+
+    # sha256 of the sorted JSON of [poly_to_json(c) for c in the oracle's
+    # coefficients], recorded at commit 1d9ec36, whose truncated mode
+    # formed every product whole and expanded each z-atom as a geometric
+    # series before dropping the terms past the z-order
+    ORACLE = {
+        (2, 3):
+            "b8aa07fde5e88345122970cf85c3d9e2b8880e2befcbc6875dc06f2af78bf0a5",
+        (3, 2):
+            "2c5dc2bc372b0051a9b95dbfa514174300e5d6ad761ae75177e26edadfb88ccf",
+        (1, 4):
+            "4719d08d828df7a4e54243cc3be792d7d80472945001f725aeeb72572b9ad839",
+    }
+
+    @pytest.mark.parametrize("g,r", sorted(ORACLE))
+    def test_pinned(self, g, r):
+        coeffs = kac_series_oracle(g, r)
+        assert _sha256([pipeline.poly_to_json(c) for c in coeffs]) \
+            == self.ORACLE[g, r]
 
 
 def expected_vanishing_count(g, r):

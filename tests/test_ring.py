@@ -410,27 +410,37 @@ def test_diff_adams(f, k):
 @contextmanager
 def checked_filter_updates():
     """Within the block, every filter update inside normalize is compared
-    with a fresh eval_mod of the quotient; yields the set of update kinds
-    met: leading (the atom's leading variable), binomial (another variable
-    of the atom), scalar (a variable the atom lacks) and dropped."""
+    with a fresh eval_mod of the quotient, or, for a slice image, of the
+    same z-slice of the quotient; yields the set of update kinds met over
+    both: leading (the atom's leading variable), binomial (another
+    variable of the atom), scalar (a variable the atom lacks) and
+    dropped, plus "slice" once a slice image is checked."""
     seen = set()
     divided = ring._DivisionFilter.divided
 
     def checked(filt, atom, quotient):
         lead = atom.shape.leading()[0]
-        kinds = {key: "leading" if key[1] == lead else
+        kinds = {(images, key): "leading" if key[1] == lead else
                  "binomial" if atom.shape.exponent(key[1]) else "scalar"
-                 for key in filt.reductions}
+                 for images in ("reductions", "slices")
+                 for key in getattr(filt, images)}
         divided(filt, atom, quotient)
         assert filt.poly is quotient
-        for key, kind in kinds.items():
-            if key not in filt.reductions:
+        if filt.slices:
+            d, part = filt.zslice
+            assert part == SparsePoly(quotient.split("z")[d])
+        for (images, key), kind in kinds.items():
+            images = getattr(filt, images)
+            if key not in images:
                 seen.add("dropped")
                 continue
             seen.add(kind)
             p, w = key
-            assert filt.reductions[key] == quotient.eval_mod(
-                p, ring._POINTS[p], w)
+            poly = quotient
+            if images is filt.slices:
+                seen.add("slice")
+                poly = part
+            assert images[key] == poly.eval_mod(p, ring._POINTS[p], w)
 
     ring._DivisionFilter.divided = checked
     try:
@@ -451,11 +461,12 @@ def _atom(c, **exps):
 
 
 def test_filter_update_every_kind():
-    # sorted by Atom.key: a2, q, z (degree 1), then q^3/a2 and q*z, which
-    # meet reductions in a2, q and z
-    atoms = [_atom(1, a2=1), _atom(2, q=1), _atom(-1, z=1),
-             _atom(Fraction(1, 2), q=3, a2=-1), _atom(1, q=1, z=1)] * 2
-    poly = SparsePoly([(Monomial.of(q=1, a1=1), 3), (Monomial.of(z=2), -1),
+    # sorted by Atom.key: a2, q, T (degree 1), then q^3/a2 and q*T, which
+    # meet reductions in a2, q and T; T sorts after z, and no atom takes
+    # the z-slice route
+    atoms = [_atom(1, a2=1), _atom(2, q=1), _atom(-1, T=1),
+             _atom(Fraction(1, 2), q=3, a2=-1), _atom(1, q=1, T=1)] * 2
+    poly = SparsePoly([(Monomial.of(q=1, a1=1), 3), (Monomial.of(T=2), -1),
                        (Monomial(), 5)])
     with checked_filter_updates() as seen:
         n = _planted(poly, atoms).normalize()
@@ -465,14 +476,30 @@ def test_filter_update_every_kind():
 
 
 def test_filter_update_drops_an_entry_it_cannot_specialize():
-    # 1 - z/p has no image mod the first filter prime p: the reduction in
+    # 1 - T/p has no image mod the first filter prime p: the reduction in
     # q is dropped, and the atom after it recomputes one lazily
     p = ring._FILTER_PRIMES[0]
-    atoms = [_atom(1, q=1), _atom(Fraction(1, p), z=1), _atom(3, q=1, z=1)]
-    poly = SparsePoly([(Monomial.of(q=2), 1), (Monomial.of(z=1), 7)])
+    atoms = [_atom(1, q=1), _atom(Fraction(1, p), T=1), _atom(3, q=1, T=1)]
+    poly = SparsePoly([(Monomial.of(q=2), 1), (Monomial.of(T=1), 7)])
     with checked_filter_updates() as seen:
         n = _planted(poly, atoms).normalize()
     assert "dropped" in seen
+    assert not n.denominator
+    assert n.numerator.mul_monomial(n.prefactor) == poly
+
+
+def test_filter_update_every_slice_kind():
+    # sorted by Atom.key: a2, q, q^3/a2, q*z, z^3.  On a numerator in z
+    # the z-free atoms are tested on one z-slice, whose images in a2 and q
+    # meet every kind of update; q*z mixes the slices and drops them, and
+    # it and z^3 are tested on the whole numerator
+    atoms = [_atom(1, a2=1), _atom(2, q=1), _atom(Fraction(1, 2), q=3, a2=-1),
+             _atom(1, q=1, z=1), _atom(-1, z=3)] * 2
+    poly = SparsePoly([(Monomial.of(q=1, a1=1), 3), (Monomial.of(z=2), -1),
+                       (Monomial.of(z=1, a2=1), 2), (Monomial(), 5)])
+    with checked_filter_updates() as seen:
+        n = _planted(poly, atoms).normalize()
+    assert seen == {"leading", "binomial", "scalar", "dropped", "slice"}
     assert not n.denominator
     assert n.numerator.mul_monomial(n.prefactor) == poly
 
@@ -489,6 +516,32 @@ def test_filter_update_random(poly, atoms, data):
     assert sym_equal(to_sympy(n), to_sympy(f))
     for atom in set(n.denominator):
         assert n.numerator.divide_atom(atom) is None
+
+
+# z-free atoms and atoms in z, which interleave in Atom.key order
+SLICE_ATOMS = [Atom.make(c, Monomial(e))[2] for c, e in [
+    (1, {"z": 1, "a1": -1}), (1, {"a2": 1}), (2, {"q": 1}), (-1, {"z": 1}),
+    (Fraction(1, 2), {"q": 3, "a2": -1}), (1, {"q": 1, "z": 1}),
+    (-1, {"q": 2}), (2, {"a1": 1, "q": 1}), (-1, {"z": 2}),
+    (1, {"q": 1, "z": 2, "a2": 1})]]
+
+
+@DIFF
+@given(diff_polys(min_terms=1, max_terms=5),
+       st.lists(st.sampled_from(SLICE_ATOMS), min_size=1, max_size=6),
+       st.lists(st.sampled_from(SLICE_ATOMS), max_size=4))
+def test_normalize_bytes_do_not_depend_on_z_slices(poly, planted, extra):
+    f = _planted(poly, planted)
+    f = FactoredRat(f.prefactor, f.numerator, f.denominator + tuple(extra))
+    sliced = f.normalize()
+    with pytest.MonkeyPatch.context() as mp:
+        # no variable sorts before this key: every test reduces the whole
+        # numerator
+        mp.setattr(ring, "_Z_KEY", (-1, 0))
+        whole = f.normalize()
+    assert json.dumps(sliced.to_json()) == json.dumps(whole.to_json())
+    assert sliced.numerator == whole.numerator
+    assert sliced.denominator == whole.denominator
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from census import pipeline
 from census.errors import NotAugmented, NotUnitConstantTerm
-from census.ring import FactoredRat, Monomial, SparsePoly
+from census.partitions import partitions_of
+from census.ring import Atom, FactoredRat, Monomial, SparsePoly
 from census.series import (
     BiSeries,
     _lazy_log,
+    _times,
     mobius,
     pleth_exp,
     pleth_log,
@@ -19,7 +22,13 @@ from census.series import (
     z_truncate_frac,
 )
 
-from builders import const, geometric, series, truncate_z
+from builders import (
+    const,
+    geometric,
+    series,
+    truncate_z,
+    z_truncate_by_geometric,
+)
 
 
 def fr(*terms):
@@ -74,6 +83,26 @@ class TestZTruncation:
         f = geometric(1, q=1, z=1) * fr((1, {}), (3, {"z": 2}))
         once = z_truncate_frac(f, d)
         assert z_truncate_frac(once, d) == once
+
+    @given(st.integers(min_value=-1, max_value=6), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_geometric_expansion(self, bound, data):
+        f = data.draw(mixed_fracs())
+        got = z_truncate_frac(f, bound)
+        want = z_truncate_by_geometric(f, bound)
+        assert got == want
+        assert got.to_json() == want.to_json()
+
+    @pytest.mark.parametrize("g", [0, 1, 2])
+    def test_lambda_terms_match_geometric_expansion(self, g):
+        D = (g - 1) * 6 + 8     # the oracle's z-order at rank 3
+        for n in (1, 2, 3):
+            for lam in partitions_of(n):
+                f = pipeline._lambda_term(g, lam)
+                got = z_truncate_frac(f, D)
+                want = z_truncate_by_geometric(f, D)
+                assert got == want, (g, lam)
+                assert got.to_json() == want.to_json(), (g, lam)
 
     def test_decompose(self):
         f = fr((2, {"z": 1}), (1, {"q": 1, "z": 1}), (5, {"z": 3}))
@@ -315,6 +344,44 @@ def qza_fracs(z_free=False):
         return (f if den is None else f * den).normalize()
 
     return st.builds(build, polys, dens)
+
+
+_MIXED_ATOMS = [Atom.make(c, Monomial.of(**e))[2] for c, e in [
+    (1, {"q": 1}), (-1, {"q": 2}), (2, {"a1": 1, "q": 1}),
+    (Fraction(1, 2), {"a1": -1, "q": 2}), (1, {"z": 1}), (-1, {"z": 2}),
+    (3, {"q": 1, "z": 1}), (1, {"a1": -1, "z": 1}), (-2, {"q": -1, "z": 3})]]
+
+
+@st.composite
+def mixed_fracs(draw):
+    """Fractions over q, z and a1 with a z-Laurent prefactor, and
+    denominator atoms drawn from z-free ones and ones in z, interleaved in
+    Atom.key order and possibly repeated."""
+    terms = draw(st.lists(
+        st.tuples(st.sampled_from([-3, -1, 1, 2, Fraction(1, 3)]),
+                  st.integers(min_value=0, max_value=2),
+                  st.integers(min_value=0, max_value=4),
+                  st.integers(min_value=-1, max_value=1)),
+        min_size=1, max_size=5))
+    num = SparsePoly([(Monomial.of(q=eq, z=ez, a1=ea), c)
+                      for c, eq, ez, ea in terms])
+    for atom in draw(st.lists(st.sampled_from(_MIXED_ATOMS), max_size=3)):
+        num = num.mul_atom(atom)
+    den = draw(st.lists(st.sampled_from(_MIXED_ATOMS), max_size=4))
+    pre = Monomial.of(z=draw(st.integers(min_value=-1, max_value=2)))
+    return FactoredRat(pre, num, den).normalize()
+
+
+class TestTruncatedProduct:
+    """_times in the z-truncated mode forms only the terms within the
+    bound; its value equals the whole product truncated."""
+
+    @given(st.integers(min_value=0, max_value=6), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_truncated_whole_product(self, D, data):
+        a = z_truncate_frac(data.draw(mixed_fracs()), D)
+        b = z_truncate_frac(data.draw(mixed_fracs()), D)
+        assert _times(a, b, D) == z_truncate_frac(a * b, D)
 
 
 class TestLogRecurrence:
