@@ -12,14 +12,20 @@ and a nonconstant Laurent monomial m.  Denominators are never expanded.
 
 Cancellation.  normalize divides the numerator by each denominator atom
 as often as it divides, in Atom.key order, and moves the numerator's
-content monomial into the prefactor.  For a fixed multiset of atoms left
-that form is unique, so only how often each atom cancels decides the
-bytes.  A product first divides each operand's numerator by the primitive
-atoms (shape exponents of gcd 1, so irreducible) of the other's
-denominator, which cancel as often in any order (cross-cancellation;
-Henrici 1956, Knuth TAOCP 4.5.1).  The other atoms, and primitive ones
-dividing a non-primitive atom that sorts before them, are left to the
-product's normalize.
+content monomial into the prefactor.  Each atom cancels min(multiplicity,
+valuation) times, and for a fixed multiset of atoms left that form is
+unique.  An atom a is free when it shares no factor with any atom of the
+denominator that sorts before it (_free_atoms).  Dividing the numerator
+by a free atom k times ahead of normalize, and taking k copies of it from
+the denominator, keeps the bytes: the counts of the atoms before a do not
+change, a's own falls by exactly k, and every later step starts from the
+same state.  A product first divides each operand's numerator by the
+free atoms of the other's denominator, as often as they divide
+(cross-cancellation; Henrici 1956, Knuth TAOCP 4.5.1).  add_many keeps
+the multiset maximum of the atoms as the common denominator, but removes
+a free atom a k times when k separate missing atoms of every term are
+divisible by a (1 - y divides 1 - y^n): each such atom b is multiplied in
+as the quotient 1 + y + ... + y^(n-1), or left out when b = a.
 
 Variable names follow a fixed ambient scheme: "a1".."a2g" for the Weil
 coordinates, "q", "z", "T", the kernel variables "z1".."zn", and the
@@ -62,12 +68,13 @@ homomorphism, so images compose through the operations that build a
 numerator: the image of a product is the convolution of its factors'
 images, and that of a sum over a common denominator is the sum of its
 terms' images, each shifted and scaled by its prefactor and multiplied by
-its missing atoms at the point.  A FactoredRat keeps the images of its
-numerator (_images, keyed (p, w)); __mul__ and add_many hand normalize a
-seed that composes the image of the numerator they built (add_many only
-from images its terms already hold), so eval_mod reduces a numerator only
-where no image is known, or where it involves no variable but w (its
-image is then the polynomial itself, cheaper to reduce than to compose).
+its missing atoms, or their quotients, at the point.  A FactoredRat keeps
+the images of its numerator (_images, keyed (p, w)); __mul__ and add_many
+hand normalize a seed that composes the image of the numerator they built
+(add_many only from images its terms already hold), so eval_mod reduces
+a numerator only where no image is known, or where it involves no
+variable but w (its image is then the polynomial itself, cheaper to
+reduce than to compose).
 Where it must reduce while w sorts before z and the numerator involves
 z, the atom is z-free and divides the numerator only if it divides every
 z-slice (the terms of one z-degree), so the filter reduces the
@@ -951,19 +958,33 @@ def _sorted_atoms(atoms):
     return tuple(sorted(atoms, key=Atom.key))
 
 
-def _primitive(atom):
-    """Whether the exponents of atom's shape have gcd 1: atom is then
-    irreducible."""
-    return gcd(*map(itemgetter(1), atom.shape.items)) == 1
-
-
 def _divides(atom, other):
-    """Whether the primitive atom divides other: other's c*m is a power of
-    atom's."""
+    """Whether atom divides other: other's c*m is a power of atom's."""
     v, e = atom.shape.leading()
     j, r = divmod(other.shape.exponent(v), e)
     return (not r and other.shape.code == atom.shape.code * j
             and other.constant == atom.constant ** j)
+
+
+def _free_atoms(atoms):
+    """{atom: the atoms it divides, itself first} for each free atom of
+    atoms (see the module docstring).  Atoms whose shapes have different
+    primitive directions (code over the gcd of the exponents) are coprime;
+    in one direction a primitive atom (gcd 1, so irreducible) is free
+    unless it divides an atom before it, and any other only when first."""
+    lines = {}
+    for x in atoms:
+        g = gcd(*map(itemgetter(1), x.shape.items))
+        lines.setdefault(x.shape.code // g, []).append((x, g))
+    free = {}
+    for line in lines.values():
+        if len(line) > 1:
+            line.sort(key=lambda xg: xg[0].key())
+        for i, (x, g) in enumerate(line):
+            if not i or g == 1 and not any(_divides(x, r)
+                                           for r, _ in line[:i]):
+                free[x] = [x] + [r for r, _ in line[i + 1:] if _divides(x, r)]
+    return free
 
 
 def _cross_atoms(a, b):
@@ -981,14 +1002,9 @@ def _cross_atoms(a, b):
             or len(_support([*na, *nb])) < 2):
         return ()
     da, db = Counter(a.denominator), Counter(b.denominator)
-    mine = {x: k for x, k in da.items() if x not in db and _primitive(x)}
-    theirs = {x: k for x, k in db.items() if x not in da and _primitive(x)}
-    held = [r for r in da | db if not _primitive(r)]
-    if held:
-        def free(x):
-            return not any(_divides(x, r) and r.key() < x.key() for r in held)
-        mine = {x: k for x, k in mine.items() if free(x)}
-        theirs = {x: k for x, k in theirs.items() if free(x)}
+    free = _free_atoms(da | db)
+    mine = {x: k for x, k in da.items() if x not in db and x in free}
+    theirs = {x: k for x, k in db.items() if x not in da and x in free}
     return theirs, mine
 
 
@@ -1335,47 +1351,84 @@ def poly_from_json(obj):
     return _terms_from_json(obj["terms"], _code_reader(obj["variables"]))
 
 
+def _plan(lcm, counts):
+    """The Counter of atoms add_many takes from lcm, and per term (own
+    denominator counts[i]) its multipliers: (b, None) for a missing atom
+    b, (b, a) for b's quotient by a removed atom a.  A free atom a goes k
+    times when every term has k missing atoms divisible by a, each used
+    once (see the module docstring)."""
+    missing = [lcm - c for c in counts]
+    removed = Counter()
+    quotients = [[] for _ in counts]
+    if all(missing):
+        for a, targets in _free_atoms(lcm).items():
+            k = min(lcm[a], *(sum(map(m.__getitem__, targets))
+                              for m in missing))
+            if not k:
+                continue
+            removed[a] = k
+            for m, out in zip(missing, quotients):
+                left = k
+                for b in targets:
+                    take = min(left, m[b])
+                    m[b] -= take
+                    left -= take
+                    if b != a:
+                        out.extend([(b, a)] * take)
+    return removed, [[(b, None) for b in m.elements()] + out
+                     for m, out in zip(missing, quotients)]
+
+
+def _quotient(b, a):
+    """b / a = 1 + y + ... + y^(n-1) for a = 1 - y and b = 1 - y^n."""
+    v, e = a.shape.leading()
+    c, m = a.constant, a.shape.code
+    return SparsePoly._raw({m * i: _clean(c ** i)
+                            for i in range(b.shape.exponent(v) // e)})
+
+
 def add_many(fracs):
-    """Sum over the least common denominator (atom multiset max), normalized."""
+    """Sum over the least common denominator (atom multiset max),
+    normalized; the atoms sure to cancel are removed first (_plan)."""
     live = [f for f in fracs if not f.numerator.is_zero()]
     if not live:
         return FactoredRat.zero()
     counts = [Counter(f.denominator) for f in live]
     lcm = reduce(or_, counts)
+    removed, factors = _plan(lcm, counts)
     total = {}
     tget = total.get
-    for f, c in zip(live, counts):
+    for f, mults in zip(live, factors):
         num = f.numerator.mul_monomial(f.prefactor)
-        for a, k in lcm.items():
-            for _ in range(k - c.get(a, 0)):
-                num = num.mul_atom(a)
+        for b, a in mults:
+            num = num.mul_atom(b) if a is None else num * _quotient(b, a)
         for m, cf in num.terms.items():
             total[m] = tget(m, 0) + cf
-            tget = total.get
     num = SparsePoly._raw({m: _clean(c) for m, c in total.items() if c})
-    den = []
-    for a, k in lcm.items():
-        den.extend([a] * k)
 
     def seed(p, w):
         out = {}
-        for f, c in zip(live, counts):
+        for f, mults in zip(live, factors):
             img = f._images.get((p, w))
             if img is None:
                 return None
             r, e = _at_point(f.prefactor, p, w)
             img = {d + e: v * r for d, v in img.items()}
-            for a, k in lcm.items():
-                for _ in range(k - c.get(a, 0)):
-                    cc = _specialize(a, p, w)
-                    if cc is None:
+            for b, a in mults:
+                cc = _specialize(b, p, w)
+                if cc is None:
+                    return None
+                img = _mul_binomial_mod(img, cc, b.shape.exponent(w), p)
+                if a is not None:
+                    img = _quotient_image(img, a, p, w)
+                    if img is None:
                         return None
-                    img = _mul_binomial_mod(img, cc, a.shape.exponent(w), p)
             for d, v in img.items():
                 out[d] = out.get(d, 0) + v
         return {d: v % p for d, v in out.items() if v % p}
 
-    return FactoredRat(_ONE_M, num, _sorted_atoms(den)).normalize(seed)
+    den = _sorted_atoms((lcm - removed).elements())
+    return FactoredRat(_ONE_M, num, den).normalize(seed)
 
 
 def _convolve_mod(a, b, p):

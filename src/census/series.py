@@ -11,10 +11,10 @@ commutes with all the series operations.
 
 LazyLog holds log F and grows it one degree at a time, on demand: it
 solves F·L' = F' (O(n²) coefficient products through degree n, one sum
-per coefficient), so a caller that keeps one can extend it instead of
-starting again.  [T^n] of the plethystic Log is read from it alone, as
-Σ_{k|n} μ(k)/k ψ_k(L_{n/k}) in one sum.  The exponential sums the powers
-of its argument.
+per coefficient) for M_n = n·L_n, so a caller that keeps one can extend
+it instead of starting again.  [T^n] of the plethystic Log is read from
+it alone, as Σ_{k|n} μ(k)/k ψ_k(L_{n/k}) = Σ_{k|n} μ(k)/n ψ_k(M_{n/k})
+in one sum.  The exponential sums the powers of its argument.
 """
 
 from __future__ import annotations
@@ -325,7 +325,7 @@ class LazyLog:
     or, in the z-truncated mode, inv0 = 1/F_0 and log0 = log F_0.
     """
 
-    __slots__ = ("z_order", "_source", "_inv0", "_fs", "_ms", "_logs")
+    __slots__ = ("z_order", "_source", "_inv0", "_fs", "_ms", "_log0")
 
     def __init__(self, source, z_order=None, inv0=None, log0=None):
         self.z_order = z_order
@@ -333,7 +333,7 @@ class LazyLog:
         self._inv0 = inv0
         self._fs = [source(0)]
         self._ms = [None]
-        self._logs = [FactoredRat.zero() if log0 is None else log0]
+        self._log0 = FactoredRat.zero() if log0 is None else log0
 
     def coefficient(self, j):
         """F_j."""
@@ -341,10 +341,10 @@ class LazyLog:
             self._fs.append(self._source(len(self._fs)))
         return self._fs[j]
 
-    def log(self, n):
-        """L_n, by n·F_0·L_n = n·F_n − Σ_{0<k<n} k·L_k·F_{n−k} run on
-        M_n = n·L_n, so every scalar is an integer until the final M_n/n;
-        each M_n is one add_many."""
+    def _m(self, n):
+        """M_n = n·L_n for n >= 1, by F_0·M_n = n·F_n − Σ_{0<k<n}
+        M_k·F_{n−k}, so every scalar is an integer; each M_n is one
+        add_many."""
         ms, fs = self._ms, self._fs
         while len(ms) <= n:
             m = len(ms)
@@ -357,14 +357,19 @@ class LazyLog:
             if self._inv0 is not None:
                 mm = _times(mm, self._inv0, self.z_order)
             ms.append(mm)
-            self._logs.append(ms[m].mul_scalar(Fraction(1, m)))
-        return self._logs[n]
+        return ms[n]
+
+    def log(self, n):
+        """L_n, the x^n coefficient of log F: L_0 = log F_0, else M_n/n."""
+        if not n:
+            return self._log0
+        return self._m(n).mul_scalar(Fraction(1, n))
 
     def pleth_coefficient(self, n):
         """[x^n] Log F = [x^n] Σ_k μ(k)/k ψ_k(log F), as one add_many.
 
         For n >= 1 only the k dividing n reach x^n, so this is
-        Σ_{k|n} μ(k)/k ψ_k(L_{n/k}) and reads L_1..L_n alone; at n = 0,
+        Σ_{k|n} μ(k)/n ψ_k(M_{n/k}) and reads M_1..M_n alone; at n = 0,
         ψ_k of the z-positive log F_0 truncates to zero past z_order.
         """
         if n:
@@ -374,10 +379,10 @@ class LazyLog:
         parts = []
         for k in ks:
             mu = mobius(k)
-            c = self.log(n // k)
+            c = self._m(n // k) if n else self._log0
             if mu and not c.is_zero():
                 parts.append(_snap(c.adams(k), self.z_order)
-                             .mul_scalar(Fraction(mu, k)))
+                             .mul_scalar(Fraction(mu, n or k)))
         return add_many(parts)
 
 

@@ -1,6 +1,9 @@
 """Value builders that only the tests use."""
 
+from collections import Counter
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 
 from census.errors import HigherOrderPole
 from census.partitions import chain_blocks
@@ -10,8 +13,13 @@ from census.ring import (
     FactoredRat,
     Monomial,
     SparsePoly,
+    _at_point,
+    _clean,
+    _mul_binomial_mod,
     _read,
     _slot,
+    _sorted_atoms,
+    _specialize,
     atom_inverse,
 )
 from census.series import BiSeries, z_truncate_frac
@@ -218,3 +226,44 @@ def lift_paired_by_terms(f, g):
             return None
         out[m] = out.get(m, 0) + c
     return SparsePoly(out)
+
+
+def add_many_by_lcm(fracs):
+    """add_many as it was before the atoms sure to cancel were removed
+    ahead of normalize: every numerator is multiplied by all of its
+    missing atoms, and normalize divides out what cancels."""
+    live = [f for f in fracs if not f.numerator.is_zero()]
+    if not live:
+        return FactoredRat.zero()
+    counts = [Counter(f.denominator) for f in live]
+    lcm = reduce(or_, counts)
+    total = {}
+    for f, c in zip(live, counts):
+        num = f.numerator.mul_monomial(f.prefactor)
+        for a, k in lcm.items():
+            for _ in range(k - c.get(a, 0)):
+                num = num.mul_atom(a)
+        for m, cf in num.terms.items():
+            total[m] = total.get(m, 0) + cf
+    num = SparsePoly._raw({m: _clean(c) for m, c in total.items() if c})
+
+    def seed(p, w):
+        out = {}
+        for f, c in zip(live, counts):
+            img = f._images.get((p, w))
+            if img is None:
+                return None
+            r, e = _at_point(f.prefactor, p, w)
+            img = {d + e: v * r for d, v in img.items()}
+            for a, k in lcm.items():
+                for _ in range(k - c.get(a, 0)):
+                    cc = _specialize(a, p, w)
+                    if cc is None:
+                        return None
+                    img = _mul_binomial_mod(img, cc, a.shape.exponent(w), p)
+            for d, v in img.items():
+                out[d] = out.get(d, 0) + v
+        return {d: v % p for d, v in out.items() if v % p}
+
+    return FactoredRat(ONE_MONOMIAL, num,
+                       _sorted_atoms(lcm.elements())).normalize(seed)

@@ -24,7 +24,7 @@ from census.ring import (
 )
 from census.residues import h_factor
 
-from builders import geometric
+from builders import add_many_by_lcm, geometric
 
 
 def fr_poly(*terms):
@@ -636,7 +636,7 @@ def test_images_on_the_main_route():
 
 
 # ---------------------------------------------------------------------------
-# × cancels the primitive atoms of one operand's denominator against the
+# × cancels the free atoms of one operand's denominator against the
 # other's numerator before multiplying; the product must keep the bytes of
 # normalizing the full product, in which the atoms are tried in Atom.key
 # order.  Non-primitive atoms sit beside their factors: (1 - q^-2 z^2)
@@ -681,13 +681,14 @@ def reference_product(a, b):
 @settings(max_examples=150, deadline=None)
 @given(cross_pairs())
 # (1 - z^2) sorts before (1 - z^3) and takes the product's one factor
-# 1 - z, so (1 - z^3) must not leave a's numerator first: only primitive
-# atoms go first
+# 1 - z, so (1 - z^3), which shares it, must not leave a's numerator first
 @example([normal_frac(CROSS_FACTORS[3] * X, CROSS_ATOMS[2]),
           normal_frac(CROSS_FACTORS[1] * Y, CROSS_ATOMS[3])])
 # (1 - q^-1 z) divides (1 - q^-2 z^2), which sorts before it: held back
 @example([normal_frac(X, CROSS_ATOMS[6], CROSS_ATOMS[4]),
           normal_frac(CROSS_FACTORS[6] * Y)])
+# (1 - z^2) sorts first in its direction, so it leaves a's numerator first
+@example([normal_frac(CROSS_FACTORS[2] * X), normal_frac(Y, CROSS_ATOMS[2])])
 def test_cross_cancellation_keeps_the_bytes(pair):
     a, b = pair
     got, want = a * b, reference_product(a, b)
@@ -696,6 +697,67 @@ def test_cross_cancellation_keeps_the_bytes(pair):
     for (p, w), img in got._images.items():
         assert img == want._image(p, w)
         assert img == got.numerator.eval_mod(p, ring._POINTS[p], w)
+
+
+# ---------------------------------------------------------------------------
+# add_many removes the free atoms that divide k separate missing atoms of
+# every term (1 - y divides 1 - y^n) before it multiplies the numerators
+# out; the sum must keep the bytes of multiplying every missing atom in
+# (builders.add_many_by_lcm).  The pool holds atoms of four directions, z,
+# q, q^-1 z and q^-2 z, and the numerators may carry the cofactor 1 + y
+# of an atom 1 - y^2 of the pool, or 1 + z + z^2 of 1 - z^3.
+
+SUM_ATOMS = (_atom(1, z=1), _atom(1, z=2), _atom(-1, z=1), _atom(1, z=3),
+             _atom(2, z=1), _atom(4, z=2), _atom(1, q=1), _atom(1, q=2),
+             _atom(1, q=-1, z=1), _atom(1, q=-2, z=2), _atom(1, q=-2, z=1))
+SUM_COFACTORS = (_atom(-1, z=1).as_poly(), _atom(-2, z=1).as_poly(),
+                 _atom(-1, q=1).as_poly(), _atom(-1, q=-1, z=1).as_poly(),
+                 CROSS_FACTORS[-1])
+
+
+@st.composite
+def sums(draw):
+    """Terms over the pool, raw or normalized; half the numerators are
+    a monomial (times cofactors), which random sums need to reach an atom
+    held back by one before it."""
+    terms = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        num = draw(st.one_of(diff_polys(min_terms=1, max_terms=1),
+                             diff_polys(min_terms=2, max_terms=2)))
+        for factor in draw(st.lists(st.sampled_from(SUM_COFACTORS),
+                                    max_size=2)):
+            num = num * factor
+        den = draw(st.lists(st.sampled_from(SUM_ATOMS), max_size=4))
+        f = FactoredRat(draw(diff_monomials()), num, den)
+        terms.append(f.normalize() if draw(st.booleans()) else f)
+    return terms
+
+
+def worked_sum():
+    """(1 + y)/(1 - y^2) + 1/(1 - y) for y = q^-1 z, which is 2/(1 - y):
+    normalize cancels (1 - y^2), which sorts first, from the numerator
+    2(1 - y^2).  Removing 1 - y, a factor of 1 - y^2, ahead of normalize
+    would leave 2(1 + y)/(1 - y^2)."""
+    return [FactoredRat(Monomial(), SUM_COFACTORS[3], (SUM_ATOMS[9],)),
+            FactoredRat(Monomial(), SparsePoly.one(), (SUM_ATOMS[8],))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(sums())
+@example(worked_sum())
+def test_add_many_keeps_the_bytes(terms):
+    with checked_images():
+        got = add_many(terms)
+    want = add_many_by_lcm(terms)
+    assert json.dumps(got.to_json()) == json.dumps(want.to_json())
+    assert got.denominator == want.denominator
+
+
+def test_add_many_keeps_an_atom_dividing_one_before_it():
+    got = add_many(worked_sum())
+    assert got.numerator == SparsePoly.const(2)
+    assert got.denominator == (SUM_ATOMS[8],)
+    assert got.to_json() == add_many_by_lcm(worked_sum()).to_json()
 
 
 # ---------------------------------------------------------------------------
