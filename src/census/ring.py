@@ -41,6 +41,15 @@ operation multiply the code by k, and an exponent is read with one
 shift and one mask.  SparsePoly.terms is keyed by codes, so monomials
 are hashed and compared in C.  Monomial wraps one code for callers.
 
+Content.  Adding the bias 2**23 to every field of a code leaves each
+field holding e + 2**23 with no borrows, its top bit set exactly when
+e >= 0.  content_monomial ANDs the biased codes of all terms, which keeps
+a field's top bit when no exponent there is negative, and ANDs
+((biased ^ bias) & low) + low, low = 2**23 - 1 per field, which keeps it
+when no exponent there is 0.  Only a field with a negative exponent or
+no zero one has a nonzero minimum, and only those fields are read term
+by term.
+
 Slot order.  The slot of a variable is a pure function of its name: q,
 z, T, t and s take slots 0..4, and the i-th variable of the a and z
 families takes slot 5 + 2(i-1) and 6 + 2(i-1).  A code therefore means
@@ -194,6 +203,43 @@ def _support(codes):
                   key=_KEY.__getitem__)
 
 
+class _Powers(dict):
+    """e -> (coeff**e, the code shift that turns var^e into image^e) for
+    one substitution var -> coeff*image, each made on first use."""
+
+    __slots__ = ("coeff", "image", "shift")
+
+    def __init__(self, coeff, image, shift):
+        super().__init__()
+        self.coeff, self.image, self.shift = coeff, image, shift
+
+    def __missing__(self, e):
+        out = self[e] = (_clean(Fraction(self.coeff) ** e),
+                         _scale(self.image, e) - (e << self.shift))
+        return out
+
+
+def _moves(subs):
+    """The substitutions var -> coeff*image of subs as (round, shift,
+    _Powers) reads.  Each move changes a field by less than 2**22, so a
+    code is checked after each move: one check after several could miss
+    a field that wrapped."""
+    return [(_ROUND[s], _SHIFT[s], _Powers(coeff, image.code, _SHIFT[s]))
+            for var, coeff, image in subs for s in [_slot(var)]]
+
+
+def _move(code, moves):
+    """(scalar, code) of one monomial under moves."""
+    scalar = 1
+    for rnd, sh, powers in moves:
+        e = (((code + rnd) >> sh) & _MASK) - _HALF
+        if e:
+            sc, d = powers[e]
+            code = _check(code + d)
+            scalar *= sc
+    return scalar, code
+
+
 class Monomial:
     """Immutable Laurent monomial: finite map variable -> nonzero integer
     exponent, held as its packed code (see the module docstring).
@@ -281,11 +327,10 @@ class Monomial:
 
     def subs(self, var, coeff, image):
         """Replace var by coeff*image; return (rational scalar, monomial)."""
-        e = self.exponent(var)
-        if not e:
+        if not self.exponent(var):
             return 1, self
-        code = self.code - (e << _SHIFT[_SLOT[var]]) + _scale(image.code, e)
-        return _clean(Fraction(coeff) ** e), Monomial._raw(_check(code))
+        sc, code = _move(self.code, _moves([(var, coeff, image)]))
+        return sc, Monomial._raw(code)
 
     def eval(self, assignment):
         out = complex(1)
@@ -456,23 +501,21 @@ class SparsePoly:
                                 for m, c in self.terms.items()})
 
     def substitute(self, var, coeff, image):
-        slot = _slot(var)
-        rnd, sh = _ROUND[slot], _SHIFT[slot]
-        img = image.code
-        by_exp = {}      # exponent of var -> (scalar, code shift)
+        return self._moved(_moves([(var, coeff, image)]))
+
+    def _moved(self, moves):
+        """The substitutions of _moves(subs), made at once in one pass."""
         out = {}
         get = out.get
         for m, cf in self.terms.items():
-            e = (((m + rnd) >> sh) & _MASK) - _HALF
-            if e:
-                sd = by_exp.get(e)
-                if sd is None:
-                    sd = by_exp[e] = (_clean(Fraction(coeff) ** e),
-                                      _scale(img, e) - (e << sh))
-                m += sd[1]
-                if (m ^ (m << 1)) & _GUARD:
-                    _overflow()
-                cf = cf * sd[0]
+            for rnd, sh, powers in moves:
+                e = (((m + rnd) >> sh) & _MASK) - _HALF
+                if e:
+                    sc, d = powers[e]
+                    m += d
+                    if (m ^ (m << 1)) & _GUARD:
+                        _overflow()
+                    cf = cf * sc
             out[m] = get(m, 0) + cf
         return SparsePoly._raw({m: _clean(c) for m, c in out.items() if c})
 
@@ -534,14 +577,27 @@ class SparsePoly:
         return out
 
     def content_monomial(self):
-        """Largest monomial (Laurent) dividing every term."""
+        """Largest monomial (Laurent) dividing every term: two AND
+        reductions find the fields whose minimum is not 0 (see the module
+        docstring), and only those are read term by term."""
         terms = self.terms
+        if len(terms) < 2:
+            return Monomial._raw(next(iter(terms), 0))
+        n = max(max(terms).bit_length(), min(terms).bit_length()) // _W + 1
+        bias = _BIAS & ((1 << _W * n) - 1)
+        low = bias - (bias >> _W - 1)
+        biased = list(map(bias.__add__, terms))
+        nonneg = reduce(and_, biased)
+        nonzero = reduce(and_, map(low.__add__, map(low.__and__, map(
+            bias.__xor__, biased))))
+        bad = (bias & ~nonneg) | (bias & nonzero)
         code = 0
-        for s in _support(terms):
-            rnd, sh = _ROUND[s], _SHIFT[s]
-            low = min(map(and_, map(rshift, map(rnd.__add__, terms),
-                                    repeat(sh)), repeat(_MASK)))
-            code += (low - _HALF) << sh
+        while bad:
+            sh = (bad & -bad).bit_length() - _W
+            bad &= bad - 1
+            least = min(map(and_, map(rshift, biased, repeat(sh)),
+                            repeat(_MASK)))
+            code += (least - _HALF) << sh
         return Monomial._raw(code)
 
     def divide_atom(self, atom):
@@ -597,20 +653,11 @@ class SparsePoly:
 
     def sorted_terms(self):
         """(Monomial, coefficient) pairs in descending canonical order
-        (deterministic).  The support is put in canonical order once, so
-        each term is read field by field and never re-sorted."""
-        reads = [(_ROUND[s], _SHIFT[s], _NAMES[s], _KEY[s])
-                 for s in _support(self.terms)]
-        rows = []
-        for m, c in self.terms.items():
-            fields = [(name, vk, (((m + rnd) >> sh) & _MASK) - _HALF)
-                      for rnd, sh, name, vk in reads]
-            items = tuple((name, e) for name, _, e in fields if e)
-            key = (sum(e for _, e in items),
-                   tuple((vk, e) for _, vk, e in fields if e))
-            rows.append((key, Monomial._raw(m, items), c))
-        rows.sort(key=itemgetter(0), reverse=True)
-        return [row[1:] for row in rows]
+        (deterministic)."""
+        slots = _support(self.terms)
+        names = [_NAMES[s] for s in slots]
+        return [(Monomial._raw(m, tuple(compress(zip(names, vec), vec))), c)
+                for _, m, vec, c in _rows(self.terms, slots)]
 
     def variables(self):
         return {_NAMES[s] for s in _support(self.terms)}
@@ -623,6 +670,24 @@ class SparsePoly:
             cs = str(c)
             bits.append(cs if m.is_one() else ("%s*%s" % (cs, m)))
         return " + ".join(bits)
+
+
+def _rows(terms, slots):
+    """(sort key, code, exponent vector over slots, coefficient) for each
+    term of a dict, in descending canonical order; slots, in canonical
+    order, hold every variable of the terms.  Each field is read once,
+    from the code biased as in _support, and the terms are sorted once."""
+    bias = _BIAS & ((1 << _W * (max(slots, default=0) + 1)) - 1)
+    shifts = [_SHIFT[s] for s in slots]
+    keys = [_KEY[s] for s in slots]
+    rows = []
+    for m, c in terms.items():
+        b = m + bias
+        vec = [((b >> sh) & _MASK) - _HALF for sh in shifts]
+        rows.append(((sum(vec), tuple(compress(zip(keys, vec), vec))),
+                     m, vec, c))
+    rows.sort(key=itemgetter(0), reverse=True)
+    return rows
 
 
 _Z_SLOT = _SLOT["z"]
@@ -927,14 +992,20 @@ class Atom:
         """
         if not self.shape.exponent(var):
             return "atom", (1, _ONE_M, self)
-        sc, m2 = self.shape.subs(var, coeff, image)
+        return self._moved(_moves([(var, coeff, image)]))
+
+    def _moved(self, moves):
+        """subs for the substitutions of _moves(subs), made at once."""
+        sc, code = _move(self.shape.code, moves)
+        if code == self.shape.code:
+            return "atom", (1, _ONE_M, self)
         c2 = self.constant * sc
-        if m2.is_one():
+        if not code:
             val = 1 - c2
             if not val:
                 return "zero", None
             return "scalar", val
-        return "atom", Atom.make(c2, m2)
+        return "atom", Atom.make(c2, Monomial._raw(code))
 
     def key(self):
         return (self.shape.sort_key(), self.constant)
@@ -1163,30 +1234,42 @@ class FactoredRat:
 
     def substitute(self, var, coeff, image):
         """Exact substitution var -> coeff*image followed by normalize."""
-        if image.exponent(var):
-            raise ValueError("substitution image mentions %r itself" % (var,))
-        sc, pre = self.prefactor.subs(var, coeff, image)
-        num = self.numerator.substitute(var, coeff, image)
+        return self.substitute_all([(var, coeff, image)])
+
+    def substitute_all(self, subs):
+        """The substitutions var -> coeff*image of the list subs, made at
+        once (one pass over the numerator) and followed by one normalize;
+        normalize alone when no var of subs occurs.  No image may mention
+        a var of subs."""
+        if any(image.exponent(v) for v, _, _ in subs for _, _, image in subs):
+            raise ValueError("substitution image mentions a variable of %r"
+                             % (subs,))
+        present = _support([*self.numerator.terms, self.prefactor.code,
+                            *(a.shape.code for a in self.denominator)])
+        subs = [x for x in subs if _slot(x[0]) in present]
+        if not subs:
+            return self.normalize()
+        moves = _moves(subs)
+        scale, pre = _move(self.prefactor.code, moves)
+        scale = Fraction(scale)
         den = []
-        scale = Fraction(sc)
         for a in self.denominator:
-            kind, payload = a.subs(var, coeff, image)
+            kind, payload = a._moved(moves)
             if kind == "zero":
                 raise SubstitutionToZeroPole(
-                    "atom %s vanishes identically under %s -> %s*%s"
-                    % (a, var, coeff, image))
+                    "atom %s vanishes identically under %r" % (a, subs))
             if kind == "scalar":
                 scale /= payload
                 continue
             u, um, at = payload
             if u != 1:
                 scale /= u
-            if not um.is_one():
-                pre = pre * um ** -1
+            pre = _check(pre - um.code)
             den.append(at)
+        num = self.numerator._moved(moves)
         if scale != 1:
             num = num.mul_scalar(scale)
-        return FactoredRat(pre, num, den).normalize()
+        return FactoredRat(Monomial._raw(pre), num, den).normalize()
 
     def eval_numeric(self, assignment, tol=1e-12):
         den = complex(1)
@@ -1242,22 +1325,16 @@ class FactoredRat:
             right = right.mul_atom(a)
         return left == right
 
-    def variables(self):
-        out = self.numerator.variables()
-        out.update(self.prefactor.variables())
-        for a in self.denominator:
-            out.update(a.shape.variables())
-        return out
-
     def to_json(self):
         """JSON object in the codec below; bit-exact round trip."""
-        variables = sorted(self.variables(), key=var_key)
+        slots = _support([*self.numerator.terms, self.prefactor.code,
+                          *(a.shape.code for a in self.denominator)])
         return {
-            "variables": variables,
-            "prefactor": _exponents(self.prefactor, variables),
-            "numerator": _terms_to_json(self.numerator, variables),
+            "variables": [_NAMES[s] for s in slots],
+            "prefactor": _vector(self.prefactor.code, slots),
+            "numerator": _terms_to_json(self.numerator, slots),
             "denominator": [[rational_to_json(a.constant),
-                             _exponents(a.shape, variables)]
+                             _vector(a.shape.code, slots)]
                             for a in _sorted_atoms(self.denominator)],
         }
 
@@ -1299,8 +1376,9 @@ def rational_from_json(s):
     return _clean(Fraction(int(n), int(d)))
 
 
-def _exponents(m, variables):
-    return [m.exponent(v) for v in variables]
+def _vector(code, slots):
+    """The exponent vector of a code over slots."""
+    return [_read(code, s) for s in slots]
 
 
 def _code_reader(variables):
@@ -1326,9 +1404,11 @@ def _code_reader(variables):
     return code
 
 
-def _terms_to_json(p, variables):
-    return [[_exponents(m, variables), rational_to_json(c)]
-            for m, c in p.sorted_terms()]
+def _terms_to_json(p, slots):
+    """The terms of p as [exponent vector over slots, "n/d"] rows, in
+    descending canonical order."""
+    return [[vec, "%d/1" % c if c.__class__ is int else rational_to_json(c)]
+            for _, _, vec, c in _rows(p.terms, slots)]
 
 
 def _terms_from_json(terms, code):
@@ -1341,8 +1421,9 @@ def _terms_from_json(terms, code):
 def poly_to_json(p):
     """{"variables": names in canonical order, "terms": [[exponent vector,
     "n/d"], ...] in descending canonical order}; bit-exact round trip."""
-    variables = sorted(p.variables(), key=var_key)
-    return {"variables": variables, "terms": _terms_to_json(p, variables)}
+    slots = _support(p.terms)
+    return {"variables": [_NAMES[s] for s in slots],
+            "terms": _terms_to_json(p, slots)}
 
 
 def poly_from_json(obj):

@@ -3,11 +3,18 @@
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
-from operator import or_
+from itertools import repeat
+from operator import and_, itemgetter, or_, rshift
 
-from census.errors import HigherOrderPole
+from census.errors import HigherOrderPole, SubstitutionToZeroPole
 from census.partitions import chain_blocks
 from census.ring import (
+    _HALF,
+    _KEY,
+    _MASK,
+    _NAMES,
+    _ROUND,
+    _SHIFT,
     ONE_MONOMIAL,
     Atom,
     FactoredRat,
@@ -20,7 +27,10 @@ from census.ring import (
     _slot,
     _sorted_atoms,
     _specialize,
+    _support,
     atom_inverse,
+    rational_to_json,
+    var_key,
 )
 from census.series import BiSeries, z_truncate_frac
 from census.zeta import alpha_name, alpha_names, pair_reduce
@@ -267,3 +277,108 @@ def add_many_by_lcm(fracs):
 
     return FactoredRat(ONE_MONOMIAL, num,
                        _sorted_atoms(lcm.elements())).normalize(seed)
+
+
+# ---------------------------------------------------------------------------
+# The passes that the one-pass content, the one-map pair reduction and the
+# row serializer replaced: the content read slot by slot, the even roots
+# substituted one at a time with a normalize after each, and every
+# exponent of the JSON read again through Monomial.exponent.  The tests
+# compare the new passes against them byte for byte.
+
+def content_monomial_by_slots(p):
+    """The content monomial with a min pass over every slot of the
+    support."""
+    terms = p.terms
+    code = 0
+    for s in _support(terms):
+        rnd, sh = _ROUND[s], _SHIFT[s]
+        low = min(map(and_, map(rshift, map(rnd.__add__, terms),
+                                repeat(sh)), repeat(_MASK)))
+        code += (low - _HALF) << sh
+    return Monomial._raw(code)
+
+
+def substitute_by_atoms(f, var, coeff, image):
+    """FactoredRat.substitute of one variable: the prefactor, numerator
+    and each atom substituted on their own, then normalize."""
+    if image.exponent(var):
+        raise ValueError("substitution image mentions %r itself" % (var,))
+    sc, pre = f.prefactor.subs(var, coeff, image)
+    num = f.numerator.substitute(var, coeff, image)
+    den = []
+    scale = Fraction(sc)
+    for a in f.denominator:
+        kind, payload = a.subs(var, coeff, image)
+        if kind == "zero":
+            raise SubstitutionToZeroPole("atom %s vanishes" % (a,))
+        if kind == "scalar":
+            scale /= payload
+            continue
+        u, um, at = payload
+        if u != 1:
+            scale /= u
+        if not um.is_one():
+            pre = pre * um ** -1
+        den.append(at)
+    if scale != 1:
+        num = num.mul_scalar(scale)
+    return FactoredRat(pre, num, den).normalize()
+
+
+def pair_reduce_by_roots(f, g):
+    """pair_reduce one even root at a time, each substitution followed by
+    a normalize."""
+    for i in range(1, g + 1):
+        f = substitute_by_atoms(f, alpha_name(2 * i), 1,
+                                Monomial.of(q=1, **{alpha_name(2 * i - 1): -1}))
+    return f.normalize()
+
+
+def sorted_terms_by_fields(p):
+    """SparsePoly.sorted_terms with each term's key built from its
+    (name, exponent) fields."""
+    reads = [(_ROUND[s], _SHIFT[s], _NAMES[s], _KEY[s])
+             for s in _support(p.terms)]
+    rows = []
+    for m, c in p.terms.items():
+        fields = [(name, vk, (((m + rnd) >> sh) & _MASK) - _HALF)
+                  for rnd, sh, name, vk in reads]
+        items = tuple((name, e) for name, _, e in fields if e)
+        key = (sum(e for _, e in items),
+               tuple((vk, e) for _, vk, e in fields if e))
+        rows.append((key, Monomial._raw(m, items), c))
+    rows.sort(key=itemgetter(0), reverse=True)
+    return [row[1:] for row in rows]
+
+
+def _exponents(m, variables):
+    return [m.exponent(v) for v in variables]
+
+
+def _terms_to_json_by_exponents(p, variables):
+    return [[_exponents(m, variables), rational_to_json(c)]
+            for m, c in sorted_terms_by_fields(p)]
+
+
+def poly_to_json_by_exponents(p):
+    """poly_to_json reading every exponent through Monomial.exponent."""
+    variables = sorted(p.variables(), key=var_key)
+    return {"variables": variables,
+            "terms": _terms_to_json_by_exponents(p, variables)}
+
+
+def frac_to_json_by_exponents(f):
+    """FactoredRat.to_json reading every exponent through
+    Monomial.exponent."""
+    names = f.numerator.variables().union(
+        f.prefactor.variables(), *(a.shape.variables() for a in f.denominator))
+    variables = sorted(names, key=var_key)
+    return {
+        "variables": variables,
+        "prefactor": _exponents(f.prefactor, variables),
+        "numerator": _terms_to_json_by_exponents(f.numerator, variables),
+        "denominator": [[rational_to_json(a.constant),
+                         _exponents(a.shape, variables)]
+                        for a in _sorted_atoms(f.denominator)],
+    }

@@ -24,7 +24,14 @@ from census.ring import (
 )
 from census.residues import h_factor
 
-from builders import add_many_by_lcm, geometric
+from builders import (
+    add_many_by_lcm,
+    content_monomial_by_slots,
+    frac_to_json_by_exponents,
+    geometric,
+    poly_to_json_by_exponents,
+    sorted_terms_by_fields,
+)
 
 
 def fr_poly(*terms):
@@ -834,6 +841,45 @@ def test_content_monomial_is_exponentwise_min(p):
     names = set().union(*terms)
     want = Monomial({v: min(t.get(v, 0) for t in terms) for v in names})
     assert p.content_monomial() == want
+
+
+WIDE_EXPONENTS = st.dictionaries(
+    st.sampled_from(CODE_NAMES),
+    st.one_of(st.integers(min_value=-2, max_value=3),
+              st.integers(min_value=-LIMIT + 1, max_value=LIMIT - 1)),
+    max_size=6)
+WIDE_COEFFS = st.one_of(st.integers(min_value=-9, max_value=9).filter(bool),
+                        st.fractions(max_denominator=12).filter(bool))
+
+
+@st.composite
+def wide_polys(draw):
+    """Polynomials with exponents up to 2**22 - 1 in absolute value, zeros,
+    negative high fields, slots up to a128 and z128, Fraction coefficients;
+    one term about as often as several."""
+    n = draw(st.one_of(st.just(1), st.integers(min_value=0, max_value=7)))
+    return SparsePoly([(Monomial(draw(WIDE_EXPONENTS)), draw(WIDE_COEFFS))
+                       for _ in range(n)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_polys())
+def test_content_and_json_match_the_references(p):
+    assert p.content_monomial().code == content_monomial_by_slots(p).code
+    assert (json.dumps(ring.poly_to_json(p))
+            == json.dumps(poly_to_json_by_exponents(p)))
+    got = [(m.code, m.items, c) for m, c in p.sorted_terms()]
+    assert got == [(m.code, m.items, c) for m, c in sorted_terms_by_fields(p)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_polys(), WIDE_EXPONENTS,
+       st.lists(st.tuples(WIDE_COEFFS, WIDE_EXPONENTS.filter(
+           lambda e: any(e.values()))), max_size=3))
+def test_fraction_json_matches_the_reference(num, pre, atoms):
+    den = tuple(Atom.make(c, Monomial(e))[2] for c, e in atoms)
+    f = FactoredRat(Monomial(pre), num, den)
+    assert json.dumps(f.to_json()) == json.dumps(frac_to_json_by_exponents(f))
 
 
 def test_code_out_of_range_raises():

@@ -1,6 +1,7 @@
 """Zeta values, J-weights, Weil-number recovery, volume identities."""
 
 import cmath
+import json
 import os
 import random
 import subprocess
@@ -11,9 +12,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from census.errors import NotWeil, PoleArgument
-from census.partitions import Partition
+from census.errors import (ExponentOverflow, NotWeil, PoleArgument,
+                           SubstitutionToZeroPole)
+from census.partitions import Partition, box_stats, partitions_of
+from census.pipeline import kac_polynomial
 from census.ring import (
+    Atom,
     FactoredRat,
     Monomial,
     ONE_MONOMIAL,
@@ -35,6 +39,11 @@ from census.zeta import (
     zeta_tilde,
     zeta_value,
 )
+
+import test_pipeline
+from builders import pair_reduce_by_roots
+
+LIMIT = 2 ** 22
 
 
 def mono(**e):
@@ -349,3 +358,85 @@ class TestTorsionVolume:
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
             torsion_volume_series(1, 0)
+
+
+class TestPairReduceOneMap:
+    """pair_reduce makes the g root substitutions as one monomial map with
+    one normalize; pair_reduce_by_roots makes them one at a time with a
+    normalize after each.  Byte equality where no atom can cancel in
+    another order, value equality where even roots sit in the atoms."""
+
+    @staticmethod
+    def _same_bytes(f, g):
+        got = pair_reduce(f, g)
+        want = pair_reduce_by_roots(f, g)
+        assert json.dumps(got.to_json()) == json.dumps(want.to_json())
+
+    def test_j_factor_values(self):
+        for g in range(4):
+            seen = set()
+            for k in range(1, 5):
+                for lam in partitions_of(k):
+                    seen.update(box_stats(lam))
+            for arm, leg in sorted(seen):
+                self._same_bytes(zeta_star(g, 1 + leg, arm), g)
+
+    def test_lifted_kac_goldens(self):
+        keys = [*test_pipeline.TestEngineVersion.KAC,
+                *(tuple(map(int, key.split()))
+                  for key in test_pipeline.TestPinnedRanks4And5.KAC)]
+        for g, r, d in keys:
+            lifted = kac_polynomial(g, r, d).lifted
+            assert lifted is not None, (g, r, d)
+            self._same_bytes(FactoredRat.from_poly(lifted), g)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=1, max_value=3), st.data())
+    def test_denominator_free(self, g, data):
+        names = st.sampled_from(alpha_names(g) + ["q", "z"])
+        exps = st.dictionaries(names, st.integers(min_value=-4, max_value=4),
+                               max_size=4)
+        coeffs = st.sampled_from((1, -1, 3, Fraction(2, 3)))
+        num = SparsePoly([(Monomial(e), c) for e, c in data.draw(
+            st.lists(st.tuples(exps, coeffs), min_size=1, max_size=6))])
+        pre = Monomial(data.draw(exps))
+        self._same_bytes(FactoredRat(pre, num), g)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=1, max_value=3), st.data())
+    def test_even_root_atoms_same_value(self, g, data):
+        names = st.sampled_from(alpha_names(g) + ["q", "z"])
+        exps = st.dictionaries(names, st.integers(min_value=-2, max_value=2),
+                               max_size=3)
+        num = SparsePoly([(Monomial(e), c) for e, c in data.draw(
+            st.lists(st.tuples(exps, st.sampled_from((1, -1, 2))),
+                     min_size=1, max_size=4))])
+        shapes = data.draw(st.lists(exps.filter(lambda e: any(e.values())), max_size=3))
+        f = FactoredRat(Monomial(data.draw(exps)), num)
+        for shape in shapes:
+            f = f * atom_inverse(data.draw(st.sampled_from((1, -1, 2))),
+                                 Monomial(shape))
+        try:
+            want = pair_reduce_by_roots(f, g)
+        except SubstitutionToZeroPole:
+            with pytest.raises(SubstitutionToZeroPole):
+                pair_reduce(f, g)
+            return
+        assert pair_reduce(f, g) == want
+
+    def test_exponent_overflow_raises(self):
+        top = LIMIT - 1
+        # the q field collects one move per pair: after three moves it
+        # would pass a single check although it wrapped past 2**24
+        for g, exps in ((1, dict(q=top, a2=1)),
+                        (3, dict(q=top, a2=top, a4=top, a6=top))):
+            f = FactoredRat.from_poly(SparsePoly([(Monomial(exps), 1),
+                                                  (ONE_MONOMIAL, 1)]))
+            with pytest.raises(ExponentOverflow):
+                pair_reduce_by_roots(f, g)
+            with pytest.raises(ExponentOverflow):
+                pair_reduce(f, g)
+        _, _, atom = Atom.make(1, Monomial.of(a1=-top, a2=top))
+        f = FactoredRat(ONE_MONOMIAL, SparsePoly.one(), (atom,))
+        with pytest.raises(ExponentOverflow):
+            pair_reduce(f, 1)
