@@ -659,10 +659,6 @@ def _latex_var(name, e):
     return "%s^{%d}" % (base, e)
 
 
-def _latex_monomial(m):
-    return "".join(_latex_var(v, e) for v, e in m.items)
-
-
 def _latex_coeff(c, is_first, has_mono):
     c = Fraction(c)
     sign = "-" if c < 0 else ("" if is_first else "+")
@@ -676,16 +672,17 @@ def _latex_coeff(c, is_first, has_mono):
 
 def latex_poly(p):
     """LaTeX for a SparsePoly, terms in the ring's canonical order."""
-    terms = p.sorted_terms()
+    terms = p.sorted_items()
     if not terms:
         return "0"
     bits = []
-    for i, (m, c) in enumerate(terms):
-        mono = "" if m.is_one() else _latex_monomial(m)
+    for i, (items, c) in enumerate(terms):
+        mono = "".join(_latex_var(v, e) for v, e in items)
         bits.append(_latex_coeff(c, i == 0, bool(mono)) + mono)
     return "".join(bits)
 
 
+@lru_cache(maxsize=None)
 def _pattern_atoms(g, sign, k):
     """The pair-reduced atom factorization of ∏_{i=1}^{2g}(1 - sign·q^k·α_i)."""
     atoms = []
@@ -693,7 +690,7 @@ def _pattern_atoms(g, sign, k):
         name = alpha_name(2 * i - 1)
         atoms.append(Atom.make(sign, Monomial.of(q=k, **{name: 1})))
         atoms.append(Atom.make(sign, Monomial.of(q=k + 1, **{name: -1})))
-    return atoms
+    return tuple(atoms)
 
 
 def _pattern_latex(sign, k, g):

@@ -99,7 +99,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from math import gcd
 from operator import and_, index, itemgetter, lshift, or_, rshift, xor
 
@@ -659,6 +659,14 @@ class SparsePoly:
         return [(Monomial._raw(m, tuple(compress(zip(names, vec), vec))), c)
                 for _, m, vec, c in _rows(self.terms, slots)]
 
+    def sorted_items(self):
+        """(Monomial.items, coefficient) pairs in the order of
+        sorted_terms, for printing: no Monomial is made."""
+        slots = _support(self.terms)
+        names = [_NAMES[s] for s in slots]
+        return [(tuple(compress(zip(names, vec), vec)), c)
+                for _, _, vec, c in _rows(self.terms, slots)]
+
     def variables(self):
         return {_NAMES[s] for s in _support(self.terms)}
 
@@ -666,9 +674,10 @@ class SparsePoly:
         if not self.terms:
             return "0"
         bits = []
-        for m, c in self.sorted_terms():
-            cs = str(c)
-            bits.append(cs if m.is_one() else ("%s*%s" % (cs, m)))
+        for items, c in self.sorted_items():
+            mono = "*".join(v if e == 1 else "%s^%d" % (v, e)
+                            for v, e in items)
+            bits.append("%s*%s" % (c, mono) if mono else str(c))
         return " + ".join(bits)
 
 
@@ -1341,11 +1350,14 @@ class FactoredRat:
     @staticmethod
     def from_json(obj):
         """Inverse of to_json."""
-        code = _code_reader(obj["variables"])
-        den = tuple(Atom(rational_from_json(c), Monomial._raw(code(vec)))
-                    for c, vec in obj["denominator"])
-        return FactoredRat(Monomial._raw(code(obj["prefactor"])),
-                           _terms_from_json(obj["numerator"], code), den)
+        shifts = _shifts(obj["variables"])
+        den = [(rational_from_json(c), vec) for c, vec in obj["denominator"]]
+        pre, *shapes = _codes([obj["prefactor"], *(vec for _, vec in den)],
+                              shifts)
+        return FactoredRat(Monomial._raw(pre),
+                           _terms_from_json(obj["numerator"], shifts),
+                           [Atom(c, Monomial._raw(m))
+                            for (c, _), m in zip(den, shapes)])
 
     def __repr__(self):
         bits = []
@@ -1381,27 +1393,25 @@ def _vector(code, slots):
     return [_read(code, s) for s in slots]
 
 
-def _code_reader(variables):
-    """The function from an exponent vector over variables to its code,
-    with the checks of Monomial(...); a repeated name, or a vector whose
-    length is not that of variables, is a ValueError."""
+def _shifts(variables):
+    """The code shift of each of variables; a repeated name is a
+    ValueError."""
     shifts = [_SHIFT[_slot(v)] for v in variables]
     if len(set(shifts)) != len(shifts):
         raise ValueError("repeated variable in %r" % (variables,))
+    return shifts
 
-    def code(vec):
-        if len(vec) != len(shifts):
-            raise ValueError("exponent vector %r for %r" % (vec, variables))
-        c = 0
-        for sh, e in zip(shifts, vec):
-            e = index(e)
-            if e:
-                if not -_LIMIT < e < _LIMIT:
-                    _overflow()
-                c += e << sh
-        return c
 
-    return code
+def _codes(vecs, shifts):
+    """The codes of exponent vectors over the variables at shifts, with
+    the checks of Monomial(...), each made once over the whole list: a
+    vector whose length is not that of shifts is a ValueError."""
+    if not set(map(len, vecs)) <= {len(shifts)}:
+        raise ValueError("exponent vector not of length %d" % len(shifts))
+    if max(map(abs, map(index, chain.from_iterable(vecs))),
+           default=0) >= _LIMIT:
+        _overflow()
+    return [sum(map(lshift, vec, shifts)) for vec in vecs]
 
 
 def _terms_to_json(p, slots):
@@ -1411,11 +1421,17 @@ def _terms_to_json(p, slots):
             for _, _, vec, c in _rows(p.terms, slots)]
 
 
-def _terms_from_json(terms, code):
-    d = {code(vec): rational_from_json(c) for vec, c in terms}
+def _terms_from_json(terms, shifts):
+    """The SparsePoly of [exponent vector, "n/d"] rows; a repeated vector
+    is a ValueError, a zero coefficient is dropped."""
+    vecs = [vec for vec, _ in terms]
+    d = dict(zip(_codes(vecs, shifts),
+                 map(rational_from_json, [c for _, c in terms])))
     if len(d) != len(terms):
         raise ValueError("repeated exponent vector")
-    return SparsePoly(d)
+    if 0 in d.values():
+        d = {m: c for m, c in d.items() if c}
+    return SparsePoly._raw(d)
 
 
 def poly_to_json(p):
@@ -1429,7 +1445,7 @@ def poly_to_json(p):
 def poly_from_json(obj):
     """Inverse of poly_to_json; a repeated variable or exponent vector, or
     a vector of the wrong length, is a ValueError."""
-    return _terms_from_json(obj["terms"], _code_reader(obj["variables"]))
+    return _terms_from_json(obj["terms"], _shifts(obj["variables"]))
 
 
 def _plan(lcm, counts):

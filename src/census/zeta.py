@@ -8,6 +8,8 @@ volume quantities used by the census identities.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -174,12 +176,97 @@ class CurveData:
 _WEIL_TOL = 1e-6
 
 
+def _real_weil_polynomial(a, q):
+    """h, lowest degree first, with x^{2g}P(1/x) = x^g h(x + q/x) for the
+    numerator P = Σ a_k T^k: the functional equation pairs a_{g-j} x^j
+    with a_{g+j} x^{-j} = a_{g-j} q^j x^{-j}, and x^j + (q/x)^j = D_j(t)
+    for D_0 = 2, D_1 = t, D_{j+1} = t D_j - q D_{j-1}."""
+    g = len(a) // 2
+    h = [a[g]] + [0] * g
+    prev, cur = [2], [0, 1]
+    for j in range(1, g + 1):
+        for i, c in enumerate(cur):
+            h[i] += a[g - j] * c
+        nxt = [0] + cur
+        for i, c in enumerate(prev):
+            nxt[i] -= q * c
+        prev, cur = cur, nxt
+    return h
+
+
+def _divmod(f, d):
+    """Quotient and remainder of f by d over Fraction, lowest degree
+    first; the remainder carries no zero leading coefficients."""
+    f = list(f)
+    n = len(d) - 1
+    quot = []
+    for i in range(len(f) - 1, n - 1, -1):
+        c = Fraction(f[i]) / d[-1]
+        quot.append(c)
+        for j, dj in enumerate(d):
+            f[i - n + j] -= c * dj
+    rem = f[:n]
+    while rem and not rem[-1]:
+        rem.pop()
+    return quot[::-1], rem
+
+
+def _gcd(f, d):
+    """The monic greatest common divisor of f and d over Fraction."""
+    while d:
+        f, d = d, _divmod(f, d)[1]
+    return [Fraction(c) / f[-1] for c in f]
+
+
+def _squarefree_levels(h):
+    """[s_1, s_2, ...] for a monic h: s_k is monic with the roots of h of
+    multiplicity at least k, each once, so h = s_1 s_2 ... exactly."""
+    levels = []
+    while len(h) > 1:
+        d = _gcd(h, [i * c for i, c in enumerate(h)][1:])
+        levels.append(_divmod(h, d)[0])
+        h = d
+    return levels
+
+
+def _simple_roots(f):
+    """The roots of a monic f with simple roots, lowest degree first, by
+    Durand–Kerner sweeps in complex floats from a circle that holds every
+    root (twice Fujiwara's bound), until no root moves by 1e-14 of that
+    radius, or for at most 100 sweeps."""
+    c = [complex(x) for x in f]
+    n = len(c) - 1
+    if n < 2:
+        return [-c[0]] if n else []
+    radius = 2 * max(abs(c[n - k]) ** (1 / k) for k in range(1, n + 1))
+    z = [cmath.rect(radius, 0.4 + 2 * math.pi * k / n) for k in range(n)]
+    for _ in range(100):
+        step = 0.0
+        for k, zk in enumerate(z):
+            num = 0j
+            for x in reversed(c):
+                num = num * zk + x
+            den = 1
+            for j, zj in enumerate(z):
+                if j != k:
+                    den *= zk - zj
+            w = num / den
+            z[k] = zk - w
+            step = max(step, abs(w))
+        if step <= 1e-14 * radius:
+            break
+    return z
+
+
 def weil_from_counts(q, counts, genus=None):
     """Build CurveData from |X(F_{q^l})| for l = 1..g.
 
     Exact Newton identities produce the numerator; the functional equation
-    fills the top half; roots are extracted numerically and checked
-    against |σ| = √q.
+    fills the top half.  Each root t of the real Weil polynomial h gives
+    the pair σ, q/σ of roots of x² - t·x + q.  h is split exactly into
+    squarefree levels, so a repeated root keeps its multiplicity; only
+    the simple roots of each level are found numerically.  Every σ is
+    checked against |σ| = √q.
     """
     counts = tuple(int(n) for n in counts)
     g = len(counts)
@@ -212,19 +299,25 @@ def weil_from_counts(q, counts, genus=None):
     if g == 0:
         return CurveData(q, 0, counts, (1,), ())
 
-    import numpy    # only this numeric step needs it; importing is slow
-
     try:
-        roots = numpy.roots([a[k] for k in range(2 * g, -1, -1)])
+        sigmas = []
+        for level in _squarefree_levels(_real_weil_polynomial(a, q)):
+            # a root t = ±2√q gives the real pair σ = q/σ = t/2, taken
+            # apart: the square root below would lose half its digits
+            edge = _gcd(level, [-4 * q, 0, 1])
+            for t in _simple_roots(edge):
+                sigmas += (t / 2, t / 2)
+            for t in _simple_roots(_divmod(level, edge)[0]):
+                # the roots of x^2 - t x + q, larger modulus first
+                d = cmath.sqrt(t * t - 4 * q)
+                s = (t + d if (t.conjugate() * d).real >= 0 else t - d) / 2
+                sigmas += (s, q / s)
+        sq = math.sqrt(q)
+        if not all(map(cmath.isfinite, sigmas)):
+            raise OverflowError
     except OverflowError:
         raise ValueError("q and the point counts are too large for numeric "
                          "root extraction") from None
-    sigmas = []
-    for z in roots:
-        if abs(z) < 1e-12:
-            raise NotWeil("zeta numerator has a vanishing root")
-        sigmas.append(1 / complex(z))
-    sq = q ** 0.5
     for s in sigmas:
         if abs(abs(s) - sq) > _WEIL_TOL * sq:
             raise NotWeil("|σ| = %.8f differs from √q = %.8f"

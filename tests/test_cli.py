@@ -85,6 +85,15 @@ class TestGoldens:
         assert code == 0
         assert out == "indecomposables 3\nhiggs_points 6\n"
 
+    def test_count_fermat_quartic(self, capsys, tmp_path):
+        # x^4 + y^4 + z^4 = 0 over F_3: P(T) = (1 + 3T²)³, a triple root
+        path = write_curve(tmp_path, blob={"q": 3, "genus": 3,
+                                           "point_counts": [4, 28, 28]})
+        code, out, err = run_cli(capsys, "count", "--rank", "1",
+                                 "--degree", "0", "--curve", path)
+        assert (code, out, err) == (0, "indecomposables 64\n"
+                                       "higgs_points 1728\n", "")
+
     def test_entry_point(self, tmp_path):
         # the declared target, run as its console script would run it, from
         # this checkout's src/ and in an empty cwd that cannot shadow the
@@ -264,6 +273,10 @@ class TestCache:
         _g1r2d0_poly(one_term=(0, 0, 1)),
         _g1r2d0_poly(q_term=(0, 0, 2 ** 25)),
         _g1r2d0_poly(q_term=(0, 0, 1.5)),
+        # a long vector, a string exponent, the first exponent out of range
+        _g1r2d0_poly(q_term=(0, 0, 1, 0)),
+        _g1r2d0_poly(q_term=(0, 0, "1")),
+        _g1r2d0_poly(q_term=(0, 0, -2 ** 22)),
     ])
     def test_malformed_entry_is_a_miss(self, capsys, tmp_path, entry):
         args = ("kac", "-g", "1", "-r", "2", "-d", "0")
@@ -273,6 +286,34 @@ class TestCache:
         code, out, err = run_cli(capsys, "--cache-dir", str(tmp_path), *args)
         assert (code, out, err) == (0, want, "")
         assert json.loads(path.read_text())["result"]["genus"] == 1
+
+    @pytest.mark.parametrize("field,bad", [
+        ("prefactor", [0, 0]), ("prefactor", [0, 2 ** 22, 0]),
+        ("prefactor", [0, 0, None]), ("shape", [0, 1, 0, 0]),
+        ("shape", [0, 0, 2 ** 25]), ("shape", [0.5, 0, 1])])
+    def test_malformed_fraction_entry_is_a_miss(self, capsys, tmp_path,
+                                                field, bad):
+        # kac(1,2,0) stored as the fraction (q + 1 - a1 - a2)/(1 - q): a
+        # hit as written, a miss once one exponent vector is broken
+        args = ("kac", "-g", "1", "-r", "2", "-d", "0")
+        _, want, _ = run_cli(capsys, *args)
+        entry = _g1r2d0_poly()
+        poly = entry["result"]["polynomial"]
+        poly.update(kind="fraction", prefactor=[0, 0, 0],
+                    numerator=poly.pop("terms"),
+                    denominator=[["1/1", [0, 0, 1]]])
+        path = tmp_path / "kac_g1_r2_d0.json"
+        path.write_text(json.dumps(entry))
+        assert cli._cache_load(str(path)) is not None
+        if field == "prefactor":
+            poly["prefactor"] = bad
+        else:
+            poly["denominator"][0][1] = bad
+        path.write_text(json.dumps(entry))
+        code, out, err = run_cli(capsys, "--cache-dir", str(tmp_path), *args)
+        assert (code, out, err) == (0, want, "")
+        assert json.loads(path.read_text())["result"]["polynomial"][
+            "kind"] == "polynomial"
 
     @pytest.mark.parametrize("field,value", [
         ("genus", 2), ("rank", 3), ("degree_class", 1), ("genus", "1")])

@@ -161,6 +161,38 @@ def test_json_round_trip_bit_exact():
     assert g == f
 
 
+def test_json_decode_drops_zero_coefficients():
+    terms = [[[0, 1], "0/1"], [[1, 0], "2/3"], [[0, 0], "0/5"]]
+    want = SparsePoly([(Monomial({"a1": 1}), Fraction(2, 3))])
+    assert ring.poly_from_json({"variables": ["a1", "q"],
+                                "terms": terms}) == want
+    f = FactoredRat.from_json({"variables": ["a1", "q"], "prefactor": [0, 1],
+                               "numerator": terms, "denominator": []})
+    assert (f.prefactor, f.numerator) == (Monomial({"q": 1}), want)
+
+
+@pytest.mark.parametrize("variables,vec,error", [
+    (["q", "q"], [0, 1], ValueError),
+    (["a1", "q"], [1], ValueError),
+    (["a1", "q"], [1, 0, 0], ValueError),
+    (["a1", "q"], [1, 1.0], TypeError),
+    (["a1", "q"], [2 ** 22, 0], ExponentOverflow),
+    (["a1", "q"], [0, -2 ** 22], ExponentOverflow),
+    (["a1", "q"], [0, 0], ValueError),     # repeats the constant term
+])
+def test_json_decode_rejects(variables, vec, error):
+    terms = [[[0, 0], "1/1"], [vec, "1/1"]]
+    with pytest.raises(error):
+        ring.poly_from_json({"variables": variables, "terms": terms})
+    with pytest.raises(error):
+        FactoredRat.from_json({"variables": variables, "prefactor": [0, 0],
+                               "numerator": terms, "denominator": []})
+    with pytest.raises(error):
+        FactoredRat.from_json({"variables": variables, "prefactor": vec,
+                               "numerator": terms,
+                               "denominator": [["1/1", vec]]})
+
+
 names = st.sampled_from(["a1", "a2", "q", "z"])
 
 

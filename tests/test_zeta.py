@@ -2,6 +2,7 @@
 
 import cmath
 import json
+import math
 import os
 import random
 import subprocess
@@ -10,12 +11,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from census.errors import (ExponentOverflow, NotWeil, PoleArgument,
                            SubstitutionToZeroPole)
 from census.partitions import Partition, box_stats, partitions_of
-from census.pipeline import kac_polynomial
+from census.pipeline import count_points, kac_polynomial
 from census.ring import (
     Atom,
     FactoredRat,
@@ -257,15 +258,14 @@ class TestWeilFromCounts:
         assert abs(point["a1"] * point["a2"] - 2) < 1e-6
         assert abs(point["a3"] * point["a4"] - 2) < 1e-6
 
-    def test_numpy_is_imported_on_first_use(self):
-        # numpy is most of the import time of census; only
-        # weil_from_counts needs it
+    def test_numpy_is_never_imported(self):
+        # the Weil numbers are recovered in pure Python; nothing in census
+        # needs numpy, not even the numeric counts
         child = ("import sys\n"
                  "import census\n"
-                 "assert 'numpy' not in sys.modules\n"
-                 "curve = census.weil_from_counts(2, [3])\n"
-                 "assert curve.numerator == (1, 0, 2)\n"
-                 "assert 'numpy' in sys.modules\n")
+                 "curve = census.weil_from_counts(3, [4, 28, 28])\n"
+                 "assert census.count_points(curve, 1, 0) == (64, 1728)\n"
+                 "assert 'numpy' not in sys.modules\n")
         src = str(Path(__file__).resolve().parent.parent / "src")
         env = dict(os.environ, PYTHONPATH=src)
         subprocess.run([sys.executable, "-c", child], env=env, check=True,
@@ -279,6 +279,147 @@ class TestWeilFromCounts:
             CurveData.from_dict({"q": 2, "genus": 2, "point_counts": [3]})
         with pytest.raises(ValueError):
             CurveData.from_dict({"q": 2})
+
+
+def counts_from_traces(q, traces):
+    """|X(F_{q^l})|, l = 1..g, for the zeta numerator ∏_i (1 - t_i T + q T²)."""
+    counts, prev, cur = [], [2] * len(traces), list(traces)
+    for l in range(1, len(traces) + 1):
+        if l > 1:
+            prev, cur = cur, [t * c - q * p
+                              for t, c, p in zip(traces, cur, prev)]
+        counts.append(q ** l + 1 - sum(cur))
+    return counts
+
+
+def reference_weil_numbers(curve):
+    """The roots of x^{2g}P(1/x) by mpmath at 50 digits, one squarefree
+    factor (from sympy) at a time, each repeated by its multiplicity."""
+    sympy = pytest.importorskip("sympy")
+    mpmath = pytest.importorskip("mpmath")
+    poly = sympy.Poly(list(curve.numerator), sympy.Symbol("x"))
+    roots = []
+    with mpmath.workdps(50):
+        for factor, mult in poly.sqf_list()[1]:
+            coeffs = [int(c) for c in factor.all_coeffs()]
+            roots += [complex(r) for r in mpmath.polyroots(
+                coeffs, maxsteps=500, extraprec=100)] * mult
+    return roots
+
+
+def assert_matches_reference(curve, rel=1e-9):
+    want = reference_weil_numbers(curve)
+    assert len(want) == len(curve.weil_numbers)
+    for s in curve.weil_numbers:
+        i = min(range(len(want)), key=lambda i: abs(want[i] - s))
+        assert abs(want.pop(i) - s) <= rel * abs(s), (curve, s)
+
+
+FERMAT_QUARTIC = (3, [4, 28, 28])   # x^4 + y^4 + z^4 = 0 over F_3
+
+# (q, counts) of every curve the tests and the benchmark build
+USED_CURVES = [
+    (2, [3]), (3, [4]), (5, [8]), (2, [3, 13]), (3, [3, 13]),
+    (3, [6, 12]), (4, [2, 36, 92]), FERMAT_QUARTIC,
+    *((5, [6 + t]) for t in range(-4, 5)),
+]
+
+# count_points(curve, r, d) as computed with numpy.roots, before the
+# Weil numbers came from the real Weil polynomial:
+# (q, counts) -> {(r, d): (indecomposables, higgs_points)}
+PINNED_COUNTS = {
+    (2, (3,)): {(1, 0): (3, 6), (2, 1): (3, 6), (2, 0): (3, None),
+                (3, 1): (3, 6), (3, 2): (3, 6)},
+    (5, (10,)): {(1, 0): (10, 50), (2, 1): (10, 50), (2, 0): (10, None),
+                 (3, 1): (10, 50), (3, 2): (10, 50)},
+    (4, (1,)): {(1, 0): (1, 4), (2, 1): (1, 4), (2, 0): (1, None),
+                (3, 1): (1, 4), (3, 2): (1, 4)},
+    (2, (3, 13)): {(1, 0): (9, 36), (2, 1): (162, 5184), (2, 0): (162, None)},
+    (3, (3, 13)): {(1, 0): (8, 72), (2, 1): (320, 77760),
+                   (2, 0): (320, None)},
+    (3, (6, 12)): {(1, 0): (21, 189), (2, 1): (1092, 265356),
+                   (2, 0): (1092, None)},
+    (4, (5, 17)): {(1, 0): (17, 272), (2, 1): (1530, 1566720),
+                   (2, 0): (1530, None)},
+    (2, (3, 11)): {(1, 0): (8, 32), (2, 1): (144, 4608), (2, 0): (144, None)},
+    (5, (5, 33)): {(1, 0): (24, 600), (2, 1): (3744, 11700000),
+                   (2, 0): (3744, None)},
+    (4, (5, 1)): {(1, 0): (9, 144), (2, 1): (810, 829440),
+                  (2, 0): (810, None)},
+    (4, (2, 36, 92)): {(1, 0): (60, 3840), (2, 1): (300420, 78753300480),
+                       (2, 0): (300420, None)},
+    (4, (5, 35, 71)): {(1, 0): (112, 7168), (2, 1): (673568, 176571809792),
+                       (2, 0): (673568, None)},
+    (5, (6, 42, 144)): {(1, 0): (180, 22500),
+                        (2, 1): (3707460, 7241132812500),
+                        (2, 0): (3707460, None)},
+}
+
+
+class TestWeilRoots:
+    """Weil numbers from the real Weil polynomial, against mpmath and
+    against the counts of the numpy-based root extraction."""
+
+    def test_fermat_quartic(self):
+        # P(T) = (1 + 3T²)³: ±i√3, each a triple root of P, which a
+        # root finder run on P itself resolves to about six digits only
+        curve = weil_from_counts(*FERMAT_QUARTIC)
+        assert curve.numerator == (1, 0, 9, 0, 27, 0, 27)
+        for s in curve.weil_numbers:
+            assert abs(s - cmath.sqrt(-3)) < 1e-12 \
+                or abs(s + cmath.sqrt(-3)) < 1e-12
+        assert count_points(curve, 1, 0) == (64, 1728)
+
+    def test_real_weil_numbers(self):
+        # traces ±2√q: the Weil numbers ±√q are real and doubled
+        for q, counts, root in ((4, [5, 1], 2.0), (5, [6, 6], 5 ** 0.5)):
+            got = sorted(s.real for s in weil_from_counts(q, counts)
+                         .weil_numbers)
+            assert got == pytest.approx([-root, -root, root, root],
+                                        rel=1e-15)
+
+    def test_float_overflow_is_a_value_error(self):
+        # t = q = 10^200 squares past the float range; the NaN that
+        # leaves in σ must not pass the |σ| = √q check
+        with pytest.raises(ValueError, match="too large"):
+            weil_from_counts(10 ** 200, [1])
+
+    @settings(deadline=None, max_examples=20)
+    @given(st.lists(st.sampled_from([0, 1, 2, -1, -2, 3]),
+                    min_size=1, max_size=3))
+    @example([1, 1, 1])
+    @example([-2, -2, -2])
+    @example([0, 0, 0])
+    @example([3, 3, -2])
+    def test_rank1_counts_class_number_repeated_traces(self, traces):
+        # rank-1 indecomposables = line bundles of one degree = |Pic^0|
+        assume(sum(traces) <= 4)   # keeps every N_l nonnegative
+        curve = weil_from_counts(4, counts_from_traces(4, traces))
+        n, _ = count_points(curve, 1, 0)
+        assert n == sum(curve.numerator)
+
+    @pytest.mark.parametrize("q,counts", USED_CURVES + [
+        (q, list(c)) for q, c in sorted(PINNED_COUNTS)] + [(5, [6, 6])])
+    def test_used_curves_match_mpmath(self, q, counts):
+        assert_matches_reference(weil_from_counts(q, counts))
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.sampled_from([2, 3, 4, 5, 7, 9, 16, 25, 49, 101]), st.data())
+    def test_simple_roots_match_mpmath(self, q, data):
+        # distinct traces with t² < 4q give 2g distinct Weil numbers
+        bound = math.isqrt(4 * q - 1)
+        traces = data.draw(st.lists(
+            st.integers(min_value=-bound, max_value=bound),
+            min_size=1, max_size=4, unique=True))
+        counts = counts_from_traces(q, traces)
+        assume(min(counts) >= 0)
+        assert_matches_reference(weil_from_counts(q, counts))
+
+    @pytest.mark.parametrize("q,counts", sorted(PINNED_COUNTS))
+    def test_count_points_pinned(self, q, counts):
+        curve = weil_from_counts(q, counts)
+        for (r, d), want in PINNED_COUNTS[q, counts].items():
+            assert count_points(curve, r, d) == want, (r, d)
 
 
 class TestSiegelVolume:
