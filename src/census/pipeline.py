@@ -20,6 +20,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
+import sys
 import warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -101,17 +102,13 @@ def _truncated_log(g, z_order):
         lambda lam: z_truncate_frac(_lambda_term(g, lam), z_order), z_order)
 
 
-def rhs_series(g, R, z_order=None):
-    """The partition sum Σ_λ q^{(g-1)<λ,λ>} J_λ(z) H_λ(z) T^{|λ|} through T^R.
-
-    z_order=None keeps coefficients rational in z and reads the memo of
-    _partition_log; an integer switches to the truncated z-series mode.
-    """
+def rhs_series(g, R):
+    """The partition sum Σ_λ q^{(g-1)<λ,λ>} J_λ(z) H_λ(z) T^{|λ|} through
+    T^R, read from the memo of _partition_log."""
     if R < 1:
         raise ValueError("rank bound must be at least 1")
-    log = _partition_log(g) if z_order is None else _truncated_log(g, z_order)
-    return BiSeries("T", R, [log.coefficient(k) for k in range(R + 1)],
-                    z_order)
+    log = _partition_log(g)
+    return BiSeries("T", R, [log.coefficient(k) for k in range(R + 1)])
 
 
 @lru_cache(maxsize=None)
@@ -405,23 +402,43 @@ def betti_polynomial(g, r, d):
     return p
 
 
+def _rounding_bound(poly, q):
+    """A bound on the float error of poly at the Weil numbers of a curve
+    over F_q.  A term c·m of degree k in the roots has |m(σ)| =
+    q^{e_q + k/2}, as |σ| = √q.  Each σ is off by about _ROOT_TOL of
+    itself, the root finder's stopping step, so the term by k·_ROOT_TOL
+    of its size; float products and the sum of N add (e_q + k + N)·ε."""
+    n, eps = len(poly.terms), sys.float_info.epsilon
+    bound = 0.0
+    for code, c in poly.terms.items():
+        exps = dict(Monomial._raw(code).items)
+        e_q = exps.pop("q", 0)
+        k = sum(map(abs, exps.values()))
+        bound += (abs(c) * q ** (e_q + k / 2)
+                  * (k * _zeta._ROOT_TOL + (e_q + k + n) * eps))
+    return bound
+
+
 def count_points(curve, r, d):
     """(indecomposables, higgs_points) over the given curve.
 
     higgs_points is q^{1+(g-1)r^2} times the indecomposable count and is
-    only emitted in the coprime case; otherwise it is None.
+    only emitted in the coprime case; otherwise it is None.  The count,
+    the polynomial model in floats at the Weil numbers, is rounded only
+    when _rounding_bound is below 1/4; else RoundingFailure.
     """
     if not isinstance(curve, CurveData):
         raise TypeError("curve must be CurveData")
     res = kac_polynomial(curve.genus, r, d)
-    point = curve.assignment()
-    if res.lifted is not None:
-        v = res.lifted.eval_numeric(point)
-    else:
-        v = res.value.eval_numeric(point)
+    if res.lifted is None:
+        raise RoundingFailure("no polynomial model, so no error bound")
+    bound = _rounding_bound(res.lifted, curve.q)
+    if not bound < 0.25:
+        raise RoundingFailure("error bound %.3g is not below 1/4" % bound)
+    v = res.lifted.eval_numeric(curve.assignment())
     n = round(v.real)
     err = abs(v - n)
-    if err >= 1e-6 * max(1.0, abs(v)):
+    if err >= min(0.25, 1e-6 * max(1.0, abs(v))):
         raise RoundingFailure(
             "count %r is %.3g away from the nearest integer" % (v, err))
     n = int(n)
@@ -522,10 +539,10 @@ def regularity_report(g, r):
 def _sample_curve(g):
     """A fixed Weil-valid curve datum of genus g for the numeric identities.
 
-    Small genera use literal curves; g >= 3 is synthesized from g distinct
-    Frobenius traces over F_4 (distinct quadratic factors keep the zeta
-    numerator roots simple for the numeric root finder).  Supported
-    through g = 9.
+    Small genera use literal curves; g >= 3 is synthesized from the first
+    g of nine distinct Frobenius traces over F_4, ordered so that every
+    point count stays nonnegative (distinct quadratic factors keep the
+    zeta numerator roots simple).  Supported through g = 9.
     """
     if g == 0:
         return _zeta.weil_from_counts(2, [])
@@ -533,7 +550,7 @@ def _sample_curve(g):
         return _zeta.weil_from_counts(2, [3])
     if g == 2:
         return _zeta.weil_from_counts(3, [3, 13])
-    traces = (0, 1, 2, 3, -1, -2, -3, 4, -4)
+    traces = (0, 1, 2, -1, 3, -2, -3, 4, -4)
     if g > len(traces):
         raise ValueError("no sample curve of genus %d" % g)
     q = 4

@@ -1224,9 +1224,6 @@ class FactoredRat:
         return FactoredRat(self.prefactor * other.prefactor, num_a * num_b,
                            den).normalize(seed)
 
-    def __truediv__(self, other):
-        return self * other.inverse()
-
     def mul_scalar(self, c):
         if not c:
             return FactoredRat.zero()
@@ -1289,30 +1286,6 @@ class FactoredRat:
             den *= v
         val = self.numerator.eval_numeric(assignment)
         return self.prefactor.eval(assignment) * val / den
-
-    def inverse(self):
-        """Exact reciprocal; the numerator must have at most two terms."""
-        f = self if self._normalized else self.normalize()
-        terms = f.numerator.sorted_terms()
-        if not terms:
-            raise ZeroDivisionError("inverse of zero")
-        num = SparsePoly.one()
-        for a in f.denominator:
-            num = num.mul_atom(a)
-        if len(terms) == 1:
-            (m1, c1), = terms
-            den = ()
-        elif len(terms) == 2:
-            (m1, c1), (m2, c2) = terms
-            u, um, at = Atom.make(Fraction(-c2) / Fraction(c1), m2 * m1 ** -1)
-            den = (at,)
-            m1 = m1 * um
-            c1 = c1 * u
-        else:
-            raise ValueError("inverse requires a monomial or binomial numerator")
-        pre = f.prefactor ** -1 * m1 ** -1
-        num = num.mul_scalar(Fraction(1) / Fraction(c1))
-        return FactoredRat(pre, num, den).normalize()
 
     def __eq__(self, other):
         if not isinstance(other, FactoredRat):

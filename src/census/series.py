@@ -1,13 +1,5 @@
 """Truncated series in one main variable (usually T) with FactoredRat
-coefficients, plus the plethystic exponential and logarithm.
-
-Coefficients may be rational in z (the default) or truncated z-polynomials
-of degree <= z_order, whose denominators are free of z.  The second mode
-forms no term past z_order: a product multiplies only the z-slices of
-the numerators whose degrees sum within it (_times), z_truncate_frac
-divides by each z-atom as a power series one z-degree at a time, and an
-Adams operation drops what it lifts past the bound, so truncation
-commutes with all the series operations.
+coefficients rational in z, plus the plethystic exponential and logarithm.
 
 LazyLog holds log F and grows it one degree at a time, on demand: it
 solves F·L' = F' (O(n²) coefficient products through degree n, one sum
@@ -15,6 +7,13 @@ per coefficient) for M_n = n·L_n, so a caller that keeps one can extend
 it instead of starting again.  [T^n] of the plethystic Log is read from
 it alone, as Σ_{k|n} μ(k)/k ψ_k(L_{n/k}) = Σ_{k|n} μ(k)/n ψ_k(M_{n/k})
 in one sum.  The exponential sums the powers of its argument.
+
+The series oracle's truncated z-series mode lives in LazyLog, _times and
+z_truncate_frac only: every coefficient is a z-polynomial of degree <= D
+with z-free denominators, a product forms only the terms within D
+(_times), z_truncate_frac divides by each z-atom one z-degree at a time,
+and an Adams operation drops what it lifts past D, so truncation
+commutes with the Log.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import NotAugmented, NotUnitConstantTerm
-from .ring import (FactoredRat, Monomial, SparsePoly, _SHIFT, _check_codes,
+from .ring import (FactoredRat, SparsePoly, _SHIFT, _check_codes,
                    _clean, _slot, add_many)
 
 __all__ = [
@@ -120,14 +119,14 @@ def z_decompose(f, var="z"):
             for d, terms in f.numerator.split(var).items()}
 
 
-def frac_to_series(f, var, order, z_order=None):
+def frac_to_series(f, var, order):
     """Power-series expansion of a FactoredRat regular at var=0."""
     parts = z_decompose(z_truncate_frac(f, order, var), var)
     if any(d < 0 for d in parts):
         raise ValueError("%r has a pole at %s=0" % (f, var))
     return BiSeries(var, order,
                     [parts.get(j, FactoredRat.zero())
-                     for j in range(order + 1)], z_order)
+                     for j in range(order + 1)])
 
 
 def _snap(f, z_order):
@@ -165,16 +164,12 @@ def _times(a, b, z_order):
 
 
 class BiSeries:
-    """Series Σ c_j * var^j, exact through degree `order`.
+    """Series Σ c_j * var^j with FactoredRat coefficients, exact through
+    degree `order`."""
 
-    z_order=None means coefficients are arbitrary FactoredRat (rational in
-    z); an integer D means every coefficient is kept as a z-polynomial of
-    degree <= D and products are re-truncated.
-    """
+    __slots__ = ("var", "order", "coeffs")
 
-    __slots__ = ("var", "order", "z_order", "coeffs")
-
-    def __init__(self, var, order, coeffs, z_order=None):
+    def __init__(self, var, order, coeffs):
         if order < 0:
             raise ValueError("order must be nonnegative")
         coeffs = tuple(coeffs)
@@ -183,18 +178,16 @@ class BiSeries:
                              % (order + 1, len(coeffs)))
         self.var = var
         self.order = order
-        self.z_order = z_order
         self.coeffs = coeffs
 
     @classmethod
-    def zero(cls, var, order, z_order=None):
-        return cls(var, order, [FactoredRat.zero()] * (order + 1), z_order)
+    def zero(cls, var, order):
+        return cls(var, order, [FactoredRat.zero()] * (order + 1))
 
     @classmethod
-    def one(cls, var, order, z_order=None):
+    def one(cls, var, order):
         return cls(var, order,
-                   [FactoredRat.one()] + [FactoredRat.zero()] * order,
-                   z_order)
+                   [FactoredRat.one()] + [FactoredRat.zero()] * order)
 
     def coefficient(self, j):
         if not 0 <= j <= self.order:
@@ -211,22 +204,13 @@ class BiSeries:
         if self.var != other.var:
             raise ValueError("series variables differ: %s vs %s"
                              % (self.var, other.var))
-        if self.z_order != other.z_order:
-            raise ValueError("series z-truncation modes differ")
         return min(self.order, other.order)
 
     def __add__(self, other):
         n = self._align(other)
         return BiSeries(self.var, n,
                         [self.coeffs[j] + other.coeffs[j]
-                         for j in range(n + 1)], self.z_order)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return BiSeries(self.var, self.order, [-c for c in self.coeffs],
-                        self.z_order)
+                         for j in range(n + 1)])
 
     def __mul__(self, other):
         n = self._align(other)
@@ -238,13 +222,13 @@ class BiSeries:
                 b = other.coeffs[j - i]
                 if a.is_zero() or b.is_zero():
                     continue
-                acc = acc + _times(a, b, self.z_order)
+                acc = acc + a * b
             out.append(acc)
-        return BiSeries(self.var, n, out, self.z_order)
+        return BiSeries(self.var, n, out)
 
     def mul_scalar(self, c):
         return BiSeries(self.var, self.order,
-                        [f.mul_scalar(c) for f in self.coeffs], self.z_order)
+                        [f.mul_scalar(c) for f in self.coeffs])
 
     def adams(self, k):
         """psi_k: every variable v (including the series variable) -> v^k."""
@@ -255,14 +239,13 @@ class BiSeries:
             if j * k > self.order:
                 break
             if not c.is_zero():
-                out[j * k] = _snap(c.adams(k), self.z_order)
-        return BiSeries(self.var, self.order, out, self.z_order)
+                out[j * k] = c.adams(k).normalize()
+        return BiSeries(self.var, self.order, out)
 
     def __eq__(self, other):
         if not isinstance(other, BiSeries):
             return NotImplemented
         return (self.var == other.var and self.order == other.order
-                and self.z_order == other.z_order
                 and all(a == b for a, b in zip(self.coeffs, other.coeffs)))
 
     __hash__ = None
@@ -276,39 +259,25 @@ class BiSeries:
         return "BiSeries[%s^<=%d](%s)" % (self.var, self.order, body)
 
 
-def _constant_part(f, z_order):
-    """The piece of a coefficient that blocks augmentation: the whole
-    coefficient in rational mode, its z-constant in truncated mode."""
-    if z_order is None:
-        return f.normalize()
-    return z_truncate_frac(f, 0)
-
-
 def _check_augmented(f):
-    if not _constant_part(f.coeffs[0], f.z_order).is_zero():
+    if not f.coeffs[0].is_zero():
         raise NotAugmented("constant term %r is not in the augmentation ideal"
                            % (f.coeffs[0],))
 
 
 def _check_unit(f):
-    if _constant_part(f.coeffs[0], f.z_order) != FactoredRat.one():
+    if f.coeffs[0] != FactoredRat.one():
         raise NotUnitConstantTerm("constant term %r is not 1"
                                   % (f.coeffs[0],))
-
-
-def _power_cap(f):
-    # joint (main-variable, z) filtration: an augmented element raised to a
-    # power beyond order + z_order truncates to zero
-    return f.order + (f.z_order or 0) + 2
 
 
 def series_exp(f):
     """Ordinary exponential of an augmented series, exact coefficients."""
     _check_augmented(f)
-    result = BiSeries.one(f.var, f.order, f.z_order)
+    result = BiSeries.one(f.var, f.order)
     power = result
     coef = Fraction(1)
-    for m in range(1, _power_cap(f)):
+    for m in range(1, f.order + 1):
         power = power * f
         if power.is_zero():
             break
@@ -318,22 +287,20 @@ def series_exp(f):
 
 
 class LazyLog:
-    """log F for F = Σ_j F_j x^j, grown one x-degree at a time on demand,
-    and the coefficients of Log F read from it.
+    """log F for F = Σ_j F_j x^j with F_0 = 1, grown one x-degree at a time
+    on demand, and the coefficients of Log F read from it.  source(j)
+    gives F_j, called once per j in increasing order.  With z_order = D,
+    the oracle's truncated mode, which lives here only, every F_j is a
+    z-polynomial of degree <= D and every product and Adams operation is
+    truncated past D (_times, _snap)."""
 
-    source(j) gives F_j, called once per j in increasing order.  F_0 = 1,
-    or, in the z-truncated mode, inv0 = 1/F_0 and log0 = log F_0.
-    """
+    __slots__ = ("z_order", "_source", "_fs", "_ms")
 
-    __slots__ = ("z_order", "_source", "_inv0", "_fs", "_ms", "_log0")
-
-    def __init__(self, source, z_order=None, inv0=None, log0=None):
+    def __init__(self, source, z_order=None):
         self.z_order = z_order
         self._source = source
-        self._inv0 = inv0
         self._fs = [source(0)]
         self._ms = [None]
-        self._log0 = FactoredRat.zero() if log0 is None else log0
 
     def coefficient(self, j):
         """F_j."""
@@ -342,9 +309,8 @@ class LazyLog:
         return self._fs[j]
 
     def _m(self, n):
-        """M_n = n·L_n for n >= 1, by F_0·M_n = n·F_n − Σ_{0<k<n}
-        M_k·F_{n−k}, so every scalar is an integer; each M_n is one
-        add_many."""
+        """M_n = n·L_n for n >= 1, by M_n = n·F_n − Σ_{0<k<n} M_k·F_{n−k},
+        so every scalar is an integer; each M_n is one add_many."""
         ms, fs = self._ms, self._fs
         while len(ms) <= n:
             m = len(ms)
@@ -353,92 +319,57 @@ class LazyLog:
                 a, b = ms[k], fs[m - k]
                 if not (a.is_zero() or b.is_zero()):
                     parts.append(-_times(a, b, self.z_order))
-            mm = add_many(parts)
-            if self._inv0 is not None:
-                mm = _times(mm, self._inv0, self.z_order)
-            ms.append(mm)
+            ms.append(add_many(parts))
         return ms[n]
 
     def log(self, n):
-        """L_n, the x^n coefficient of log F: L_0 = log F_0, else M_n/n."""
+        """L_n, the x^n coefficient of log F: L_0 = 0, else M_n/n."""
         if not n:
-            return self._log0
+            return FactoredRat.zero()
         return self._m(n).mul_scalar(Fraction(1, n))
 
     def pleth_coefficient(self, n):
         """[x^n] Log F = [x^n] Σ_k μ(k)/k ψ_k(log F), as one add_many.
 
-        For n >= 1 only the k dividing n reach x^n, so this is
-        Σ_{k|n} μ(k)/n ψ_k(M_{n/k}) and reads M_1..M_n alone; at n = 0,
-        ψ_k of the z-positive log F_0 truncates to zero past z_order.
+        Only the k dividing n reach x^n, so this is
+        Σ_{k|n} μ(k)/n ψ_k(M_{n/k}) and reads M_1..M_n alone; at n = 0
+        it is 0.
         """
-        if n:
-            ks = [k for k in range(1, n + 1) if not n % k]
-        else:
-            ks = range(1, max(self.z_order or 0, 1) + 1)
         parts = []
-        for k in ks:
+        for k in range(1, n + 1):
+            if n % k:
+                continue
             mu = mobius(k)
-            c = self._m(n // k) if n else self._log0
+            c = self._m(n // k)
             if mu and not c.is_zero():
                 parts.append(_snap(c.adams(k), self.z_order)
-                             .mul_scalar(Fraction(mu, n or k)))
+                             .mul_scalar(Fraction(mu, n)))
         return add_many(parts)
 
 
-def _z_log_and_inverse(f0, D):
-    """(log f0, 1/f0) through z-degree D for a z-polynomial f0 with
-    z-constant 1: f0 − 1 is nilpotent modulo z^(D+1), so both are finite
-    z-polynomials, the log from the recurrence run in z and the inverse
-    exp(−log f0)."""
-    parts = z_decompose(z_truncate_frac(f0, D))
-    log = series_log(BiSeries("z", D, [parts.get(j, FactoredRat.zero())
-                                       for j in range(D + 1)]))
-
-    def as_poly(s):
-        return add_many([c_j * FactoredRat.from_monomial(Monomial.of(z=j))
-                         for j, c_j in enumerate(s.coeffs)])
-
-    return as_poly(log), as_poly(series_exp(-log))
-
-
-def _lazy_log(f):
-    """The LazyLog of a series with unit constant term."""
-    _check_unit(f)
-    if f.z_order is None or f.coeffs[0] == FactoredRat.one():
-        return LazyLog(f.coeffs.__getitem__, f.z_order)
-    log0, inv0 = _z_log_and_inverse(f.coeffs[0], f.z_order)
-    return LazyLog(f.coeffs.__getitem__, f.z_order, inv0, log0)
-
-
 def series_log(f):
-    """Ordinary logarithm of a series with unit constant term.
-
-    Solves F·L' = F' coefficientwise (LazyLog.log), O(order²)
-    coefficient products.  In rational mode F_0 = 1 exactly.  In the
-    z-truncated mode F_0 may be 1 plus a z-positive part; then
-    L_0 = log F_0 and 1/F_0 come from _z_log_and_inverse, once per call.
-    """
-    log = _lazy_log(f)
-    return BiSeries(f.var, f.order, [log.log(n) for n in range(f.order + 1)],
-                    f.z_order)
+    """Ordinary logarithm of a series with constant term 1: solves
+    F·L' = F' coefficientwise (LazyLog.log), O(order²) coefficient
+    products."""
+    _check_unit(f)
+    log = LazyLog(f.coeffs.__getitem__)
+    return BiSeries(f.var, f.order, [log.log(n) for n in range(f.order + 1)])
 
 
 def pleth_exp(f):
-    """Exp(f) = exp(Σ_k ψ_k(f)/k) for f in the augmentation ideal."""
+    """Exp(f) = exp(Σ_k ψ_k(f)/k) for f in the augmentation ideal; ψ_k(f)
+    survives truncation only while k stays within the order."""
     _check_augmented(f)
-    acc = BiSeries.zero(f.var, f.order, f.z_order)
-    # ψ_k(f) survives truncation only while k stays within the main order
-    # (T-positive parts) or the z-order (a z-positive constant term)
-    for k in range(1, max(f.order, f.z_order or 0) + 1):
+    acc = BiSeries.zero(f.var, f.order)
+    for k in range(1, f.order + 1):
         acc = acc + f.adams(k).mul_scalar(Fraction(1, k))
     return series_exp(acc)
 
 
 def pleth_log(f):
-    """Log(f) = Σ_k μ(k)/k ψ_k(log f) for f with unit constant term, one
+    """Log(f) = Σ_k μ(k)/k ψ_k(log f) for f with constant term 1, one
     T-degree at a time (LazyLog.pleth_coefficient)."""
-    log = _lazy_log(f)
+    _check_unit(f)
+    log = LazyLog(f.coeffs.__getitem__)
     return BiSeries(f.var, f.order,
-                    [log.pleth_coefficient(n) for n in range(f.order + 1)],
-                    f.z_order)
+                    [log.pleth_coefficient(n) for n in range(f.order + 1)])

@@ -174,6 +174,7 @@ class CurveData:
 
 
 _WEIL_TOL = 1e-6
+_ROOT_TOL = 1e-14     # _simple_roots' stopping step, a share of its radius
 
 
 def _real_weil_polynomial(a, q):
@@ -232,8 +233,8 @@ def _squarefree_levels(h):
 def _simple_roots(f):
     """The roots of a monic f with simple roots, lowest degree first, by
     Durand–Kerner sweeps in complex floats from a circle that holds every
-    root (twice Fujiwara's bound), until no root moves by 1e-14 of that
-    radius, or for at most 100 sweeps."""
+    root (twice Fujiwara's bound), until no root moves by _ROOT_TOL of
+    that radius, or for at most 100 sweeps."""
     c = [complex(x) for x in f]
     n = len(c) - 1
     if n < 2:
@@ -253,7 +254,7 @@ def _simple_roots(f):
             w = num / den
             z[k] = zk - w
             step = max(step, abs(w))
-        if step <= 1e-14 * radius:
+        if step <= _ROOT_TOL * radius:
             break
     return z
 
@@ -323,20 +324,15 @@ def weil_from_counts(q, counts, genus=None):
             raise NotWeil("|σ| = %.8f differs from √q = %.8f"
                           % (abs(s), sq))
 
-    # pair each σ with a partner of product q (its complex conjugate up
-    # to numeric noise); order pairs deterministically
-    remaining = sorted(sigmas, key=lambda s: (round(s.real, 9),
-                                              round(s.imag, 9)))
-    paired = []
-    while remaining:
-        s = remaining.pop(0)
-        best = min(range(len(remaining)),
-                   key=lambda i: abs(s * remaining[i] - q),
-                   default=None)
-        if best is None or abs(s * remaining[best] - q) > _WEIL_TOL * q:
-            raise NotWeil("Weil numbers do not pair to products q")
-        paired.extend((s, remaining.pop(best)))
-    return CurveData(q, g, counts, tuple(a), tuple(paired))
+    # the loop builds the σ as pairs; put the lower (re, im) first in
+    # each, and order the pairs by their first members
+    def key(s):
+        return round(s.real, 9), round(s.imag, 9)
+
+    pairs = [sorted(sigmas[i:i + 2], key=key) for i in range(0, 2 * g, 2)]
+    pairs.sort(key=lambda pair: key(pair[0]))
+    return CurveData(q, g, counts, tuple(a),
+                     tuple(s for pair in pairs for s in pair))
 
 
 def siegel_volume(g, r):

@@ -32,7 +32,7 @@ from census.ring import (
     rational_to_json,
     var_key,
 )
-from census.series import BiSeries, z_truncate_frac
+from census.series import BiSeries
 from census.zeta import alpha_name, alpha_names, pair_reduce
 
 
@@ -46,15 +46,9 @@ def const(c):
     return FactoredRat.from_monomial(ONE_MONOMIAL, c)
 
 
-def series(var, coeffs, z_order=None):
+def series(var, coeffs):
     """The BiSeries Σ coeffs[j] var^j, exact through len(coeffs) - 1."""
-    return BiSeries(var, len(coeffs) - 1, coeffs, z_order)
-
-
-def truncate_z(f, D):
-    """f in (or re-truncated within) the z-polynomial mode of degree D."""
-    return BiSeries(f.var, f.order, [z_truncate_frac(c, D) for c in f.coeffs],
-                    D)
+    return BiSeries(var, len(coeffs) - 1, coeffs)
 
 
 # ---------------------------------------------------------------------------

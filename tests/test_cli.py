@@ -405,6 +405,14 @@ class TestExitCodes:
                                "--curve", str(tmp_path / "nope.json"))
         assert code == 1
 
+    def test_count_past_float_precision(self, capsys, tmp_path):
+        path = write_curve(tmp_path, blob={"q": 49, "genus": 2,
+                                           "point_counts": [52, 2564]})
+        code, out, err = run_cli(capsys, "count", "-r", "3", "-d", "1",
+                                 "--curve", path)
+        assert (code, out) == (1, "")
+        assert err.startswith("RoundingFailure: ")
+
     def test_bad_curve_counts(self, capsys, tmp_path):
         path = write_curve(tmp_path, blob={"q": 2, "genus": 1,
                                            "point_counts": [-3]})

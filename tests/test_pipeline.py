@@ -669,14 +669,14 @@ class TestPinnedRanks4And5:
             assert _sha256(kac_polynomial(g, r, d).to_json()) == digest, key
 
 
-def _partition_sum_by_loop(term, R, z_order=None):
+def _partition_sum_by_loop(term, R):
     """Reference: the partition sum built the way the memo replaced, one
     pairwise + per λ of partitions_up_to(R)."""
     coeffs = [FactoredRat.one()] + [FactoredRat.zero()] * R
     for lam in partitions_up_to(R):
         if lam.size():
             coeffs[lam.size()] = coeffs[lam.size()] + term(lam)
-    return BiSeries("T", R, coeffs, z_order)
+    return BiSeries("T", R, coeffs)
 
 
 class TestPartitionLogMemo:
@@ -702,10 +702,13 @@ class TestPartitionLogMemo:
     def test_truncated_route(self, g):
         D = 6
         old = _partition_sum_by_loop(
-            lambda lam: z_truncate_frac(pipeline._lambda_term(g, lam), D),
-            3, D)
-        self.check(pipeline._truncated_log(g, D), old)
-        assert rhs_series(g, 3, D) == old
+            lambda lam: pipeline._lambda_term(g, lam), 3)
+        log = pipeline._truncated_log(g, D)
+        logs = series_log(old)
+        for n in range(old.order + 1):
+            assert log.coefficient(n) == \
+                z_truncate_frac(old.coefficient(n), D)
+            assert log.log(n) == z_truncate_frac(logs.coefficient(n), D)
 
     @pytest.mark.parametrize("g", [2, 5])
     def test_constant_term_route(self, g):
@@ -762,6 +765,41 @@ class TestCounts:
         curve = weil_from_counts(q, counts)
         n, _ = count_points(curve, 1, 0)
         assert n == sum(curve.numerator)
+
+    # a genus-2 curve over F_49 whose counts at r >= 3 lie past what
+    # float evaluation can round: the value at r = 3 is ...975 exactly,
+    # and the float sum reads ...968
+    Q49 = (49, [52, 2564])
+
+    @pytest.mark.parametrize("curve,r,want", [
+        (Q49, 2, (310846250, 87806371869466250)),
+        # the benchmark's curve; the bound there is about 1e-7
+        ((3, [3, 13]), 3, (90320, 5333305680)),
+    ])
+    def test_exact_where_the_bound_allows(self, curve, r, want):
+        assert count_points(weil_from_counts(*curve), r, 1) == want
+
+    @pytest.mark.parametrize("r", [3, 4])
+    def test_rounding_bound_refuses(self, r):
+        with pytest.raises(RoundingFailure, match="not below 1/4"):
+            count_points(weil_from_counts(*self.Q49), r, 1)
+
+
+class TestSampleCurve:
+    def test_every_supported_genus(self):
+        for g in range(10):
+            curve = pipeline._sample_curve(g)
+            assert curve.genus == g
+            assert min(curve.point_counts, default=0) >= 0
+
+    def test_low_genera_unchanged(self):
+        assert [(c.q, c.point_counts) for c in map(pipeline._sample_curve,
+                                                   range(4))] \
+            == [(2, ()), (2, (3,)), (3, (3, 13)), (4, (2, 36, 92))]
+
+    def test_beyond_nine_rejected(self):
+        with pytest.raises(ValueError):
+            pipeline._sample_curve(10)
 
 
 class TestRegularity:

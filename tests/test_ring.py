@@ -145,13 +145,6 @@ def test_atom_canonical_flip():
     assert at.shape == Monomial({"q": 1})
 
 
-def test_inverse_binomial():
-    qm1 = fr_poly((1, {"q": 1}), (-1, {}))
-    inv = qm1.inverse()
-    assert inv * qm1 == ONE
-    assert geometric(1, z=1).inverse() == fr_poly((1, {}), (-1, {"z": 1}))
-
-
 def test_json_round_trip_bit_exact():
     f = (geometric(1, q=1, z=1) * fr_poly((Fraction(3, 2), {"a1": 2, "q": -1}), (5, {}))
          * atom_inverse(Fraction(-1, 3), Monomial({"a2": -1, "z": 2})))
@@ -415,21 +408,6 @@ def test_diff_substitute(f, var, coeff, image):
                    for a in f.denominator)
         return
     assert sym_equal(to_sympy(got), to_sympy(f).subs(point))
-
-
-@DIFF
-@given(raw_fracs(min_terms=1, max_terms=2))
-def test_diff_inverse(f):
-    n = f.normalize()
-    if n.is_zero():
-        with pytest.raises(ZeroDivisionError):
-            f.inverse()
-        return
-    if len(n.numerator) > 2:
-        with pytest.raises(ValueError):
-            f.inverse()
-        return
-    assert sym_equal(to_sympy(f.inverse()) * to_sympy(f), sympy.Integer(1))
 
 
 @DIFF

@@ -11,7 +11,7 @@ from census.partitions import partitions_of
 from census.ring import Atom, FactoredRat, Monomial, SparsePoly
 from census.series import (
     BiSeries,
-    _lazy_log,
+    LazyLog,
     _times,
     mobius,
     pleth_exp,
@@ -26,7 +26,6 @@ from builders import (
     const,
     geometric,
     series,
-    truncate_z,
     z_truncate_by_geometric,
 )
 
@@ -40,10 +39,9 @@ def fr(*terms):
     return FactoredRat.from_poly(SparsePoly(d))
 
 
-def T_series(*coeffs, z_order=None):
+def T_series(*coeffs):
     return series(
-        "T", [c if isinstance(c, FactoredRat) else const(c) for c in coeffs],
-        z_order)
+        "T", [c if isinstance(c, FactoredRat) else const(c) for c in coeffs])
 
 
 ZERO = FactoredRat.zero()
@@ -238,38 +236,24 @@ class TestPlethystic:
 
 
 class TestTruncatedMode:
-    def test_exp_of_z_constant(self):
-        # Exp(z) truncated: 1/(1-z) through z^5, no T dependence
-        f = series(
-            "T", [fr((1, {"z": 1})), ZERO, ZERO], z_order=5)
-        got = pleth_exp(f)
-        want_c0 = fr(*((1, {"z": k}) for k in range(6)))
-        assert got.coeffs[0] == want_c0
-        assert got.coeffs[1].is_zero()
-        assert got.coeffs[2].is_zero()
+    """The series oracle's truncated mode, LazyLog over the z-truncated
+    coefficients of F with F_0 = 1, and the augmentation check that a
+    z-positive constant term still meets in the rational mode."""
 
     def test_augmentation_checks_z_constant(self):
-        bad = series(
-            "T", [fr((1, {}), (1, {"z": 1})), ZERO], z_order=4)
+        bad = series("T", [fr((1, {}), (1, {"z": 1})), ZERO])
         with pytest.raises(NotAugmented):
             pleth_exp(bad)
-
-    def test_truncated_round_trip_with_z_constant(self):
-        f = series(
-            "T", [fr((1, {"z": 1})), fr((1, {"q": 1})), ZERO], z_order=4)
-        assert pleth_log(pleth_exp(f)) == f
-
-    @given(augmented_series(4))
-    @settings(max_examples=10, deadline=None)
-    def test_exp_commutes_with_z_truncation(self, f):
-        D = 8
-        assert truncate_z(pleth_exp(f), D) == pleth_exp(truncate_z(f, D))
 
     @given(unit_series(4))
     @settings(max_examples=10, deadline=None)
     def test_log_commutes_with_z_truncation(self, f):
         D = 8
-        assert truncate_z(pleth_log(f), D) == pleth_log(truncate_z(f, D))
+        lazy = LazyLog(lambda j: z_truncate_frac(f.coeffs[j], D), D)
+        want = pleth_log(f)
+        for n in range(1, f.order + 1):
+            assert lazy.pleth_coefficient(n) == \
+                z_truncate_frac(want.coefficient(n), D)
 
 
 class TestMobius:
@@ -288,12 +272,6 @@ class TestMobius:
 
 
 class TestSeriesPlumbing:
-    def test_mode_mismatch_rejected(self):
-        a = BiSeries.one("T", 3)
-        b = BiSeries.one("T", 3, z_order=4)
-        with pytest.raises(ValueError):
-            a + b
-
     def test_variable_mismatch_rejected(self):
         with pytest.raises(ValueError):
             BiSeries.one("T", 2) * BiSeries.one("s", 2)
@@ -313,12 +291,12 @@ class TestSeriesPlumbing:
 
 def _log_by_powers(f):
     """Reference: the power loop Σ_{m>=1} (-1)^(m+1) u^m/m, u = f - 1,
-    that series_log replaced.  An augmented u raised past order + z_order
+    that series_log replaced.  An augmented u raised past the order
     truncates to zero."""
-    u = f - BiSeries.one(f.var, f.order, f.z_order)
-    result = BiSeries.zero(f.var, f.order, f.z_order)
-    power = BiSeries.one(f.var, f.order, f.z_order)
-    for m in range(1, f.order + (f.z_order or 0) + 2):
+    u = series(f.var, [ZERO] + list(f.coeffs[1:]))
+    result = BiSeries.zero(f.var, f.order)
+    power = BiSeries.one(f.var, f.order)
+    for m in range(1, f.order + 2):
         power = power * u
         if power.is_zero():
             break
@@ -326,16 +304,15 @@ def _log_by_powers(f):
     return result
 
 
-def qza_fracs(z_free=False):
-    """Small fractions over q, z and a1; z_free drops z from numerator and
-    denominator (the coefficients of a z-polynomial)."""
+def qza_fracs():
+    """Small fractions over q, z and a1."""
     dens = st.sampled_from(
-        [None, geometric(1, q=1), geometric(-2, a1=1, q=1)]
-        + ([] if z_free else [geometric(1, z=1), geometric(1, q=1, z=2)]))
+        [None, geometric(1, q=1), geometric(-2, a1=1, q=1), geometric(1, z=1),
+         geometric(1, q=1, z=2)])
     polys = st.lists(
         st.tuples(st.integers(min_value=-3, max_value=3),
                   st.integers(min_value=0, max_value=2),
-                  st.integers(min_value=0, max_value=0 if z_free else 2),
+                  st.integers(min_value=0, max_value=2),
                   st.integers(min_value=-1, max_value=1)),
         min_size=0, max_size=3)
 
@@ -396,33 +373,13 @@ class TestLogRecurrence:
         f = series("T", [ONE] + tail)
         assert series_log(f) == _log_by_powers(f)
 
-    @given(st.integers(min_value=0, max_value=4),
-           st.integers(min_value=1, max_value=4), st.data())
-    @settings(max_examples=25, deadline=None)
-    def test_truncated_mode_with_z_positive_constant(self, D, order, data):
-        # F_0 = 1 + (z-positive z-polynomial), so log F_0 and 1/F_0 are
-        # both nontrivial in z
-        lows = data.draw(st.lists(qza_fracs(z_free=True), min_size=D,
-                                  max_size=D))
-        f0 = ONE
-        for j, c in enumerate(lows, start=1):
-            f0 = f0 + c * FactoredRat.from_monomial(Monomial.of(z=j))
-        tail = data.draw(st.lists(qza_fracs(), min_size=order,
-                                  max_size=order))
-        f = truncate_z(series("T", [f0] + tail), D)
-        assert series_log(f) == _log_by_powers(f)
-
 
 def _pleth_log_by_adams(f):
     """Reference: the whole-series sum Σ_k μ(k)/k ψ_k(log f) that the
-    per-degree extraction (LazyLog.pleth_coefficient) replaced; ψ_k of a
-    z-positive log f_0 survives up to k = z_order."""
+    per-degree extraction (LazyLog.pleth_coefficient) replaced."""
     g = series_log(f)
-    reach = f.order
-    if f.z_order is not None and not g.coeffs[0].is_zero():
-        reach = max(f.order, f.z_order)
-    acc = BiSeries.zero(f.var, f.order, f.z_order)
-    for k in range(1, reach + 1):
+    acc = BiSeries.zero(f.var, f.order)
+    for k in range(1, f.order + 1):
         mu = mobius(k)
         if mu:
             acc = acc + g.adams(k).mul_scalar(Fraction(mu, k))
@@ -437,7 +394,7 @@ class TestPlethLogExtraction:
     @staticmethod
     def check(f):
         want = _pleth_log_by_adams(f)
-        lazy = _lazy_log(f)
+        lazy = LazyLog(f.coeffs.__getitem__)
         for n in reversed(range(f.order + 1)):
             assert lazy.pleth_coefficient(n) == want.coefficient(n)
         assert pleth_log(f) == want
@@ -453,20 +410,12 @@ class TestPlethLogExtraction:
            st.integers(min_value=1, max_value=5), st.data())
     @settings(max_examples=25, deadline=None)
     def test_truncated_mode(self, D, order, data):
-        # F_0 = 1 plus a z-positive part (empty when the draw is all zero)
-        lows = data.draw(st.lists(qza_fracs(z_free=True), min_size=D,
-                                  max_size=D))
-        f0 = ONE
-        for j, c in enumerate(lows, start=1):
-            f0 = f0 + c * FactoredRat.from_monomial(Monomial.of(z=j))
+        # the oracle's mode: the z-truncated coefficients, F_0 = 1
         tail = data.draw(st.lists(qza_fracs(), min_size=order,
                                   max_size=order))
-        self.check(truncate_z(series("T", [f0] + tail), D))
-
-    def test_z_positive_constant_term(self):
-        # F = 1/(1-z) + T^2 = Exp(z)·(1 + (1-z)T^2): Log F = z at T^0,
-        # where only k = 1 survives, and 1 - z at T^2
-        f = truncate_z(series("T", [geometric(1, z=1), ZERO, ONE]), 4)
-        lazy = _lazy_log(f)
-        assert lazy.pleth_coefficient(0) == fr((1, {"z": 1}))
-        assert lazy.pleth_coefficient(2) == fr((1, {}), (-1, {"z": 1}))
+        f = series("T", [ONE] + tail)
+        want = _pleth_log_by_adams(f)
+        lazy = LazyLog(lambda j: z_truncate_frac(f.coeffs[j], D), D)
+        for n in reversed(range(f.order + 1)):
+            assert lazy.pleth_coefficient(n) == \
+                z_truncate_frac(want.coefficient(n), D)
