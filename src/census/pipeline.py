@@ -329,19 +329,23 @@ def _as_rational(f):
     return total
 
 
+def _constant_lambda_term(g, lam):
+    """z^e ∏_i ∏_{j<=m_i(λ)} 1/(1 - z^{-j}), e = (g-1)<λ,λ> - ℓ(λ), built in
+    normal form at once: 1/(1 - z^{-j}) = -z^j/(1 - z^j), and no atom
+    divides the numerator ±1."""
+    js = [j for mult in Counter(tuple(lam)).values()
+          for j in range(1, mult + 1)]
+    e = (g - 1) * pairing(lam, lam) - len(lam) + sum(js)
+    atoms = sorted((Atom(1, Monomial.of(z=j)) for j in js), key=Atom.key)
+    return FactoredRat(Monomial.of(z=e), SparsePoly.const((-1) ** len(lam)),
+                       atoms, normalized=True)
+
+
 @lru_cache(maxsize=None)
 def _constant_log(g):
     """The constant-term route's own Log memo: it shares none with the main
     route, so that the route stays an independent check."""
-    def term(lam):
-        t = FactoredRat.from_monomial(
-            Monomial.of(z=(g - 1) * pairing(lam, lam) - len(lam)))
-        for mult in Counter(tuple(lam)).values():
-            for j in range(1, mult + 1):
-                t = t * atom_inverse(1, Monomial.of(z=-j))
-        return t
-
-    return _partition_sum_log(term)
+    return _partition_sum_log(lambda lam: _constant_lambda_term(g, lam))
 
 
 @lru_cache(maxsize=None)

@@ -68,11 +68,16 @@ beyond 2**22 in absolute value raises ExponentOverflow (one of exactly
 2**22 may raise as well); a field never wraps silently.
 
 Division filter.  Before each exact division of a numerator by a
-denominator atom, normalize runs a cheap necessary test (_DivisionFilter):
-every variable but one, w, is set to its residue mod a large prime p at
-one fixed point, drawn once from a seeded generator, and the image of the
-numerator, a Laurent polynomial in w over Z/p kept as a dict degree ->
-nonzero residue, is divided by that of the atom.  Specialization is a ring
+denominator atom, normalize runs a cheap necessary test
+(_DivisionFilter): every variable but one, w, is set to its residue mod a
+large prime p at one fixed point, drawn once from a seeded generator,
+which maps the numerator to a Laurent polynomial in w over Z/p, kept as a
+dict degree -> nonzero residue, and the atom to 1 - cc*w^d.  That divides
+the image exactly when, reading w^d as 1/cc, every class of degrees mod d
+sums to 0 (_vanishes_mod, one pass over the image).  Where cc is
+undefined or 0 mod p the atom's image is a unit, which decides nothing,
+and the next prime is tried.  A numerator of one term skips the filter:
+no atom divides a Laurent monomial.  Specialization is a ring
 homomorphism, so images compose through the operations that build a
 numerator: the image of a product is the convolution of its factors'
 images, and that of a sum over a common denominator is the sum of its
@@ -80,10 +85,10 @@ terms' images, each shifted and scaled by its prefactor and multiplied by
 its missing atoms, or their quotients, at the point.  A FactoredRat keeps
 the images of its numerator (_images, keyed (p, w)); __mul__ and add_many
 hand normalize a seed that composes the image of the numerator they built
-(add_many only from images its terms already hold), so eval_mod reduces
-a numerator only where no image is known, or where it involves no
-variable but w (its image is then the polynomial itself, cheaper to
-reduce than to compose).
+(add_many only from images its terms already hold), so eval_mod reduces a
+numerator only where no image is known, or where it involves no variable
+but w (its image is then the polynomial itself, cheaper to reduce than to
+compose).
 Where it must reduce while w sorts before z and the numerator involves
 z, the atom is z-free and divides the numerator only if it divides every
 z-slice (the terms of one z-degree), so the filter reduces the
@@ -749,9 +754,9 @@ class _DivisionFilter:
     """Cheap necessary tests for atom | poly by specialization mod p.
 
     Specializes every variable except the atom's leading one, w, to its
-    residue at the fixed point (see the module docstring) and runs
-    synthetic division over Z/p.  A nonzero remainder proves
-    non-divisibility; a zero remainder is only evidence.  One image per
+    residue at the fixed point (see the module docstring) and folds the
+    image by the atom's (_vanishes_mod).  A residue class with a nonzero sum
+    proves non-divisibility; all sums zero is only evidence.  One image per
     (prime, w) is shared by every candidate atom against the same
     polynomial, so the per-atom cost is a single pass over the image.
 
@@ -845,12 +850,12 @@ class _DivisionFilter:
         v, d = atom.shape.leading()
         for p in _FILTER_PRIMES:
             cc = _specialize(atom, p, v)
-            if cc is None:
+            if not cc:
                 continue
             coeffs = self._test_image(p, v)
             if coeffs is None:
                 continue
-            return _divide_mod(coeffs, cc, d, p) is not None
+            return _vanishes_mod(coeffs, cc, d, p)
         return True
 
     def cancel(self, atom, k):
@@ -932,6 +937,25 @@ def _divide_mod(coeffs, cc, d, p):
         quotient[k] = cf
         buckets[k + d] = (buckets.get(k + d, 0) + cc * cf) % p
     return quotient
+
+
+def _vanishes_mod(coeffs, cc, d, p):
+    """Whether 1 - cc*w^d, d > 0 and cc != 0, divides a Laurent polynomial
+    over Z/p: reading w^d as 1/cc, every class of degrees mod d sums to 0."""
+    sums = [0] * d
+    if cc == 1:
+        for k, cf in coeffs.items():
+            sums[k % d] += cf
+    else:
+        inv = pow(cc, -1, p)
+        powers = {}
+        for k, cf in coeffs.items():
+            j, r = divmod(k, d)
+            x = powers.get(j)
+            if x is None:
+                x = powers[j] = pow(inv, j, p)
+            sums[r] += cf * x
+    return not any(t % p for t in sums)
 
 
 def _divide_binomial_mod(coeffs, cc, e, p):
@@ -1171,13 +1195,12 @@ class FactoredRat:
         if num.is_zero():
             return FactoredRat.zero()
         pre = self.prefactor
-        out_den = []
-        grouped = {}
-        for a in self.denominator:
-            grouped[a] = grouped.get(a, 0) + 1
+        out_den = self.denominator
         images = {}
-        if grouped:
+        if out_den and len(num.terms) > 1:  # no atom divides a monomial
+            grouped = Counter(out_den)
             filt = _DivisionFilter(num, seed)
+            out_den = []
             for atom in sorted(grouped, key=Atom.key):
                 k = grouped[atom]
                 out_den.extend([atom] * (k - filt.cancel(atom, k)))

@@ -336,16 +336,18 @@ def weil_from_counts(q, counts, genus=None):
 
 
 def siegel_volume(g, r):
-    """q^{(g-1)(r²-1)} ∏(1-α_i) / (q-1) · ∏_{k=2}^{r} ζ(q^{-k})."""
+    """q^{(g-1)(r²-1)} ∏(1-α_i) / (q-1) · ∏_{k=2}^{r} ζ(q^{-k}), modulo
+    the Weil relations: as in j_factor, each factor is pair-reduced before
+    multiplying."""
     if r < 1:
         raise ValueError("rank must be positive")
     out = FactoredRat.from_monomial(Monomial.of(q=(g - 1) * (r * r - 1)))
     for name in alpha_names(g):
-        out = out * one_minus(1, Monomial.of(**{name: 1}))
+        out = out * pair_reduce(one_minus(1, Monomial.of(**{name: 1})), g)
     # 1/(q-1) = -1/(1-q)
     out = out * atom_inverse(1, Monomial.of(q=1)).mul_scalar(-1)
     for k in range(2, r + 1):
-        out = out * zeta_at(g, 1, Monomial.of(q=-k))
+        out = out * pair_reduce(zeta_at(g, 1, Monomial.of(q=-k)), g)
     return out.normalize()
 
 

@@ -7,7 +7,7 @@ from itertools import repeat
 from operator import and_, itemgetter, or_, rshift
 
 from census.errors import HigherOrderPole, SubstitutionToZeroPole
-from census.partitions import chain_blocks
+from census.partitions import chain_blocks, pairing
 from census.ring import (
     _HALF,
     _KEY,
@@ -21,6 +21,7 @@ from census.ring import (
     Monomial,
     SparsePoly,
     _at_point,
+    _DivisionFilter,
     _clean,
     _mul_binomial_mod,
     _read,
@@ -271,6 +272,37 @@ def add_many_by_lcm(fracs):
 
     return FactoredRat(ONE_MONOMIAL, num,
                        _sorted_atoms(lcm.elements())).normalize(seed)
+
+
+# ---------------------------------------------------------------------------
+# The paths that the monomial skip of normalize and the one-step pure-z
+# λ-term replaced: every atom tried through the division filter, and the
+# λ-term multiplied together from atom_inverse factors.  The tests compare
+# the new paths against them byte for byte.
+
+def normalize_by_filter(f):
+    """normalize with every atom tried through the division filter, even
+    on a numerator of one term."""
+    filt = _DivisionFilter(f.numerator)
+    den = []
+    for atom, k in sorted(Counter(f.denominator).items(),
+                          key=lambda ak: ak[0].key()):
+        den += [atom] * (k - filt.cancel(atom, k))
+    num = filt.poly
+    mc = num.content_monomial()
+    return FactoredRat(f.prefactor * mc, num.mul_monomial(mc ** -1),
+                       _sorted_atoms(den), normalized=True)
+
+
+def constant_lambda_term_by_chain(g, lam):
+    """The pure-z λ-term z^{(g-1)<λ,λ>-ℓ(λ)} ∏_i ∏_{j<=m_i(λ)} 1/(1-z^{-j})
+    as a product of atom_inverse factors."""
+    t = FactoredRat.from_monomial(
+        Monomial.of(z=(g - 1) * pairing(lam, lam) - len(lam)))
+    for mult in Counter(tuple(lam)).values():
+        for j in range(1, mult + 1):
+            t = t * atom_inverse(1, Monomial.of(z=-j))
+    return t
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ import math
 import os
 import subprocess
 import sys
-from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 import census
 from census import pipeline
 from census.errors import IdentityViolation, RoundingFailure
-from census.partitions import Partition, pairing, partitions_up_to
+from census.partitions import Partition, partitions_up_to
 from census.pipeline import (
     KacResult,
     betti_polynomial,
@@ -43,7 +42,8 @@ from census.zeta import (
     zeta_star,
 )
 
-from builders import const, lift_paired_by_terms
+from builders import (const, constant_lambda_term_by_chain,
+                      lift_paired_by_terms)
 
 
 def mono(**e):
@@ -712,17 +712,16 @@ class TestPartitionLogMemo:
 
     @pytest.mark.parametrize("g", [2, 5])
     def test_constant_term_route(self, g):
-        def term(lam):
-            # z^{(g-1)<λ,λ>-ℓ(λ)} ∏_i ∏_{j<=m_i(λ)} 1/(1 - z^{-j})
-            t = FactoredRat.from_monomial(
-                mono(z=(g - 1) * pairing(lam, lam) - len(lam)))
-            for mult in Counter(tuple(lam)).values():
-                for j in range(1, mult + 1):
-                    t = t * atom_inverse(1, mono(z=-j))
-            return t
-
-        old = _partition_sum_by_loop(term, 6)
+        old = _partition_sum_by_loop(
+            lambda lam: constant_lambda_term_by_chain(g, lam), 6)
         self.check(pipeline._constant_log(g), old)
+
+    @pytest.mark.parametrize("g", [0, 1, 2, 5])
+    def test_constant_lambda_term_in_one_step(self, g):
+        for lam in partitions_up_to(10):
+            got = pipeline._constant_lambda_term(g, lam)
+            want = constant_lambda_term_by_chain(g, lam)
+            assert json.dumps(got.to_json()) == json.dumps(want.to_json())
 
 
 class TestCounts:
@@ -826,6 +825,11 @@ class TestIdentities:
     @pytest.mark.parametrize("g", [0, 1, 2])
     def test_all_pass(self, g):
         assert all(ok for _, ok in identity_report(g, 4))
+
+    def test_genus4(self):
+        # siegel_volume multiplies pair-reduced factors, which keeps g = 4
+        # at about 1 s
+        assert all(ok for _, ok in identity_report(4, 2))
 
     def test_check_identities_quiet_on_success(self):
         report = check_identities(1, 3)

@@ -29,6 +29,7 @@ from builders import (
     content_monomial_by_slots,
     frac_to_json_by_exponents,
     geometric,
+    normalize_by_filter,
     poly_to_json_by_exponents,
     sorted_terms_by_fields,
 )
@@ -533,6 +534,53 @@ def test_filter_update_random(poly, atoms, data):
     assert sym_equal(to_sympy(n), to_sympy(f))
     for atom in set(n.denominator):
         assert n.numerator.divide_atom(atom) is None
+
+
+def test_filter_tries_the_next_prime_where_an_atom_vanishes():
+    # 1 - p*z specializes to the unit 1 mod the first filter prime p,
+    # which decides nothing; the next prime lets the atom cancel
+    p = ring._FILTER_PRIMES[0]
+    poly = SparsePoly([(Monomial(), 2), (Monomial.of(z=2), 3)])
+    n = _planted(poly, [_atom(p, z=1)]).normalize()
+    assert not n.denominator
+    assert n.numerator.mul_monomial(n.prefactor) == poly
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(ring._FILTER_PRIMES), st.data())
+def test_fold_agrees_with_synthetic_division(p, data):
+    coeffs = data.draw(st.dictionaries(st.integers(-12, 12),
+                                       st.integers(1, p - 1), max_size=8))
+    d = data.draw(st.integers(1, 6))
+    cc = data.draw(st.sampled_from([1, p - 1]) | st.integers(2, p - 2))
+    # 1 - cc^k w^(kd) is a multiple of 1 - cc w^d, and 1 - cc^k w^(ke) for
+    # another e shares roots with it, but only some
+    exps = st.sampled_from([d]) | st.integers(1, 6)
+    for k, e in data.draw(st.lists(st.tuples(st.integers(1, 3), exps),
+                                   max_size=2)):
+        coeffs = ring._mul_binomial_mod(coeffs, pow(cc, k, p), k * e, p)
+    if d > 1 and data.draw(st.booleans()):
+        # c*(w^a - w^b): two classes off by c, in total 0
+        a, b = data.draw(st.lists(st.integers(0, d - 1), min_size=2,
+                                  max_size=2, unique=True))
+        c = data.draw(st.integers(1, p - 1))
+        coeffs = dict(coeffs)
+        coeffs[a] = (coeffs.get(a, 0) + c) % p
+        coeffs[b] = (coeffs.get(b, 0) - c) % p
+    assert ring._vanishes_mod(coeffs, cc, d, p) == \
+        (ring._divide_mod(coeffs, cc, d, p) is not None)
+
+
+@DIFF
+@given(diff_monomials(), st.sampled_from(DIFF_CONSTANTS), diff_monomials(),
+       st.lists(diff_atoms(), max_size=4), st.data())
+def test_normalize_of_a_monomial_matches_the_filtered_path(m, c, pre, atoms,
+                                                           data):
+    if not m.is_one() and data.draw(st.booleans()):
+        atoms.append(Atom.make(c, m)[2])
+    f = FactoredRat(pre, SparsePoly([(m, c)]), atoms)
+    assert json.dumps(f.normalize().to_json()) == \
+        json.dumps(normalize_by_filter(f).to_json())
 
 
 # z-free atoms and atoms in z, which interleave in Atom.key order

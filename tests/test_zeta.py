@@ -428,7 +428,7 @@ class TestSiegelVolume:
             want = prod([one_minus(1, mono(**{n: 1}))
                          for n in alpha_names(g)])
             want = want * atom_inverse(1, mono(q=1)).mul_scalar(-1)
-            assert siegel_volume(g, 1) == want
+            assert siegel_volume(g, 1) == pair_reduce(want, g)
 
     def test_genus0_rank1_value(self):
         # 1/(q-1) at q=5
@@ -442,7 +442,7 @@ class TestSiegelVolume:
             want = want * one_minus(1, mono(**{n: 1}))
         want = want * atom_inverse(1, mono(q=1)).mul_scalar(-1)
         want = want * zeta_at(g, 1, mono(q=-2))
-        assert siegel_volume(g, 2) == want
+        assert siegel_volume(g, 2) == pair_reduce(want, g)
 
     def test_rejects_rank0(self):
         with pytest.raises(ValueError):
