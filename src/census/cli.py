@@ -86,14 +86,23 @@ _PARSE_ERRORS = (LookupError, TypeError, ValueError, AttributeError,
                  ArithmeticError, CensusError)
 
 
+def _read_json(path):
+    """The JSON document in the file at path; one nested too deeply for
+    the parser is a ValueError, as any other malformed one is."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError("%s: JSON nested too deeply" % path) from None
+
+
 def _cache_load(path):
     """The entry stored at path as (result JSON, KacResult), or None for a
     miss: an unreadable file, another engine version, an entry that is not
     a result object or does not parse, or one whose genus, rank and degree
     class are not those of its file name."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            blob = json.load(fh)
+        blob = _read_json(path)
     except (OSError, ValueError):
         return None
     if not isinstance(blob, dict) or blob.get("engine") != ENGINE_VERSION:
@@ -192,8 +201,7 @@ def _emit_betti(args, out):
 
 
 def _emit_count(args, out):
-    with open(args.curve, "r", encoding="utf-8") as fh:
-        curve = CurveData.from_dict(json.load(fh))
+    curve = CurveData.from_dict(_read_json(args.curve))
     n, higgs = pipeline.count_points(curve, args.rank, args.degree)
     if args.format == "json":
         blob = {"q": curve.q, "genus": curve.genus, "rank": args.rank,
@@ -258,13 +266,7 @@ def main(argv=None):
     except UsageError as exc:
         sys.stderr.write("usage error: %s\n" % (exc,))
         return 2
-    except CensusError as exc:
-        sys.stderr.write("%s: %s\n" % (type(exc).__name__, exc))
-        return 1
-    except OSError as exc:
-        sys.stderr.write("%s: %s\n" % (type(exc).__name__, exc))
-        return 1
-    except ValueError as exc:
+    except (CensusError, OSError, ValueError) as exc:
         sys.stderr.write("%s: %s\n" % (type(exc).__name__, exc))
         return 1
     return 0

@@ -411,15 +411,19 @@ def _rounding_bound(poly, q):
     over F_q.  A term c·m of degree k in the roots has |m(σ)| =
     q^{e_q + k/2}, as |σ| = √q.  Each σ is off by about _ROOT_TOL of
     itself, the root finder's stopping step, so the term by k·_ROOT_TOL
-    of its size; float products and the sum of N add (e_q + k + N)·ε."""
+    of its size; float products and the sum of N add (e_q + k + N)·ε.
+    A bound beyond the float range is inf."""
     n, eps = len(poly.terms), sys.float_info.epsilon
     bound = 0.0
     for code, c in poly.terms.items():
         exps = dict(Monomial._raw(code).items)
         e_q = exps.pop("q", 0)
         k = sum(map(abs, exps.values()))
-        bound += (abs(c) * q ** (e_q + k / 2)
-                  * (k * _zeta._ROOT_TOL + (e_q + k + n) * eps))
+        try:
+            size = q ** (e_q + k / 2)
+        except OverflowError:
+            return math.inf
+        bound += abs(c) * size * (k * _zeta._ROOT_TOL + (e_q + k + n) * eps)
     return bound
 
 

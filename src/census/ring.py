@@ -69,26 +69,27 @@ beyond 2**22 in absolute value raises ExponentOverflow (one of exactly
 
 Division filter.  Before each exact division of a numerator by a
 denominator atom, normalize runs a cheap necessary test
-(_DivisionFilter): every variable but one, w, is set to its residue mod a
-large prime p at one fixed point, drawn once from a seeded generator,
-which maps the numerator to a Laurent polynomial in w over Z/p, kept as a
-dict degree -> nonzero residue, and the atom to 1 - cc*w^d.  That divides
-the image exactly when, reading w^d as 1/cc, every class of degrees mod d
-sums to 0 (_vanishes_mod, one pass over the image).  Where cc is
-undefined or 0 mod p the atom's image is a unit, which decides nothing,
-and the next prime is tried.  A numerator of one term skips the filter:
-no atom divides a Laurent monomial.  Specialization is a ring
-homomorphism, so images compose through the operations that build a
-numerator: the image of a product is the convolution of its factors'
-images, and that of a sum over a common denominator is the sum of its
-terms' images, each shifted and scaled by its prefactor and multiplied by
-its missing atoms, or their quotients, at the point.  A FactoredRat keeps
-the images of its numerator (_images, keyed (p, w)); __mul__ and add_many
-hand normalize a seed that composes the image of the numerator they built
-(add_many only from images its terms already hold), so eval_mod reduces a
-numerator only where no image is known, or where it involves no variable
-but w (its image is then the polynomial itself, cheaper to reduce than to
-compose).
+(_DivisionFilter): every variable but one, w, is set to its residue mod
+the prime _P = 2**61 - 1 at one fixed point _POINT, drawn once from a
+seeded generator, which maps the numerator to a Laurent polynomial in w
+over Z/_P, kept as a dict degree -> nonzero residue, and the atom to
+1 - cc*w^d.  That divides the image exactly when, reading w^d as 1/cc,
+every class of degrees mod d sums to 0 (_vanishes_mod, one pass over the
+image).  Where the point decides nothing, exact division decides: where
+cc is undefined or 0 mod _P (the atom's image is then a unit), or where
+_P divides a coefficient denominator of the numerator (it has no image).
+A numerator of one term skips the filter: no atom divides a Laurent
+monomial.  Specialization is a ring homomorphism, so images compose
+through the operations that build a numerator: the image of a product is
+the convolution of its factors' images, and that of a sum over a common
+denominator is the sum of its terms' images, each shifted and scaled by
+its prefactor and multiplied by its missing atoms, or their quotients, at
+the point.  A FactoredRat keeps the images of its numerator (_images,
+keyed by w); __mul__ and add_many hand normalize a seed that composes the
+image of the numerator they built (add_many only from images its terms
+already hold), so _reduce reads a numerator only where no image is known,
+or where it involves no variable but w (its image is then the polynomial
+itself, cheaper to read than to compose).
 Where it must reduce while w sorts before z and the numerator involves
 z, the atom is z-free and divides the numerator only if it divides every
 z-slice (the terms of one z-degree), so the filter reduces the
@@ -137,8 +138,6 @@ _W = 24                      # bits per field
 _MASK = (1 << _W) - 1
 _HALF = 1 << (_W - 1)
 _LIMIT = 1 << (_W - 2)       # every |exponent| < _LIMIT is representable
-_WINDOW = 4                  # slots per read in SparsePoly.eval_mod
-_WINDOW_MASK = (1 << _W * _WINDOW) - 1
 
 _NAMES = ["q", "z", "T", "t", "s"]
 for _i in range(1, 129):
@@ -528,59 +527,6 @@ class SparsePoly:
         return sum((c * Monomial._raw(m).eval(assignment)
                     for m, c in self.terms.items()), complex(0))
 
-    def eval_mod(self, p, assignment, main_var, support=None):
-        """Reduce to a univariate polynomial in main_var over Z/p.
-
-        Returns a dict degree -> nonzero residue.  Raises ValueError when p
-        divides a coefficient denominator (caller should retry with
-        another prime).  support, when the caller knows it, lists slots
-        that hold every variable of the terms, and saves a pass over them.
-        """
-        terms = self.terms
-        main = _slot(main_var)
-        mrnd, msh = _ROUND[main], _SHIFT[main]
-        # The other variables are read in windows of up to _WINDOW slots,
-        # one shift and mask each; a window's product of powers is cached
-        # under its biased value.
-        windows = []
-        if support is None:
-            support = _support(terms)
-        slots = sorted(s for s in support if s != main)
-        while slots:
-            lo = slots[0]
-            inside = [s for s in slots if s < lo + _WINDOW]
-            del slots[:len(inside)]
-            sh = _SHIFT[lo]
-            rnd = (1 << sh >> 1) + sum(_HALF << (sh + _W * i)
-                                       for i in range(_WINDOW))
-            fields = [(_SHIFT[s] - sh, assignment[_NAMES[s]]) for s in inside]
-            windows.append((rnd, sh, fields, {}))
-        out = {}
-        for m, c in terms.items():
-            if c.__class__ is Fraction:
-                den = c.denominator % p
-                if den == 0:
-                    raise ValueError("bad prime")
-                cc = c.numerator * pow(den, -1, p) % p
-            else:
-                cc = c % p
-            d = (((m + mrnd) >> msh) & _MASK) - _HALF
-            m -= d << msh
-            for rnd, sh, fields, cache in windows:
-                key = ((m + rnd) >> sh) & _WINDOW_MASK
-                pw = cache.get(key)
-                if pw is None:
-                    pw = 1
-                    for off, base in fields:
-                        e = ((key >> off) & _MASK) - _HALF
-                        pw = pw * pow(base, e, p) % p
-                    cache[key] = pw
-                cc = cc * pw % p
-            out[d] = (out.get(d, 0) + cc) % p
-        if 0 in out.values():
-            out = {d: r for d, r in out.items() if r}
-        return out
-
     def content_monomial(self):
         """Largest monomial (Laurent) dividing every term: two AND
         reductions find the fields whose minimum is not 0 (see the module
@@ -706,75 +652,101 @@ def _rows(terms, slots):
 
 _Z_SLOT = _SLOT["z"]
 _Z_KEY = _KEY[_Z_SLOT]
-_FILTER_PRIMES = (2305843009213693951, 4611686018427387847, 2305843009213693967)
+_P = (1 << 61) - 1
 _FILTER_RNG = random.Random(0x1D872A5)
-# The fixed evaluation point: one residue per variable for each prime.
-_POINTS = {p: {name: _FILTER_RNG.randrange(2, p - 2) for name in _NAMES}
-           for p in _FILTER_PRIMES}
+# The fixed evaluation point: one residue mod _P per variable.
+_POINT = {name: _FILTER_RNG.randrange(2, _P - 2) for name in _NAMES}
 
 
-def _reduce(poly, p, w, support=None):
-    """The image of poly at the point for p (see the module docstring), or
-    None when p divides a coefficient denominator."""
-    try:
-        return poly.eval_mod(p, _POINTS[p], w, support)
-    except ValueError:
-        return None
+def _reduce(poly, w, support=None):
+    """The image of poly at the point (see the module docstring), a dict
+    degree of w -> nonzero residue, or None when _P divides a coefficient
+    denominator.  support, when the caller knows it, lists slots that hold
+    every variable of the terms, and saves a pass over them.  The residue
+    of each distinct monomial without w is made once."""
+    main = _slot(w)
+    rnd, sh = _ROUND[main], _SHIFT[main]
+    if support is None:
+        support = _support(poly.terms)
+    others = [(_ROUND[s], _SHIFT[s], _POINT[_NAMES[s]])
+              for s in support if s != main]
+    rests = {}
+    out = {}
+    for m, c in poly.terms.items():
+        d = (((m + rnd) >> sh) & _MASK) - _HALF
+        m -= d << sh
+        r = rests.get(m)
+        if r is None:
+            r = 1
+            for rnd_s, sh_s, base in others:
+                e = (((m + rnd_s) >> sh_s) & _MASK) - _HALF
+                if e:
+                    r = r * pow(base, e, _P) % _P
+            rests[m] = r
+        if c.__class__ is not int:
+            c = _residue(c)
+            if c is None:
+                return None
+        out[d] = (out.get(d, 0) + c * r) % _P
+    if 0 in out.values():
+        out = {d: r for d, r in out.items() if r}
+    return out
 
 
-def _residue(c, p):
-    """The rational c mod p, or None when p divides its denominator."""
+def _residue(c):
+    """The rational c mod _P, or None when _P divides its denominator."""
     if c.__class__ is int:
-        return c % p
-    den = c.denominator % p
-    return c.numerator * pow(den, -1, p) % p if den else None
+        return c % _P
+    den = c.denominator % _P
+    return c.numerator * pow(den, -1, _P) % _P if den else None
 
 
-def _at_point(mono, p, w):
-    """(the monomial with w set aside, at the point for p; the exponent of
-    w)."""
-    point = _POINTS[p]
+def _at_point(mono, w):
+    """(the monomial with w set aside, at the point; the exponent of w)."""
     r = 1
     for x, e in mono.items:
         if x != w:
-            r = r * pow(point[x], e, p) % p
+            r = r * pow(_POINT[x], e, _P) % _P
     return r, mono.exponent(w)
 
 
-def _specialize(atom, p, w):
-    """c * (shape without w) at the point for p, or None when p divides
-    the denominator of c; the atom's image is 1 - that * w^e."""
-    cc = _residue(atom.constant_fast, p)
+def _specialize(atom, w):
+    """c * (shape without w) at the point, or None when _P divides the
+    denominator of c; the atom's image is 1 - that * w^e."""
+    cc = _residue(atom.constant_fast)
     if cc is None:
         return None
-    return cc * _at_point(atom.shape, p, w)[0] % p
+    return cc * _at_point(atom.shape, w)[0] % _P
 
 
 class _DivisionFilter:
-    """Cheap necessary tests for atom | poly by specialization mod p.
+    """Cheap necessary tests for atom | poly by specialization mod _P.
 
     Specializes every variable except the atom's leading one, w, to its
     residue at the fixed point (see the module docstring) and folds the
     image by the atom's (_vanishes_mod).  A residue class with a nonzero sum
-    proves non-divisibility; all sums zero is only evidence.  One image per
-    (prime, w) is shared by every candidate atom against the same
-    polynomial, so the per-atom cost is a single pass over the image.
+    proves non-divisibility; all sums zero is only evidence.  Where the
+    point decides nothing (the atom's image is undefined or a unit, or
+    poly has no image), may_divide answers that the atom may divide, and
+    exact division decides.  One image per w is shared by every candidate
+    atom against the same polynomial, so the per-atom cost is a single
+    pass over the image.
 
     A missing image comes from the seed when one is given, which composes
     it from the images of the operands poly was built from, and from
-    eval_mod when the seed returns None or poly involves no variable but
-    w; eval_mod then reduces one z-slice where one decides (see the module
+    _reduce when the seed returns None or poly involves no variable but
+    w; _reduce then reads one z-slice where one decides (see the module
     docstring), and that image is kept in slices, apart from reductions.
 
     After an exact division poly -> poly / atom, divided() updates each
     image instead of reducing the quotient afresh, and a seeded image
     made later follows every division made so far: the image is divided
     by the atom specialized at the same point.  Specialization is a ring
-    homomorphism into the domain Z/p[w, 1/w], so that division is exact
+    homomorphism into the domain Z/_P[w, 1/w], so that division is exact
     and gives the image of the quotient.  The atom's image is 1 - c*w^e:
     for e != 0 the update is a synthetic division, for e = 0 a
     multiplication by the inverse of the scalar 1 - c.  An image whose
-    specialized atom is undefined or zero mod p, or whose division leaves
+    specialized atom is undefined or zero mod _P, or whose division leaves
     a remainder, is dropped and made again when next needed.  Slice
     images follow a z-free atom, which divides each slice, and are all
     dropped by an atom in z, which mixes the slices.
@@ -803,60 +775,54 @@ class _DivisionFilter:
         """Whether poly involves no variable but w."""
         return all(_NAMES[s] == w for s in self._support())
 
-    def _seeded(self, p, w):
+    def _seeded(self, w):
         """The seed's image of poly after the divisions so far, or None."""
         if self.seed is None or self._univariate(w):
             return None
-        coeffs = self.seed(p, w)
+        coeffs = self.seed(w)
         for atom in self.divisors:
             if coeffs is None:
                 break
-            coeffs = _quotient_image(coeffs, atom, p, w)
+            coeffs = _quotient_image(coeffs, atom, w)
         return coeffs
 
-    def _image(self, p, w):
-        """The image of poly at (p, w), or None."""
-        key = (p, w)
-        coeffs = self.reductions.get(key, False)
+    def _image(self, w):
+        """The image of poly in w, or None."""
+        coeffs = self.reductions.get(w, False)
         if coeffs is False:
-            coeffs = self._seeded(p, w)
+            coeffs = self._seeded(w)
             if coeffs is None:
-                coeffs = _reduce(self.poly, p, w, self._support())
-            self.reductions[key] = coeffs
+                coeffs = _reduce(self.poly, w, self._support())
+            self.reductions[w] = coeffs
         return coeffs
 
-    def _test_image(self, p, w):
+    def _test_image(self, w):
         """The image may_divide tests: one z-slice's where no image of poly
         is known or seeded and a slice decides, else poly's."""
-        key = (p, w)
-        coeffs = self.slices.get(key, False)
+        coeffs = self.slices.get(w, False)
         if coeffs is not False:
             return coeffs
-        if (key not in self.reductions and _KEY[_SLOT[w]] < _Z_KEY
+        if (w not in self.reductions and _KEY[_SLOT[w]] < _Z_KEY
                 and _Z_SLOT in self._support()):
-            coeffs = self._seeded(p, w)
+            coeffs = self._seeded(w)
             if coeffs is None:
                 if self.zslice is None:
                     self.zslice = _thinnest_z_slice(self.poly.terms)
-                coeffs = _reduce(self.zslice[1], p, w, self._support())
-                self.slices[key] = coeffs
+                coeffs = _reduce(self.zslice[1], w, self._support())
+                self.slices[w] = coeffs
                 return coeffs
-            self.reductions[key] = coeffs
-        return self._image(p, w)
+            self.reductions[w] = coeffs
+        return self._image(w)
 
     def may_divide(self, atom):
         if not self.poly.terms:
             return True
         v, d = atom.shape.leading()
-        for p in _FILTER_PRIMES:
-            cc = _specialize(atom, p, v)
-            if not cc:
-                continue
-            coeffs = self._test_image(p, v)
-            if coeffs is None:
-                continue
-            return _vanishes_mod(coeffs, cc, d, p)
-        return True
+        cc = _specialize(atom, v)
+        if not cc:
+            return True
+        coeffs = self._test_image(v)
+        return coeffs is None or _vanishes_mod(coeffs, cc, d)
 
     def cancel(self, atom, k):
         """Divide poly by atom while it divides, at most k times; the
@@ -881,20 +847,20 @@ class _DivisionFilter:
             d, part = self.zslice
             self.zslice = d, part.divide_atom(atom)
         for images in (self.reductions, self.slices):
-            for key, coeffs in list(images.items()):
+            for w, coeffs in list(images.items()):
                 new = None if coeffs is None else _quotient_image(
-                    coeffs, atom, *key)
+                    coeffs, atom, w)
                 if new is None:
-                    del images[key]
+                    del images[w]
                 else:
-                    images[key] = new
+                    images[w] = new
 
     def images(self):
-        """The images of poly made so far, keyed (p, w), except those of
-        a poly univariate in w, which are cheaper to make again than to
+        """The images of poly made so far, keyed by w, except those of a
+        poly univariate in w, which are cheaper to make again than to
         carry."""
-        return {key: c for key, c in self.reductions.items()
-                if c is not None and not self._univariate(key[1])}
+        return {w: c for w, c in self.reductions.items()
+                if c is not None and not self._univariate(w)}
 
 
 def _thinnest_z_slice(terms):
@@ -910,16 +876,32 @@ def _thinnest_z_slice(terms):
         {m - strip: terms[m] for m in compress(terms, map(d.__eq__, degrees))})
 
 
-def _quotient_image(coeffs, atom, p, w):
-    """The image of poly / atom from the image of poly, or None."""
-    cc = _specialize(atom, p, w)
+def _quotient_image(coeffs, atom, w):
+    """The image of poly / atom from the image of poly, or None when the
+    atom has no image, its image vanishes, or the division is not exact."""
+    cc = _specialize(atom, w)
     if cc is None:
         return None
-    return _divide_binomial_mod(coeffs, cc, atom.shape.exponent(w), p)
+    e = atom.shape.exponent(w)
+    if e > 0:
+        return _divide_mod(coeffs, cc, e)
+    if e < 0 and cc:
+        # 1 - cc*w^e = -cc*w^e * (1 - w^-e/cc)
+        inv = pow(cc, -1, _P)
+        quot = _divide_mod(coeffs, inv, -e)
+        if quot is None:
+            return None
+        scale = -inv % _P
+        return {k - e: cf * scale % _P for k, cf in quot.items()}
+    s = (1 - cc) % _P
+    if not s:
+        return None
+    inv = pow(s, -1, _P)
+    return {k: cf * inv % _P for k, cf in coeffs.items() if cf}
 
 
-def _divide_mod(coeffs, cc, d, p):
-    """Quotient of a Laurent polynomial over Z/p (dict degree -> residue)
+def _divide_mod(coeffs, cc, d):
+    """Quotient of a Laurent polynomial over Z/_P (dict degree -> residue)
     by 1 - cc*w^d, d > 0, by bottom-up synthetic division; None when the
     remainder is nonzero.  Zero residues are not stored."""
     if not coeffs:
@@ -929,53 +911,33 @@ def _divide_mod(coeffs, cc, d, p):
     buckets = dict(coeffs)
     quotient = {}
     for k in range(min(coeffs), hi + 1):
-        cf = buckets.pop(k, 0) % p
+        cf = buckets.pop(k, 0) % _P
         if not cf:
             continue
         if k > qmax:
             return None
         quotient[k] = cf
-        buckets[k + d] = (buckets.get(k + d, 0) + cc * cf) % p
+        buckets[k + d] = (buckets.get(k + d, 0) + cc * cf) % _P
     return quotient
 
 
-def _vanishes_mod(coeffs, cc, d, p):
+def _vanishes_mod(coeffs, cc, d):
     """Whether 1 - cc*w^d, d > 0 and cc != 0, divides a Laurent polynomial
-    over Z/p: reading w^d as 1/cc, every class of degrees mod d sums to 0."""
+    over Z/_P: reading w^d as 1/cc, every class of degrees mod d sums to 0."""
     sums = [0] * d
     if cc == 1:
         for k, cf in coeffs.items():
             sums[k % d] += cf
     else:
-        inv = pow(cc, -1, p)
+        inv = pow(cc, -1, _P)
         powers = {}
         for k, cf in coeffs.items():
             j, r = divmod(k, d)
             x = powers.get(j)
             if x is None:
-                x = powers[j] = pow(inv, j, p)
+                x = powers[j] = pow(inv, j, _P)
             sums[r] += cf * x
-    return not any(t % p for t in sums)
-
-
-def _divide_binomial_mod(coeffs, cc, e, p):
-    """Quotient of coeffs by 1 - cc*w^e over Z/p for any integer e, or None
-    when it is not exact or the divisor vanishes."""
-    if e > 0:
-        return _divide_mod(coeffs, cc, e, p)
-    if e < 0 and cc:
-        # 1 - cc*w^e = -cc*w^e * (1 - w^-e/cc)
-        inv = pow(cc, -1, p)
-        quot = _divide_mod(coeffs, inv, -e, p)
-        if quot is None:
-            return None
-        scale = -inv % p
-        return {k - e: cf * scale % p for k, cf in quot.items()}
-    s = (1 - cc) % p
-    if not s:
-        return None
-    inv = pow(s, -1, p)
-    return {k: cf * inv % p for k, cf in coeffs.items() if cf}
+    return not any(t % _P for t in sums)
 
 
 class Atom:
@@ -1128,9 +1090,9 @@ def _cancel(num, image, atoms, den):
 class FactoredRat:
     """Rational function prefactor * numerator / prod(denominator atoms).
 
-    _images holds images of the numerator at the fixed point, keyed
-    (p, w) (see the module docstring); it is filled by normalize and on
-    first use.
+    _images holds images of the numerator at the fixed point, keyed by
+    w (see the module docstring); it is filled by normalize and on first
+    use.
     """
 
     __slots__ = ("prefactor", "numerator", "denominator", "_normalized",
@@ -1163,32 +1125,30 @@ class FactoredRat:
     def is_zero(self):
         return self.numerator.is_zero()
 
-    def _image(self, p, w):
-        """The image of the numerator at (p, w), or None when p divides a
+    def _image(self, w):
+        """The image of the numerator in w, or None when _P divides a
         coefficient denominator."""
-        key = (p, w)
-        img = self._images.get(key)
+        img = self._images.get(w)
         if img is None:
-            img = _reduce(self.numerator, p, w)
+            img = _reduce(self.numerator, w)
             if img is not None:
-                self._images[key] = img
+                self._images[w] = img
         return img
 
     def _scaled_images(self, c):
         """The images of the numerator times the rational c."""
-        out = {}
-        for key, img in self._images.items():
-            r = _residue(c, key[0])
-            if r is not None:
-                out[key] = {d: v * r % key[0] for d, v in img.items()}
-        return out
+        r = _residue(c)
+        if r is None:
+            return {}
+        return {w: {d: v * r % _P for d, v in img.items()}
+                for w, img in self._images.items()}
 
     def normalize(self, seed=None):
         """Cancel denominator atoms dividing the numerator and pull the
         monomial content of the numerator into the prefactor.
 
-        seed(p, w), when given, composes the image of the numerator at
-        (p, w) from the operands it was built from, or returns None."""
+        seed(w), when given, composes the image of the numerator in w
+        from the operands it was built from, or returns None."""
         if self._normalized:
             return self
         num = self.numerator
@@ -1209,10 +1169,10 @@ class FactoredRat:
         if not mc.is_one():
             pre = pre * mc
             num = num.mul_monomial(mc ** -1)
-            for (p, w), img in images.items():
-                r, e = _at_point(mc, p, w)
-                inv = pow(r, -1, p)
-                images[p, w] = {d - e: v * inv % p for d, v in img.items()}
+            for w, img in images.items():
+                r, e = _at_point(mc, w)
+                inv = pow(r, -1, _P)
+                images[w] = {d - e: v * inv % _P for d, v in img.items()}
         return FactoredRat(pre, num, _sorted_atoms(out_den), normalized=True,
                            images=images)
 
@@ -1239,10 +1199,10 @@ class FactoredRat:
             num_a, image_a = _cancel(num_a, image_a, across[0], den)
             num_b, image_b = _cancel(num_b, image_b, across[1], den)
 
-        def seed(p, w):
-            a = image_a(p, w)
-            b = image_b(p, w) if a is not None else None
-            return None if b is None else _convolve_mod(a, b, p)
+        def seed(w):
+            a = image_a(w)
+            b = image_b(w) if a is not None else None
+            return None if b is None else _convolve_mod(a, b)
 
         return FactoredRat(self.prefactor * other.prefactor, num_a * num_b,
                            den).normalize(seed)
@@ -1499,49 +1459,49 @@ def add_many(fracs):
             total[m] = tget(m, 0) + cf
     num = SparsePoly._raw({m: _clean(c) for m, c in total.items() if c})
 
-    def seed(p, w):
+    def seed(w):
         out = {}
         for f, mults in zip(live, factors):
-            img = f._images.get((p, w))
+            img = f._images.get(w)
             if img is None:
                 return None
-            r, e = _at_point(f.prefactor, p, w)
+            r, e = _at_point(f.prefactor, w)
             img = {d + e: v * r for d, v in img.items()}
             for b, a in mults:
-                cc = _specialize(b, p, w)
+                cc = _specialize(b, w)
                 if cc is None:
                     return None
-                img = _mul_binomial_mod(img, cc, b.shape.exponent(w), p)
+                img = _mul_binomial_mod(img, cc, b.shape.exponent(w))
                 if a is not None:
-                    img = _quotient_image(img, a, p, w)
+                    img = _quotient_image(img, a, w)
                     if img is None:
                         return None
             for d, v in img.items():
                 out[d] = out.get(d, 0) + v
-        return {d: v % p for d, v in out.items() if v % p}
+        return {d: v % _P for d, v in out.items() if v % _P}
 
     den = _sorted_atoms((lcm - removed).elements())
     return FactoredRat(_ONE_M, num, den).normalize(seed)
 
 
-def _convolve_mod(a, b, p):
+def _convolve_mod(a, b):
     """The product of two images."""
     out = {}
     get = out.get
     for i, x in a.items():
         for j, y in b.items():
             out[i + j] = get(i + j, 0) + x * y
-    return {d: v % p for d, v in out.items() if v % p}
+    return {d: v % _P for d, v in out.items() if v % _P}
 
 
-def _mul_binomial_mod(coeffs, cc, e, p):
+def _mul_binomial_mod(coeffs, cc, e):
     """An image times 1 - cc*w^e."""
     if not e:
-        s = (1 - cc) % p
-        return {d: v * s % p for d, v in coeffs.items()}
-    out = {d: v % p for d, v in coeffs.items()}
+        s = (1 - cc) % _P
+        return {d: v * s % _P for d, v in coeffs.items()}
+    out = {d: v % _P for d, v in coeffs.items()}
     for d, v in coeffs.items():
-        out[d + e] = (out.get(d + e, 0) - cc * v) % p
+        out[d + e] = (out.get(d + e, 0) - cc * v) % _P
     return out
 
 

@@ -13,6 +13,7 @@ from census.ring import (
     _KEY,
     _MASK,
     _NAMES,
+    _P,
     _ROUND,
     _SHIFT,
     ONE_MONOMIAL,
@@ -252,23 +253,23 @@ def add_many_by_lcm(fracs):
             total[m] = total.get(m, 0) + cf
     num = SparsePoly._raw({m: _clean(c) for m, c in total.items() if c})
 
-    def seed(p, w):
+    def seed(w):
         out = {}
         for f, c in zip(live, counts):
-            img = f._images.get((p, w))
+            img = f._images.get(w)
             if img is None:
                 return None
-            r, e = _at_point(f.prefactor, p, w)
+            r, e = _at_point(f.prefactor, w)
             img = {d + e: v * r for d, v in img.items()}
             for a, k in lcm.items():
                 for _ in range(k - c.get(a, 0)):
-                    cc = _specialize(a, p, w)
+                    cc = _specialize(a, w)
                     if cc is None:
                         return None
-                    img = _mul_binomial_mod(img, cc, a.shape.exponent(w), p)
+                    img = _mul_binomial_mod(img, cc, a.shape.exponent(w))
             for d, v in img.items():
                 out[d] = out.get(d, 0) + v
-        return {d: v % p for d, v in out.items() if v % p}
+        return {d: v % _P for d, v in out.items() if v % _P}
 
     return FactoredRat(ONE_MONOMIAL, num,
                        _sorted_atoms(lcm.elements())).normalize(seed)

@@ -56,6 +56,10 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# nested past any parser's recursion limit
+DEEP_JSON = "[" * 200000 + "]" * 200000
+
+
 def write_curve(tmp_path, name="curve.json",
                 blob={"q": 2, "genus": 1, "point_counts": [3]}):
     path = tmp_path / name
@@ -247,6 +251,16 @@ class TestCache:
         assert json.loads(out)["genus"] == 1
         assert json.loads(path.read_text())["engine"] == ENGINE_VERSION
 
+    def test_deeply_nested_cache_entry_recomputes(self, capsys, tmp_path):
+        args = ("--format", "json", "kac", "-g", "1", "-r", "2")
+        code, want, _ = run_cli(capsys, *args)
+        assert code == 0
+        path = tmp_path / "kac_g1_r2_d0.json"
+        path.write_text(DEEP_JSON)
+        code, out, err = run_cli(capsys, "--cache-dir", str(tmp_path), *args)
+        assert (code, out, err) == (0, want, "")
+        assert json.loads(path.read_text())["engine"] == ENGINE_VERSION
+
     def test_corrupt_cache_file_recomputes(self, capsys, tmp_path):
         path = tmp_path / "kac_g1_r1_d0.json"
         path.write_text("{not json")
@@ -412,6 +426,24 @@ class TestExitCodes:
                                  "--curve", path)
         assert (code, out) == (1, "")
         assert err.startswith("RoundingFailure: ")
+
+    def test_count_bound_beyond_float_range(self, capsys, tmp_path):
+        # at r = 3 the error bound's q^(k/2) for q = 2^200 is past any float
+        q = 2 ** 200
+        path = write_curve(tmp_path, blob={"q": q, "genus": 2, "point_counts":
+                                           [q + 1, q * q + 2 * q + 1]})
+        code, out, err = run_cli(capsys, "count", "-r", "3", "-d", "1",
+                                 "--curve", path)
+        assert (code, out) == (1, "")
+        assert err.startswith("RoundingFailure: ")
+
+    def test_deeply_nested_curve_file(self, capsys, tmp_path):
+        path = tmp_path / "curve.json"
+        path.write_text(DEEP_JSON)
+        code, out, err = run_cli(capsys, "count", "-r", "1",
+                                 "--curve", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("ValueError: ")
 
     def test_bad_curve_counts(self, capsys, tmp_path):
         path = write_curve(tmp_path, blob={"q": 2, "genus": 1,

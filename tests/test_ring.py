@@ -428,7 +428,7 @@ def test_diff_adams(f, k):
 @contextmanager
 def checked_filter_updates():
     """Within the block, every filter update inside normalize is compared
-    with a fresh eval_mod of the quotient, or, for a slice image, of the
+    with a fresh _reduce of the quotient, or, for a slice image, of the
     same z-slice of the quotient; yields the set of update kinds met over
     both: leading (the atom's leading variable), binomial (another
     variable of the atom), scalar (a variable the atom lacks) and
@@ -438,27 +438,26 @@ def checked_filter_updates():
 
     def checked(filt, atom, quotient):
         lead = atom.shape.leading()[0]
-        kinds = {(images, key): "leading" if key[1] == lead else
-                 "binomial" if atom.shape.exponent(key[1]) else "scalar"
+        kinds = {(images, w): "leading" if w == lead else
+                 "binomial" if atom.shape.exponent(w) else "scalar"
                  for images in ("reductions", "slices")
-                 for key in getattr(filt, images)}
+                 for w in getattr(filt, images)}
         divided(filt, atom, quotient)
         assert filt.poly is quotient
         if filt.slices:
             d, part = filt.zslice
             assert part == SparsePoly(quotient.split("z")[d])
-        for (images, key), kind in kinds.items():
+        for (images, w), kind in kinds.items():
             images = getattr(filt, images)
-            if key not in images:
+            if w not in images:
                 seen.add("dropped")
                 continue
             seen.add(kind)
-            p, w = key
             poly = quotient
             if images is filt.slices:
                 seen.add("slice")
                 poly = part
-            assert images[key] == poly.eval_mod(p, ring._POINTS[p], w)
+            assert images[w] == ring._reduce(poly, w)
 
     ring._DivisionFilter.divided = checked
     try:
@@ -494,9 +493,9 @@ def test_filter_update_every_kind():
 
 
 def test_filter_update_drops_an_entry_it_cannot_specialize():
-    # 1 - T/p has no image mod the first filter prime p: the reduction in
-    # q is dropped, and the atom after it recomputes one lazily
-    p = ring._FILTER_PRIMES[0]
+    # 1 - T/p has no image mod the filter's prime p: the reduction in q
+    # is dropped, and the atom after it recomputes one lazily
+    p = ring._P
     atoms = [_atom(1, q=1), _atom(Fraction(1, p), T=1), _atom(3, q=1, T=1)]
     poly = SparsePoly([(Monomial.of(q=2), 1), (Monomial.of(T=1), 7)])
     with checked_filter_updates() as seen:
@@ -536,19 +535,23 @@ def test_filter_update_random(poly, atoms, data):
         assert n.numerator.divide_atom(atom) is None
 
 
-def test_filter_tries_the_next_prime_where_an_atom_vanishes():
-    # 1 - p*z specializes to the unit 1 mod the first filter prime p,
-    # which decides nothing; the next prime lets the atom cancel
-    p = ring._FILTER_PRIMES[0]
+def test_filter_leaves_an_atom_that_vanishes_to_exact_division():
+    # 1 - p*z specializes to the unit 1 mod the filter's prime p, which
+    # decides nothing: the filter lets it through even where it does not
+    # divide, and exact division lets the atom cancel where it does
+    atom = _atom(ring._P, z=1)
     poly = SparsePoly([(Monomial(), 2), (Monomial.of(z=2), 3)])
-    n = _planted(poly, [_atom(p, z=1)]).normalize()
+    assert ring._DivisionFilter(poly).may_divide(atom)
+    assert poly.divide_atom(atom) is None
+    n = _planted(poly, [atom]).normalize()
     assert not n.denominator
     assert n.numerator.mul_monomial(n.prefactor) == poly
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from(ring._FILTER_PRIMES), st.data())
-def test_fold_agrees_with_synthetic_division(p, data):
+@given(st.data())
+def test_fold_agrees_with_synthetic_division(data):
+    p = ring._P
     coeffs = data.draw(st.dictionaries(st.integers(-12, 12),
                                        st.integers(1, p - 1), max_size=8))
     d = data.draw(st.integers(1, 6))
@@ -558,7 +561,7 @@ def test_fold_agrees_with_synthetic_division(p, data):
     exps = st.sampled_from([d]) | st.integers(1, 6)
     for k, e in data.draw(st.lists(st.tuples(st.integers(1, 3), exps),
                                    max_size=2)):
-        coeffs = ring._mul_binomial_mod(coeffs, pow(cc, k, p), k * e, p)
+        coeffs = ring._mul_binomial_mod(coeffs, pow(cc, k, p), k * e)
     if d > 1 and data.draw(st.booleans()):
         # c*(w^a - w^b): two classes off by c, in total 0
         a, b = data.draw(st.lists(st.integers(0, d - 1), min_size=2,
@@ -567,8 +570,59 @@ def test_fold_agrees_with_synthetic_division(p, data):
         coeffs = dict(coeffs)
         coeffs[a] = (coeffs.get(a, 0) + c) % p
         coeffs[b] = (coeffs.get(b, 0) - c) % p
-    assert ring._vanishes_mod(coeffs, cc, d, p) == \
-        (ring._divide_mod(coeffs, cc, d, p) is not None)
+    assert ring._vanishes_mod(coeffs, cc, d) == \
+        (ring._divide_mod(coeffs, cc, d) is not None)
+
+
+# _reduce makes the residue of each distinct monomial without w once; its
+# image must equal the point evaluated term by term.
+
+REDUCE_NAMES = ("a1", "a2", "q", "z", "T", "z1")
+
+
+def direct_image(poly, w):
+    """Σ c·∏ point[v]^e mod p over the terms, grouped by the degree of w,
+    or None when p divides a coefficient's denominator."""
+    p = ring._P
+    out = {}
+    for m, c in poly.sorted_terms():
+        c = Fraction(c)
+        if not c.denominator % p:
+            return None
+        r = c.numerator * pow(c.denominator, -1, p)
+        for v, e in m.items:
+            if v != w:
+                r = r * pow(ring._POINT[v], e, p) % p
+        out[m.exponent(w)] = (out.get(m.exponent(w), 0) + r) % p
+    return {d: r for d, r in out.items() if r}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(
+           st.dictionaries(st.sampled_from(REDUCE_NAMES), st.integers(-3, 3),
+                           max_size=3),
+           st.integers(-9, 9) | st.fractions(-9, 9, max_denominator=7)),
+           max_size=8),
+       # t never occurs in the terms
+       st.sampled_from(REDUCE_NAMES + ("t",)),
+       st.sampled_from([None, "exact", "every"]), st.booleans())
+@example([({"q": 1, "z": -2}, Fraction(2, 3)), ({"q": 1, "z": 1}, -1),
+          ({"q": 1}, 1)], "z", None, False)
+@example([({"a1": -1}, Fraction(5, 7)), ({"T": 2}, 3)], "t", "every", False)
+@example([({"q": 2}, 1), ({}, 4)], "q", "exact", True)
+def test_reduce_agrees_with_a_term_by_term_evaluation(terms, w, support,
+                                                      undefined):
+    poly = SparsePoly([(Monomial(e), c) for e, c in terms])
+    if undefined:
+        # no other coefficient's denominator can cancel the prime
+        poly = poly + SparsePoly([(Monomial.of(q=1), Fraction(1, ring._P))])
+    if support == "exact":
+        support = ring._support(poly.terms)
+    elif support == "every":
+        support = [ring._SLOT[v] for v in REDUCE_NAMES + ("t",)]
+    want = direct_image(poly, w)
+    assert (want is None) == undefined
+    assert ring._reduce(poly, w, support) == want
 
 
 @DIFF
@@ -612,31 +666,31 @@ def test_normalize_bytes_do_not_depend_on_z_slices(poly, planted, extra):
 # ---------------------------------------------------------------------------
 # × and + hand normalize a seed that composes the image of the numerator
 # they built from the images of their operands; every composed image, and
-# every image a fraction carries, must equal a fresh eval_mod at the fixed
+# every image a fraction carries, must equal a fresh _reduce at the fixed
 # point.
 
 
 def assert_images(f):
-    for (p, w), img in f._images.items():
-        assert img == f.numerator.eval_mod(p, ring._POINTS[p], w)
+    for w, img in f._images.items():
+        assert img == ring._reduce(f.numerator, w)
 
 
 @contextmanager
 def checked_images():
     """Within the block, every image a seed composes is compared with
-    eval_mod of the numerator it was built for, and every normalized
-    result's images with eval_mod of its numerator; yields the list of
-    (p, w) keys composed."""
+    _reduce of the numerator it was built for, and every normalized
+    result's images with _reduce of its numerator; yields the list of
+    variables w composed."""
     composed = []
     init = ring._DivisionFilter.__init__
     normalize = FactoredRat.normalize
 
     def checked_init(filt, poly, seed=None):
-        def checked(p, w):
-            img = seed(p, w)
+        def checked(w):
+            img = seed(w)
             if img is not None:
-                assert img == poly.eval_mod(p, ring._POINTS[p], w)
-                composed.append((p, w))
+                assert img == ring._reduce(poly, w)
+                composed.append(w)
             return img
 
         init(filt, poly, None if seed is None else checked)
@@ -759,9 +813,9 @@ def test_cross_cancellation_keeps_the_bytes(pair):
     got, want = a * b, reference_product(a, b)
     assert got.to_json() == want.to_json()
     assert got.denominator == want.denominator
-    for (p, w), img in got._images.items():
-        assert img == want._image(p, w)
-        assert img == got.numerator.eval_mod(p, ring._POINTS[p], w)
+    for w, img in got._images.items():
+        assert img == want._image(w)
+        assert img == ring._reduce(got.numerator, w)
 
 
 # ---------------------------------------------------------------------------
