@@ -64,21 +64,23 @@ def _lambda_term(g, lam):
             * FactoredRat.from_monomial(w)).normalize()
 
 
-def _partition_sum_log(term, z_order=None):
+def _partition_sum_log(term, z_order=None,
+                       total=lambda terms: sum(terms[1:], terms[0])):
     """log of the partition sum Σ_λ term(λ) T^{|λ|}, grown one T-degree at
-    a time; each T^k coefficient is the sum of the λ-terms with |λ| = k.
+    a time; each T^k coefficient is total(the λ-terms with |λ| = k).
 
-    The terms are added pairwise: those of one size share few atoms, so one
-    add_many over their multiset-max denominator multiplies each numerator
-    by the atoms of all the others.  Even with add_many removing the atoms
-    sure to cancel first, one add_many per T^k is slower: kac(2,3) 0.255
-    against 0.241 s, kac(2,4) 3.1-3.5 against 2.3 s (CPU, 2-vCPU VM).
+    By default the terms are added pairwise, kept where measured to win:
+    on the main route those of one size share few atoms, so one add_many
+    over their multiset-max denominator multiplies each numerator by the
+    atoms of all the others.  Even with add_many removing the atoms sure
+    to cancel first, one add_many per T^k is slower: kac(2,3) 0.255
+    against 0.241 s, kac(2,4) 3.1-3.5 against 2.3 s (CPU, 2-vCPU VM).  The
+    pure-z route sums at once: its terms share almost every atom.
     """
     def coefficient(k):
         if not k:
             return FactoredRat.one()
-        terms = [term(lam) for lam in partitions_of(k)]
-        return sum(terms[1:], terms[0])
+        return total([term(lam) for lam in partitions_of(k)])
 
     return LazyLog(coefficient, z_order)
 
@@ -345,7 +347,8 @@ def _constant_lambda_term(g, lam):
 def _constant_log(g):
     """The constant-term route's own Log memo: it shares none with the main
     route, so that the route stays an independent check."""
-    return _partition_sum_log(lambda lam: _constant_lambda_term(g, lam))
+    return _partition_sum_log(lambda lam: _constant_lambda_term(g, lam),
+                              total=add_many)
 
 
 @lru_cache(maxsize=None)
@@ -356,14 +359,9 @@ def _constant_class_sums(g, r):
         raise NotPolynomialAfterClearing(
             "(1-z^%d) does not clear the constant-term series at g=%d"
             % (r, g))
-    dec = z_decompose(Q0)
-    sums = []
-    for d in range(r):
-        total = Fraction(0)
-        for j, c in dec.items():
-            if j % r == d:
-                total += _as_rational(c)
-        sums.append(total)
+    sums = [Fraction(0)] * r
+    for j, c in z_decompose(Q0).items():
+        sums[j % r] += _as_rational(c)
     return tuple(sums)
 
 

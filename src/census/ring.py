@@ -12,20 +12,23 @@ and a nonconstant Laurent monomial m.  Denominators are never expanded.
 
 Cancellation.  normalize divides the numerator by each denominator atom
 as often as it divides, in Atom.key order, and moves the numerator's
-content monomial into the prefactor.  Each atom cancels min(multiplicity,
-valuation) times, and for a fixed multiset of atoms left that form is
-unique.  An atom a is free when it shares no factor with any atom of the
-denominator that sorts before it (_free_atoms).  Dividing the numerator
-by a free atom k times ahead of normalize, and taking k copies of it from
-the denominator, keeps the bytes: the counts of the atoms before a do not
+content monomial into the prefactor.  Exact division by 1 - c*m walks
+lattice lines: on the terms x + k*m of one line, q_k = n_k + c*q_(k-1)
+runs from the lowest k and must vanish at the highest, so a line of one
+term never divides.  Each atom cancels min(multiplicity, valuation)
+times, and for a fixed multiset of atoms left that form is unique.  An
+atom a is free when it shares no factor with any atom of the denominator
+that sorts before it (_free_atoms).  Dividing the numerator by a free
+atom k times ahead of normalize, and taking k copies of it from the
+denominator, keeps the bytes: the counts of the atoms before a do not
 change, a's own falls by exactly k, and every later step starts from the
 same state.  A product first divides each operand's numerator by the
 free atoms of the other's denominator, as often as they divide
 (cross-cancellation; Henrici 1956, Knuth TAOCP 4.5.1).  add_many keeps
 the multiset maximum of the atoms as the common denominator, but removes
 a free atom a k times when k separate missing atoms of every term are
-divisible by a (1 - y divides 1 - y^n): each such atom b is multiplied in
-as the quotient 1 + y + ... + y^(n-1), or left out when b = a.
+divisible by a (1 - y divides 1 - y^n): each such atom b is multiplied
+in as the quotient 1 + y + ... + y^(n-1), or left out when b = a.
 
 Variable names follow a fixed ambient scheme: "a1".."a2g" for the Weil
 coordinates, "q", "z", "T", the kernel variables "z1".."zn", and the
@@ -552,41 +555,45 @@ class SparsePoly:
         return Monomial._raw(code)
 
     def divide_atom(self, atom):
-        """Exact quotient self / (1 - c*shape), or None when not divisible.
+        """Exact quotient self / (1 - c*m), or None when not divisible.
 
-        Bottom-up synthetic division in the leading variable of the shape;
-        exactness follows because the divisor has unit constant term.
+        Walks lattice lines (see the module docstring): a term x lies on
+        the line of base x - k*m, k = floor(deg_v(x)/d) for the leading
+        variable v of m and its exponent d.  A quotient code lies between
+        two codes of the numerator on its own line, so none can overflow.
         """
         if not self.terms:
             return self
-        v, d = atom.shape.leading()
-        sh = _SHIFT[_SLOT[v]]
-        shape_rest = atom.shape.code - (d << sh)
-        c = atom.constant_fast
-        buckets = self.split(v)
-        hi = max(buckets)
-        lo = min(buckets)
-        qmax = hi - d
+        items = atom.shape.items
+        v, d = items[-1]
+        rnd, sh = _ROUND[_SLOT[v]], _SHIFT[_SLOT[v]]
+        m, c = atom.shape.code, atom.constant_fast
+        lines = {}
+        for x, cf in self.terms.items():
+            k = ((((x + rnd) >> sh) & _MASK) - _HALF) // d
+            lines.setdefault(x - k * m, {})[k] = cf
+        if 1 in map(len, lines.values()):
+            return None
         quotient = {}
-        for k in range(lo, hi + 1):
-            blk = buckets.pop(k, None)
-            if not blk:
-                continue
-            blk = {m0: cf for m0, cf in blk.items() if cf}
-            if not blk:
-                continue
-            if k > qmax:
+        for base, line in lines.items():
+            lo, hi = min(line), max(line)
+            x, q = base + lo * m, 0
+            for k in range(lo, hi):
+                q = line.get(k, 0) + c * q
+                if q:
+                    quotient[x] = _clean(q)
+                x += m
+            if line[hi] + c * q:
                 return None
-            vk = k << sh
-            for m0, cf in blk.items():
-                quotient[m0 + vk] = _clean(cf)
-            carry = buckets.setdefault(k + d, {})
-            cget = carry.get
-            for m0, cf in blk.items():
-                m1 = m0 + shape_rest
-                if (m1 ^ (m1 << 1)) & _GUARD:
-                    _overflow()
-                carry[m1] = cget(m1, 0) + c * cf
+        # Two bases alias only where some |k*m_f| passes 2**22; the walk
+        # then divided sums of lines, and a code out of range shows that
+        # some line did not divide.
+        if (max([abs(e) for _, e in items[:-1]], default=0)
+                * -(-_LIMIT // d) > _LIMIT):
+            try:
+                _check_codes(quotient)
+            except ExponentOverflow:
+                return None
         return SparsePoly._raw(quotient)
 
     def split(self, var):

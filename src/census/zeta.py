@@ -164,12 +164,16 @@ class CurveData:
     @staticmethod
     def from_dict(obj):
         try:
-            q = int(obj["q"])
-            genus = int(obj["genus"])
-            counts = [int(n) for n in obj["point_counts"]]
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            q, genus, counts = obj["q"], obj["genus"], obj["point_counts"]
+        except (KeyError, TypeError) as exc:
             raise ValueError("curve input needs q, genus, point_counts: %s"
                              % (exc,))
+        if type(q) is not int:
+            raise ValueError("curve q must be a JSON integer")
+        if type(genus) is not int or genus < 0:
+            raise ValueError("curve genus must be a JSON integer >= 0")
+        if type(counts) is not list or any(type(n) is not int for n in counts):
+            raise ValueError("curve point_counts must be JSON integers")
         return weil_from_counts(q, counts, genus=genus)
 
 

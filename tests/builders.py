@@ -7,7 +7,7 @@ from itertools import repeat
 from operator import and_, itemgetter, or_, rshift
 
 from census.errors import HigherOrderPole, SubstitutionToZeroPole
-from census.partitions import chain_blocks, pairing
+from census.partitions import chain_blocks, pairing, partitions_of
 from census.ring import (
     _HALF,
     _KEY,
@@ -22,6 +22,7 @@ from census.ring import (
     Monomial,
     SparsePoly,
     _at_point,
+    _check,
     _DivisionFilter,
     _clean,
     _mul_binomial_mod,
@@ -409,3 +410,51 @@ def frac_to_json_by_exponents(f):
                          _exponents(a.shape, variables)]
                         for a in _sorted_atoms(f.denominator)],
     }
+
+
+# ---------------------------------------------------------------------------
+# The division that the line walk of divide_atom replaced, and the pairwise
+# fold that the pure-z partition sum replaced by one add_many per T^k.  The
+# tests compare the new routes against them byte for byte.
+
+def divide_atom_by_buckets(p, atom):
+    """SparsePoly.divide_atom by bottom-up synthetic division in the
+    leading variable v of the shape: the terms sorted into one dict per
+    v-degree, each carried d degrees up, every carried code checked."""
+    if not p.terms:
+        return p
+    v, d = atom.shape.leading()
+    sh = _SHIFT[_slot(v)]
+    shape_rest = atom.shape.code - (d << sh)
+    c = atom.constant_fast
+    buckets = p.split(v)
+    hi = max(buckets)
+    lo = min(buckets)
+    qmax = hi - d
+    quotient = {}
+    for k in range(lo, hi + 1):
+        blk = buckets.pop(k, None)
+        if not blk:
+            continue
+        blk = {m0: cf for m0, cf in blk.items() if cf}
+        if not blk:
+            continue
+        if k > qmax:
+            return None
+        vk = k << sh
+        for m0, cf in blk.items():
+            quotient[m0 + vk] = _clean(cf)
+        carry = buckets.setdefault(k + d, {})
+        for m0, cf in blk.items():
+            m1 = _check(m0 + shape_rest)
+            carry[m1] = carry.get(m1, 0) + c * cf
+    return SparsePoly._raw(quotient)
+
+
+def partition_sum_by_pairs(term, k):
+    """The T^k coefficient Σ_{|λ|=k} term(λ) of a partition sum, added
+    pairwise."""
+    if not k:
+        return FactoredRat.one()
+    terms = [term(lam) for lam in partitions_of(k)]
+    return sum(terms[1:], terms[0])

@@ -464,6 +464,22 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert err.startswith("ValueError: ")
 
+    @pytest.mark.parametrize("blob,field", [
+        ({"q": 2, "genus": 2, "point_counts": [3.5, 13]}, "point_counts"),
+        ({"q": 2, "genus": 2, "point_counts": [True, 13]}, "point_counts"),
+        ({"q": 2, "genus": 2, "point_counts": "3,13"}, "point_counts"),
+        ({"q": "3", "genus": 1, "point_counts": [4]}, "q"),
+        ({"q": 2, "genus": 2.0, "point_counts": [3, 13]}, "genus"),
+        ({"q": 2, "genus": -1, "point_counts": []}, "genus"),
+    ], ids=["count-float", "count-bool", "counts-string", "q-string",
+            "genus-float", "genus-negative"])
+    def test_curve_values_must_be_json_integers(self, capsys, tmp_path,
+                                                blob, field):
+        path = write_curve(tmp_path, blob=blob)
+        code, out, err = run_cli(capsys, "count", "-r", "1", "--curve", path)
+        assert (code, out) == (1, "")
+        assert err.startswith("ValueError: curve %s " % field)
+
     def test_bad_jobs_value(self, capsys):
         code, _, err = run_cli(capsys, "--jobs", "x",
                                "kac", "-g", "1", "-r", "1")

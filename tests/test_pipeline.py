@@ -43,7 +43,7 @@ from census.zeta import (
 )
 
 from builders import (const, constant_lambda_term_by_chain,
-                      lift_paired_by_terms)
+                      lift_paired_by_terms, partition_sum_by_pairs)
 
 
 def mono(**e):
@@ -715,6 +715,16 @@ class TestPartitionLogMemo:
         old = _partition_sum_by_loop(
             lambda lam: constant_lambda_term_by_chain(g, lam), 6)
         self.check(pipeline._constant_log(g), old)
+
+    @pytest.mark.parametrize("g", [0, 1, 2, 5])
+    def test_constant_term_route_sums_each_size_at_once(self, g):
+        # one add_many per T^k keeps the bytes of the pairwise fold
+        log = pipeline._constant_log(g)
+        for k in range(11):
+            want = partition_sum_by_pairs(
+                lambda lam: pipeline._constant_lambda_term(g, lam), k)
+            assert json.dumps(log.coefficient(k).to_json()) == \
+                json.dumps(want.to_json())
 
     @pytest.mark.parametrize("g", [0, 1, 2, 5])
     def test_constant_lambda_term_in_one_step(self, g):

@@ -27,6 +27,7 @@ from census.residues import h_factor
 from builders import (
     add_many_by_lcm,
     content_monomial_by_slots,
+    divide_atom_by_buckets,
     frac_to_json_by_exponents,
     geometric,
     normalize_by_filter,
@@ -394,6 +395,104 @@ def test_diff_divide_atom(p, atom, plant):
         assert not sympy.Poly(den, *SYMBOLS.values()).is_monomial
     else:
         assert sym_equal(to_sympy(quotient) * sym_atom(atom), to_sympy(p))
+
+
+# divide_atom walks lattice lines; the bucket division it replaced is the
+# reference, byte for byte.  The numerators are multivariate Laurent
+# polynomials, planted multiples of the atom and near misses of them, and
+# some are shifted so that their exponents reach ±(2**22 - 1) in every
+# variable the bucket division's carries leave alone: the leading one of
+# the atom, and those it lacks.
+
+EDGE = 2 ** 22 - 1
+LINE_NAMES = ("a1", "q", "z", "T", "z1")
+LINE_CONSTANTS = (1, -1, 2, Fraction(1, 2), Fraction(-3, 4))
+LINE_TERMS = st.tuples(st.dictionaries(st.sampled_from(LINE_NAMES),
+                                       st.integers(-4, 4), max_size=3),
+                       st.sampled_from(LINE_CONSTANTS))
+
+
+@st.composite
+def line_atoms(draw):
+    names = draw(st.lists(st.sampled_from(LINE_NAMES), min_size=1,
+                          max_size=3, unique=True))
+    shape = Monomial({v: draw(st.integers(-3, 3).filter(bool))
+                      for v in names})
+    return Atom.make(draw(st.sampled_from(LINE_CONSTANTS)), shape)[2]
+
+
+@st.composite
+def line_numerators(draw, atom):
+    poly = SparsePoly([(Monomial(e), c)
+                       for e, c in draw(st.lists(LINE_TERMS, max_size=6))])
+    if draw(st.booleans()):
+        poly = poly * atom.as_poly()
+        if draw(st.booleans()):
+            e, c = draw(LINE_TERMS)
+            poly = poly + SparsePoly([(Monomial(e), c)])
+    carried = set(atom.shape.variables()) - {atom.shape.leading()[0]}
+    for v in LINE_NAMES:
+        side = draw(st.sampled_from([0, 1, -1]))
+        if v in carried or not side or not poly.terms:
+            continue
+        exps = [Monomial.from_code(m).exponent(v) for m in poly.terms]
+        shift = EDGE - max(exps) if side > 0 else -EDGE - min(exps)
+        # in two steps: a shift may itself pass the range of one exponent
+        for e in (shift // 2, shift - shift // 2):
+            poly = poly.mul_monomial(Monomial.of(**{v: e}))
+    return poly
+
+
+def assert_same_division(poly, atom):
+    got = poly.divide_atom(atom)
+    want = divide_atom_by_buckets(poly, atom)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert json.dumps(ring.poly_to_json(got)) == \
+            json.dumps(ring.poly_to_json(want))
+        assert {m: type(c) for m, c in got.terms.items()} == \
+            {m: type(c) for m, c in want.terms.items()}
+    return got
+
+
+@settings(max_examples=400, deadline=None)
+@given(line_atoms(), st.data())
+def test_line_walk_agrees_with_bucket_division(atom, data):
+    assert_same_division(data.draw(line_numerators(atom)), atom)
+
+
+@pytest.mark.parametrize("c,shape,quotient", [
+    # a planted multiple whose terms reach z^EDGE, a near miss of it, and
+    # lines of one term
+    (1, {"q": -1, "z": 1}, [(1, {"z": EDGE - 1}), (2, {"z": EDGE - 3})]),
+    (Fraction(1, 2), {"z": 3}, [(1, {"z": -EDGE}),
+                                (-1, {"a1": EDGE, "z": 2 - EDGE})]),
+    # m_q * k passes 2**22 on lines near z^-EDGE: the quotient is checked
+    (-1, {"q": 3, "z": 1}, [(1, {"z": -EDGE, "q": 1}), (3, {"z": 5 - EDGE})]),
+    (2, {"T": 1, "q": 2}, [(1, {"T": EDGE - 2, "z1": -EDGE})]),
+])
+def test_line_walk_at_the_edge_of_the_exponent_range(c, shape, quotient):
+    atom = Atom.make(c, Monomial(shape))[2]
+    q = SparsePoly([(Monomial(e), cf) for cf, e in quotient])
+    poly = q * atom.as_poly()
+    assert assert_same_division(poly, atom) == q
+    near = poly + SparsePoly([(Monomial(quotient[0][1]), 1)])
+    assert assert_same_division(near, atom) is None
+    for code, cf in poly.terms.items():
+        assert SparsePoly._raw({code: cf}).divide_atom(atom) is None
+
+
+def test_line_walk_keeps_apart_lines_whose_bases_alias():
+    # m = T q^(2^21): the base of T^8 z is z q^(-2^24), whose code is that
+    # of 1, the base of the term 1.  The two lines, of one term each, do
+    # not divide; their sum 1 - X^8 in X = T q^(2^21) would, through codes
+    # with q^(2^22), which is past the range.  The bucket division carries
+    # into q^(2^22) and raises.
+    atom = Atom(1, Monomial.of(T=1, q=2 ** 21))
+    poly = SparsePoly([(Monomial(), 1), (Monomial.of(T=8, z=1), -1)])
+    assert poly.divide_atom(atom) is None
+    with pytest.raises(ExponentOverflow):
+        divide_atom_by_buckets(poly, atom)
 
 
 @DIFF
