@@ -121,8 +121,13 @@ def _cache_load(path):
 
 
 def _cache_store(path, result):
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+    """Write the entry at path; a cache that cannot be written, even where
+    its directory cannot be made, is skipped."""
+    try:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+    except OSError:
+        return
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             json.dump({"engine": ENGINE_VERSION, "result": result}, fh,

@@ -359,9 +359,13 @@ def _constant_class_sums(g, r):
         raise NotPolynomialAfterClearing(
             "(1-z^%d) does not clear the constant-term series at g=%d"
             % (r, g))
+    z, unit = _slot("z"), Monomial.of(z=1).code
     sums = [Fraction(0)] * r
-    for j, c in z_decompose(Q0).items():
-        sums[j % r] += _as_rational(c)
+    for m, c in Q0.numerator.mul_monomial(Q0.prefactor).terms.items():
+        j = _read(m, z)
+        if m != j * unit:
+            raise ValueError("not a polynomial in z: %r" % (Q0,))
+        sums[j % r] += c
     return tuple(sums)
 
 

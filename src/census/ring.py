@@ -92,14 +92,9 @@ keyed by w); __mul__ and add_many hand normalize a seed that composes the
 image of the numerator they built (add_many only from images its terms
 already hold), so _reduce reads a numerator only where no image is known,
 or where it involves no variable but w (its image is then the polynomial
-itself, cheaper to read than to compose).
-Where it must reduce while w sorts before z and the numerator involves
-z, the atom is z-free and divides the numerator only if it divides every
-z-slice (the terms of one z-degree), so the filter reduces the
-fewest-term slice alone.  Its images follow divisions by z-free atoms,
-are dropped by one in z, and are never kept on the FactoredRat.  Exact
-division still decides every cancellation: the filter changes the speed
-of normalize, never a normal form.
+itself, cheaper to read than to compose).  Exact division still decides
+every cancellation: the filter changes the speed of normalize, never a
+normal form.
 """
 
 from __future__ import annotations
@@ -142,8 +137,9 @@ _MASK = (1 << _W) - 1
 _HALF = 1 << (_W - 1)
 _LIMIT = 1 << (_W - 2)       # every |exponent| < _LIMIT is representable
 
+FAMILY_SIZE = 128            # variables in each of the a and z families
 _NAMES = ["q", "z", "T", "t", "s"]
-for _i in range(1, 129):
+for _i in range(1, FAMILY_SIZE + 1):
     _NAMES += ["a%d" % _i, "z%d" % _i]
 _SLOT = {name: slot for slot, name in enumerate(_NAMES)}
 _KEY = [var_key(name) for name in _NAMES]
@@ -475,16 +471,11 @@ class SparsePoly:
             return self
         return SparsePoly._raw({m: _clean(cf * c) for m, cf in self.terms.items()})
 
-    def mul_monomial(self, mono, c=1):
-        if not c:
-            return SparsePoly._raw({})
+    def mul_monomial(self, mono):
         d = mono.code
         if not d:
-            return self.mul_scalar(c)
-        if c == 1:
-            out = {m + d: cf for m, cf in self.terms.items()}
-        else:
-            out = {m + d: _clean(cf * c) for m, cf in self.terms.items()}
+            return self
+        out = {m + d: cf for m, cf in self.terms.items()}
         _check_codes(out)
         return SparsePoly._raw(out)
 
@@ -657,8 +648,6 @@ def _rows(terms, slots):
     return rows
 
 
-_Z_SLOT = _SLOT["z"]
-_Z_KEY = _KEY[_Z_SLOT]
 _P = (1 << 61) - 1
 _FILTER_RNG = random.Random(0x1D872A5)
 # The fixed evaluation point: one residue mod _P per variable.
@@ -741,9 +730,7 @@ class _DivisionFilter:
 
     A missing image comes from the seed when one is given, which composes
     it from the images of the operands poly was built from, and from
-    _reduce when the seed returns None or poly involves no variable but
-    w; _reduce then reads one z-slice where one decides (see the module
-    docstring), and that image is kept in slices, apart from reductions.
+    _reduce when the seed returns None or poly involves no variable but w.
 
     After an exact division poly -> poly / atom, divided() updates each
     image instead of reducing the quotient afresh, and a seeded image
@@ -754,21 +741,16 @@ class _DivisionFilter:
     for e != 0 the update is a synthetic division, for e = 0 a
     multiplication by the inverse of the scalar 1 - c.  An image whose
     specialized atom is undefined or zero mod _P, or whose division leaves
-    a remainder, is dropped and made again when next needed.  Slice
-    images follow a z-free atom, which divides each slice, and are all
-    dropped by an atom in z, which mixes the slices.
+    a remainder, is dropped and made again when next needed.
     """
 
-    __slots__ = ("poly", "seed", "divisors", "reductions", "slices",
-                 "zslice", "_slots")
+    __slots__ = ("poly", "seed", "divisors", "reductions", "_slots")
 
     def __init__(self, poly, seed=None):
         self.poly = poly
         self.seed = seed
         self.divisors = []
         self.reductions = {}
-        self.slices = {}
-        self.zslice = None       # (z-degree, slice) of the slice images
         self._slots = None
 
     def _support(self):
@@ -782,44 +764,22 @@ class _DivisionFilter:
         """Whether poly involves no variable but w."""
         return all(_NAMES[s] == w for s in self._support())
 
-    def _seeded(self, w):
-        """The seed's image of poly after the divisions so far, or None."""
-        if self.seed is None or self._univariate(w):
-            return None
-        coeffs = self.seed(w)
-        for atom in self.divisors:
-            if coeffs is None:
-                break
-            coeffs = _quotient_image(coeffs, atom, w)
-        return coeffs
-
     def _image(self, w):
-        """The image of poly in w, or None."""
+        """The image of poly in w, or None: the seed's after the divisions
+        so far where it gives one, else _reduce's."""
         coeffs = self.reductions.get(w, False)
         if coeffs is False:
-            coeffs = self._seeded(w)
+            coeffs = None
+            if self.seed is not None and not self._univariate(w):
+                coeffs = self.seed(w)
+                for atom in self.divisors:
+                    if coeffs is None:
+                        break
+                    coeffs = _quotient_image(coeffs, atom, w)
             if coeffs is None:
                 coeffs = _reduce(self.poly, w, self._support())
             self.reductions[w] = coeffs
         return coeffs
-
-    def _test_image(self, w):
-        """The image may_divide tests: one z-slice's where no image of poly
-        is known or seeded and a slice decides, else poly's."""
-        coeffs = self.slices.get(w, False)
-        if coeffs is not False:
-            return coeffs
-        if (w not in self.reductions and _KEY[_SLOT[w]] < _Z_KEY
-                and _Z_SLOT in self._support()):
-            coeffs = self._seeded(w)
-            if coeffs is None:
-                if self.zslice is None:
-                    self.zslice = _thinnest_z_slice(self.poly.terms)
-                coeffs = _reduce(self.zslice[1], w, self._support())
-                self.slices[w] = coeffs
-                return coeffs
-            self.reductions[w] = coeffs
-        return self._image(w)
 
     def may_divide(self, atom):
         if not self.poly.terms:
@@ -828,7 +788,7 @@ class _DivisionFilter:
         cc = _specialize(atom, v)
         if not cc:
             return True
-        coeffs = self._test_image(v)
+        coeffs = self._image(v)
         return coeffs is None or _vanishes_mod(coeffs, cc, d)
 
     def cancel(self, atom, k):
@@ -847,20 +807,12 @@ class _DivisionFilter:
         """Follow the exact division of the polynomial by atom."""
         self.poly = quotient
         self.divisors.append(atom)
-        if atom.shape.exponent("z"):
-            self.slices.clear()
-            self.zslice = None
-        elif self.zslice is not None:
-            d, part = self.zslice
-            self.zslice = d, part.divide_atom(atom)
-        for images in (self.reductions, self.slices):
-            for w, coeffs in list(images.items()):
-                new = None if coeffs is None else _quotient_image(
-                    coeffs, atom, w)
-                if new is None:
-                    del images[w]
-                else:
-                    images[w] = new
+        for w, coeffs in list(self.reductions.items()):
+            new = None if coeffs is None else _quotient_image(coeffs, atom, w)
+            if new is None:
+                del self.reductions[w]
+            else:
+                self.reductions[w] = new
 
     def images(self):
         """The images of poly made so far, keyed by w, except those of a
@@ -868,19 +820,6 @@ class _DivisionFilter:
         carry."""
         return {w: c for w, c in self.reductions.items()
                 if c is not None and not self._univariate(w)}
-
-
-def _thinnest_z_slice(terms):
-    """(d, slice): the z-degree d with the fewest terms, and those terms
-    without z; the degrees are read and the slice found in C."""
-    rnd, sh = _ROUND[_Z_SLOT], _SHIFT[_Z_SLOT]
-    degrees = list(map(and_, map(rshift, map(rnd.__add__, terms),
-                                 repeat(sh)), repeat(_MASK)))
-    counts = Counter(degrees)
-    d = min(counts, key=counts.__getitem__)
-    strip = (d - _HALF) << sh
-    return d - _HALF, SparsePoly._raw(
-        {m - strip: terms[m] for m in compress(terms, map(d.__eq__, degrees))})
 
 
 def _quotient_image(coeffs, atom, w):

@@ -75,8 +75,8 @@ def z_truncate_frac(f, bound, var="z"):
             keep.append(atom)
     sh = _SHIFT[_slot(var)]
     cap = bound - f.prefactor.exponent(var)
-    slices = f.numerator.split(var)
-    low = min(slices)
+    by_degree = f.numerator.split(var)
+    low = min(by_degree)
     if low > cap:
         return FactoredRat.zero()
     for atom in expand:
@@ -86,14 +86,14 @@ def z_truncate_frac(f, bound, var="z"):
                              % (atom, var))
         rest, c = atom.shape.code - (e << sh), atom.constant_fast
         for k in range(low + e, cap + 1):
-            below = slices.get(k - e)
+            below = by_degree.get(k - e)
             if below:
-                blk = slices.setdefault(k, {})
+                blk = by_degree.setdefault(k, {})
                 get = blk.get
                 for m, cf in below.items():
                     m += rest
                     blk[m] = get(m, 0) + c * cf
-    num = {m + (k << sh): _clean(cf) for k, blk in slices.items()
+    num = {m + (k << sh): _clean(cf) for k, blk in by_degree.items()
            if k <= cap for m, cf in blk.items() if cf}
     _check_codes(num)
     return FactoredRat(f.prefactor, SparsePoly._raw(num),
@@ -137,9 +137,9 @@ def _snap(f, z_order):
 
 
 def _times(a, b, z_order):
-    """a * b; in the z-truncated mode only the z-slices i, j of the
-    numerators with i + j <= z_order less the prefactor's z-exponent are
-    multiplied, so no term past z_order is formed."""
+    """a * b; in the z-truncated mode only the terms of z-degrees i, j of
+    the numerators with i + j <= z_order less the prefactor's z-exponent
+    are multiplied, so no term past z_order is formed."""
     if z_order is None:
         return a * b
     pre = a.prefactor * b.prefactor

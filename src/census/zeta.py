@@ -16,6 +16,7 @@ from fractions import Fraction
 from .errors import NotWeil, PoleArgument
 from .partitions import box_stats
 from .ring import (
+    FAMILY_SIZE,
     FactoredRat,
     Monomial,
     ONE_MONOMIAL,
@@ -24,12 +25,17 @@ from .ring import (
 )
 from .series import BiSeries, pleth_exp
 
+MAX_GENUS = FAMILY_SIZE // 2    # the ring's a-variables, two per genus
+
 
 def alpha_name(i):
     return "a%d" % i
 
 
 def alpha_names(g):
+    """a1..a{2g}; past MAX_GENUS a ValueError, before any product forms."""
+    if g > MAX_GENUS:
+        raise ValueError("genus %d is above the limit %d" % (g, MAX_GENUS))
     return [alpha_name(i) for i in range(1, 2 * g + 1)]
 
 

@@ -35,7 +35,8 @@ from census.ring import (
     rational_to_json,
     var_key,
 )
-from census.series import BiSeries
+from census import pipeline
+from census.series import BiSeries, z_decompose
 from census.zeta import alpha_name, alpha_names, pair_reduce
 
 
@@ -296,6 +297,27 @@ def normalize_by_filter(f):
                        _sorted_atoms(den), normalized=True)
 
 
+def normalize_by_division(f):
+    """normalize with no division filter: each atom, in Atom.key order, is
+    cancelled by exact division as often as it divides, and the content
+    monomial is then moved into the prefactor."""
+    num = f.numerator
+    if num.is_zero():
+        return FactoredRat.zero()
+    den = []
+    for atom, k in sorted(Counter(f.denominator).items(),
+                          key=lambda ak: ak[0].key()):
+        while k:
+            quotient = num.divide_atom(atom)
+            if quotient is None:
+                break
+            num, k = quotient, k - 1
+        den += [atom] * k
+    mc = num.content_monomial()
+    return FactoredRat(f.prefactor * mc, num.mul_monomial(mc ** -1),
+                       _sorted_atoms(den), normalized=True)
+
+
 def constant_lambda_term_by_chain(g, lam):
     """The pure-z λ-term z^{(g-1)<λ,λ>-ℓ(λ)} ∏_i ∏_{j<=m_i(λ)} 1/(1-z^{-j})
     as a product of atom_inverse factors."""
@@ -458,3 +480,14 @@ def partition_sum_by_pairs(term, k):
         return FactoredRat.one()
     terms = [term(lam) for lam in partitions_of(k)]
     return sum(terms[1:], terms[0])
+
+
+def constant_class_sums_by_decompose(g, r):
+    """The class sums of constant_term read through z_decompose: one
+    normalized FactoredRat per z-degree of Q0, each made a Fraction."""
+    A0 = pipeline._constant_log(g).pleth_coefficient(r).mul_scalar(-1)
+    Q0 = (A0 * pipeline._one_minus_z_pow(r)).normalize()
+    sums = [Fraction(0)] * r
+    for j, c in z_decompose(Q0).items():
+        sums[j % r] += pipeline._as_rational(c)
+    return tuple(sums)

@@ -240,6 +240,22 @@ class TestCache:
         assert (env_dir / "kac_g1_r1_d0.json").exists()
         assert not list(flag_dir.iterdir())
 
+    @pytest.mark.parametrize("via", ["flag", "env"])
+    def test_cache_dir_that_is_a_file_still_answers(self, capsys, tmp_path,
+                                                    monkeypatch, via):
+        args = ("kac", "-g", "1", "-r", "2", "-d", "1")
+        code, want, _ = run_cli(capsys, *args)
+        assert code == 0
+        blocked = tmp_path / "cache"
+        blocked.write_text("not a directory")
+        cache = ("--cache-dir", str(blocked))
+        if via == "env":
+            monkeypatch.setenv("CENSUS_CACHE", str(blocked))
+            cache = ()
+        code, out, err = run_cli(capsys, *cache, *args)
+        assert (code, out, err) == (0, want, "")
+        assert blocked.read_text() == "not a directory"
+
     def test_stale_engine_stamp_forces_recompute(self, capsys, tmp_path):
         path = tmp_path / "kac_g1_r1_d0.json"
         path.write_text(json.dumps({"engine": "0.0",
@@ -494,6 +510,22 @@ class TestExitCodes:
         run_cli(capsys, "--format", "json", "kac", "-g", "1", "-r", "1")
         assert run_cli(capsys, "kac", "-g", "1")[0] == 2
         assert run_cli(capsys, "kac", "-g", "1", "-r", "1") == text
+
+    @pytest.mark.parametrize("command", ["kac", "check", "betti"])
+    def test_genus_above_the_ring_limit_fails_at_once(self, tmp_path,
+                                                      command):
+        # the product over the Weil numbers at genus 65 has 4^65 terms: the
+        # limit must be met before it is formed
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+            str(REPO / "src"), os.environ.get("PYTHONPATH")])))
+        g = zeta.MAX_GENUS + 1
+        proc = subprocess.run(
+            [sys.executable, "-m", "census.cli", command, "-g", str(g),
+             "-r", "1"], capture_output=True, text=True, timeout=5, env=env,
+            cwd=tmp_path)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == ("ValueError: genus %d is above the limit %d\n"
+                               % (g, zeta.MAX_GENUS))
 
     def test_negative_genus(self, capsys):
         code, _, err = run_cli(capsys, "kac", "-g", "-1", "-r", "1")

@@ -42,8 +42,9 @@ from census.zeta import (
     zeta_star,
 )
 
-from builders import (const, constant_lambda_term_by_chain,
-                      lift_paired_by_terms, partition_sum_by_pairs)
+from builders import (const, constant_class_sums_by_decompose,
+                      constant_lambda_term_by_chain, lift_paired_by_terms,
+                      partition_sum_by_pairs)
 
 
 def mono(**e):
@@ -329,6 +330,33 @@ class TestConstantTerm:
 
     def test_degree_reduction(self):
         assert constant_term(2, 3, 7) == constant_term(2, 3, 1)
+
+    def test_genus_past_the_weil_variables(self):
+        # the pure-z route uses no Weil number, so the ring's genus limit
+        # does not bound it
+        assert constant_term(65, 2, 1) == 65
+
+    @pytest.mark.parametrize("g", [0, 1, 2, 5])
+    def test_class_sums_match_the_z_decomposition(self, g):
+        for r in range(1, 11):
+            want = constant_class_sums_by_decompose(g, r)
+            for d in range(r):
+                v = constant_term(g, r, d)
+                assert v == want[d]
+                assert isinstance(v, Fraction)
+
+    def test_class_sums_refuse_a_variable_other_than_z(self, monkeypatch):
+        # a clearing factor times 1 + q leaves q in the numerator
+        clearing = pipeline._one_minus_z_pow
+        monkeypatch.setattr(pipeline, "_one_minus_z_pow", lambda r: (
+            clearing(r) * FactoredRat.from_poly(SparsePoly(
+                {Monomial(): 1, mono(q=1): 1}))))
+        pipeline._constant_class_sums.cache_clear()
+        try:
+            with pytest.raises(ValueError, match="not a polynomial in z"):
+                pipeline._constant_class_sums(1, 1)
+        finally:
+            pipeline._constant_class_sums.cache_clear()
 
 
 class TestBetti:

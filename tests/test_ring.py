@@ -30,6 +30,7 @@ from builders import (
     divide_atom_by_buckets,
     frac_to_json_by_exponents,
     geometric,
+    normalize_by_division,
     normalize_by_filter,
     poly_to_json_by_exponents,
     sorted_terms_by_fields,
@@ -527,36 +528,25 @@ def test_diff_adams(f, k):
 @contextmanager
 def checked_filter_updates():
     """Within the block, every filter update inside normalize is compared
-    with a fresh _reduce of the quotient, or, for a slice image, of the
-    same z-slice of the quotient; yields the set of update kinds met over
-    both: leading (the atom's leading variable), binomial (another
-    variable of the atom), scalar (a variable the atom lacks) and
-    dropped, plus "slice" once a slice image is checked."""
+    with a fresh _reduce of the quotient; yields the set of update kinds
+    met: leading (the atom's leading variable), binomial (another variable
+    of the atom), scalar (a variable the atom lacks) and dropped."""
     seen = set()
     divided = ring._DivisionFilter.divided
 
     def checked(filt, atom, quotient):
         lead = atom.shape.leading()[0]
-        kinds = {(images, w): "leading" if w == lead else
+        kinds = {w: "leading" if w == lead else
                  "binomial" if atom.shape.exponent(w) else "scalar"
-                 for images in ("reductions", "slices")
-                 for w in getattr(filt, images)}
+                 for w in filt.reductions}
         divided(filt, atom, quotient)
         assert filt.poly is quotient
-        if filt.slices:
-            d, part = filt.zslice
-            assert part == SparsePoly(quotient.split("z")[d])
-        for (images, w), kind in kinds.items():
-            images = getattr(filt, images)
-            if w not in images:
+        for w, kind in kinds.items():
+            if w not in filt.reductions:
                 seen.add("dropped")
                 continue
             seen.add(kind)
-            poly = quotient
-            if images is filt.slices:
-                seen.add("slice")
-                poly = part
-            assert images[w] == ring._reduce(poly, w)
+            assert filt.reductions[w] == ring._reduce(quotient, w)
 
     ring._DivisionFilter.divided = checked
     try:
@@ -578,8 +568,7 @@ def _atom(c, **exps):
 
 def test_filter_update_every_kind():
     # sorted by Atom.key: a2, q, T (degree 1), then q^3/a2 and q*T, which
-    # meet reductions in a2, q and T; T sorts after z, and no atom takes
-    # the z-slice route
+    # meet reductions in a2, q and T
     atoms = [_atom(1, a2=1), _atom(2, q=1), _atom(-1, T=1),
              _atom(Fraction(1, 2), q=3, a2=-1), _atom(1, q=1, T=1)] * 2
     poly = SparsePoly([(Monomial.of(q=1, a1=1), 3), (Monomial.of(T=2), -1),
@@ -604,18 +593,20 @@ def test_filter_update_drops_an_entry_it_cannot_specialize():
     assert n.numerator.mul_monomial(n.prefactor) == poly
 
 
-def test_filter_update_every_slice_kind():
-    # sorted by Atom.key: a2, q, q^3/a2, q*z, z^3.  On a numerator in z
-    # the z-free atoms are tested on one z-slice, whose images in a2 and q
-    # meet every kind of update; q*z mixes the slices and drops them, and
-    # it and z^3 are tested on the whole numerator
+def test_filter_update_on_a_numerator_in_z():
+    # sorted by Atom.key: a2, q, a1*q/p, q^3/a2, q*z, z^3.  On a numerator
+    # in z every atom, z-free or not, is tested on the image of the whole
+    # numerator; the images in a2, q and z meet the leading, binomial and
+    # scalar updates, and a1*q/p, which has no image mod the filter's
+    # prime p, drops those made before it
     atoms = [_atom(1, a2=1), _atom(2, q=1), _atom(Fraction(1, 2), q=3, a2=-1),
-             _atom(1, q=1, z=1), _atom(-1, z=3)] * 2
+             _atom(1, q=1, z=1), _atom(-1, z=3),
+             _atom(Fraction(1, ring._P), a1=1, q=1)] * 2
     poly = SparsePoly([(Monomial.of(q=1, a1=1), 3), (Monomial.of(z=2), -1),
                        (Monomial.of(z=1, a2=1), 2), (Monomial(), 5)])
     with checked_filter_updates() as seen:
         n = _planted(poly, atoms).normalize()
-    assert seen == {"leading", "binomial", "scalar", "dropped", "slice"}
+    assert seen == {"leading", "binomial", "scalar", "dropped"}
     assert not n.denominator
     assert n.numerator.mul_monomial(n.prefactor) == poly
 
@@ -744,22 +735,18 @@ SLICE_ATOMS = [Atom.make(c, Monomial(e))[2] for c, e in [
     (1, {"q": 1, "z": 2, "a2": 1})]]
 
 
-@DIFF
+@settings(max_examples=200, deadline=None)
 @given(diff_polys(min_terms=1, max_terms=5),
        st.lists(st.sampled_from(SLICE_ATOMS), min_size=1, max_size=6),
        st.lists(st.sampled_from(SLICE_ATOMS), max_size=4))
-def test_normalize_bytes_do_not_depend_on_z_slices(poly, planted, extra):
+def test_normalize_bytes_match_exact_division_alone(poly, planted, extra):
     f = _planted(poly, planted)
     f = FactoredRat(f.prefactor, f.numerator, f.denominator + tuple(extra))
-    sliced = f.normalize()
-    with pytest.MonkeyPatch.context() as mp:
-        # no variable sorts before this key: every test reduces the whole
-        # numerator
-        mp.setattr(ring, "_Z_KEY", (-1, 0))
-        whole = f.normalize()
-    assert json.dumps(sliced.to_json()) == json.dumps(whole.to_json())
-    assert sliced.numerator == whole.numerator
-    assert sliced.denominator == whole.denominator
+    filtered = f.normalize()
+    exact = normalize_by_division(f)
+    assert json.dumps(filtered.to_json()) == json.dumps(exact.to_json())
+    assert filtered.numerator == exact.numerator
+    assert filtered.denominator == exact.denominator
 
 
 # ---------------------------------------------------------------------------

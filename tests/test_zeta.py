@@ -18,6 +18,7 @@ from census.errors import (ExponentOverflow, NotWeil, PoleArgument,
 from census.partitions import Partition, box_stats, partitions_of
 from census.pipeline import count_points, kac_polynomial
 from census.ring import (
+    FAMILY_SIZE,
     Atom,
     FactoredRat,
     Monomial,
@@ -27,6 +28,7 @@ from census.ring import (
 )
 from census.series import BiSeries, frac_to_series, series_exp
 from census.zeta import (
+    MAX_GENUS,
     CurveData,
     alpha_names,
     j_factor,
@@ -56,6 +58,15 @@ def prod(fracs):
     for f in fracs:
         out = out * f
     return out
+
+
+def test_alpha_names_stop_at_the_ring_limit():
+    names = alpha_names(MAX_GENUS)
+    assert len(names) == FAMILY_SIZE
+    assert mono(**{names[-1]: 1}).variables() == [names[-1]]
+    with pytest.raises(ValueError, match="genus %d is above the limit %d"
+                       % (MAX_GENUS + 1, MAX_GENUS)):
+        alpha_names(MAX_GENUS + 1)
 
 
 def curve_point(g, q=4.0, seed=7):
