@@ -268,6 +268,15 @@ def main(argv=None):
         if not args.subcommand:
             raise UsageError("a subcommand is required")
         _DISPATCH[args.subcommand](args, sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (`census ... | head`): as in the SIGPIPE
+        # note of the Python docs, the interpreter's last flush goes to
+        # the null device, and the exit is 1 with nothing on stderr
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except UsageError as exc:
         sys.stderr.write("usage error: %s\n" % (exc,))
         return 2

@@ -11,19 +11,22 @@ denominator factor is a binomial atom (1 - c*m) for a nonzero rational c
 and a nonconstant Laurent monomial m.  Denominators are never expanded.
 
 Cancellation.  normalize divides the numerator by each denominator atom
-as often as it divides, in Atom.key order, and moves the numerator's
-content monomial into the prefactor.  Exact division by 1 - c*m walks
-lattice lines: on the terms x + k*m of one line, q_k = n_k + c*q_(k-1)
-runs from the lowest k and must vanish at the highest, so a line of one
-term never divides.  Each atom cancels min(multiplicity, valuation)
-times, and for a fixed multiset of atoms left that form is unique.  An
-atom a is free when it shares no factor with any atom of the denominator
-that sorts before it (_free_atoms).  Dividing the numerator by a free
-atom k times ahead of normalize, and taking k copies of it from the
-denominator, keeps the bytes: the counts of the atoms before a do not
-change, a's own falls by exactly k, and every later step starts from the
-same state.  A product first divides each operand's numerator by the
-free atoms of the other's denominator, as often as they divide
+as often as it divides, in Atom.key order, and leaves the prefactor and
+the numerator as the divisions left them.  Exact division by 1 - c*m
+walks lattice lines: on the terms x + k*m of one line, q_k = n_k +
+c*q_(k-1) runs from the lowest k and must vanish at the highest, so a
+line of one term never divides.  Each atom cancels min(multiplicity,
+valuation) times, and for a fixed multiset of atoms left the written
+form is unique: where a normalized fraction is written (to_json, repr),
+and only there, the numerator's content monomial moves into the
+prefactor (_written), so products and sums never shift it out and back.
+An atom a is free when it shares no factor with any atom of the
+denominator that sorts before it (_free_atoms).  Dividing the numerator
+by a free atom k times ahead of normalize, and taking k copies of it
+from the denominator, keeps the bytes: the counts of the atoms before a
+do not change, a's own falls by exactly k, and every later step starts
+from the same state.  A product first divides each operand's numerator
+by the free atoms of the other's denominator, as often as they divide
 (cross-cancellation; Henrici 1956, Knuth TAOCP 4.5.1).  add_many keeps
 the multiset maximum of the atoms as the common denominator, but removes
 a free atom a k times when k separate missing atoms of every term are
@@ -43,15 +46,6 @@ The monomial 1 is 0, a product is an integer sum, m**k and the Adams
 operation multiply the code by k, and an exponent is read with one
 shift and one mask.  SparsePoly.terms is keyed by codes, so monomials
 are hashed and compared in C.  Monomial wraps one code for callers.
-
-Content.  Adding the bias 2**23 to every field of a code leaves each
-field holding e + 2**23 with no borrows, its top bit set exactly when
-e >= 0.  content_monomial ANDs the biased codes of all terms, which keeps
-a field's top bit when no exponent there is negative, and ANDs
-((biased ^ bias) & low) + low, low = 2**23 - 1 per field, which keeps it
-when no exponent there is 0.  Only a field with a negative exponent or
-no zero one has a nonzero minimum, and only those fields are read term
-by term.
 
 Slot order.  The slot of a variable is a pure function of its name: q,
 z, T, t and s take slots 0..4, and the i-th variable of the a and z
@@ -105,7 +99,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import chain, compress, repeat
 from math import gcd
-from operator import and_, index, itemgetter, lshift, or_, rshift, xor
+from operator import index, itemgetter, lshift, or_, xor
 
 from .errors import ExponentOverflow, PoleAtPoint, SubstitutionToZeroPole
 
@@ -522,27 +516,14 @@ class SparsePoly:
                     for m, c in self.terms.items()), complex(0))
 
     def content_monomial(self):
-        """Largest monomial (Laurent) dividing every term: two AND
-        reductions find the fields whose minimum is not 0 (see the module
-        docstring), and only those are read term by term."""
+        """Largest monomial (Laurent) dividing every term: the least
+        exponent of each variable."""
         terms = self.terms
-        if len(terms) < 2:
-            return Monomial._raw(next(iter(terms), 0))
-        n = max(max(terms).bit_length(), min(terms).bit_length()) // _W + 1
-        bias = _BIAS & ((1 << _W * n) - 1)
-        low = bias - (bias >> _W - 1)
-        biased = list(map(bias.__add__, terms))
-        nonneg = reduce(and_, biased)
-        nonzero = reduce(and_, map(low.__add__, map(low.__and__, map(
-            bias.__xor__, biased))))
-        bad = (bias & ~nonneg) | (bias & nonzero)
         code = 0
-        while bad:
-            sh = (bad & -bad).bit_length() - _W
-            bad &= bad - 1
-            least = min(map(and_, map(rshift, biased, repeat(sh)),
-                            repeat(_MASK)))
-            code += (least - _HALF) << sh
+        for s in _support(terms):
+            rnd, sh = _ROUND[s], _SHIFT[s]
+            code += min((((m + rnd) >> sh) & _MASK) - _HALF
+                        for m in terms) << sh
         return Monomial._raw(code)
 
     def divide_atom(self, atom):
@@ -652,6 +633,8 @@ _P = (1 << 61) - 1
 _FILTER_RNG = random.Random(0x1D872A5)
 # The fixed evaluation point: one residue mod _P per variable.
 _POINT = {name: _FILTER_RNG.randrange(2, _P - 2) for name in _NAMES}
+# Its inverses: pow with a negative exponent would invert on every call.
+_POINT_INV = {name: pow(r, -1, _P) for name, r in _POINT.items()}
 
 
 def _reduce(poly, w, support=None):
@@ -664,8 +647,8 @@ def _reduce(poly, w, support=None):
     rnd, sh = _ROUND[main], _SHIFT[main]
     if support is None:
         support = _support(poly.terms)
-    others = [(_ROUND[s], _SHIFT[s], _POINT[_NAMES[s]])
-              for s in support if s != main]
+    others = [(_ROUND[s], _SHIFT[s], _POINT[x], _POINT_INV[x])
+              for s in support if s != main for x in [_NAMES[s]]]
     rests = {}
     out = {}
     for m, c in poly.terms.items():
@@ -674,10 +657,12 @@ def _reduce(poly, w, support=None):
         r = rests.get(m)
         if r is None:
             r = 1
-            for rnd_s, sh_s, base in others:
+            for rnd_s, sh_s, base, inv in others:
                 e = (((m + rnd_s) >> sh_s) & _MASK) - _HALF
-                if e:
+                if e > 0:
                     r = r * pow(base, e, _P) % _P
+                elif e:
+                    r = r * pow(inv, -e, _P) % _P
             rests[m] = r
         if c.__class__ is not int:
             c = _residue(c)
@@ -744,25 +729,20 @@ class _DivisionFilter:
     a remainder, is dropped and made again when next needed.
     """
 
-    __slots__ = ("poly", "seed", "divisors", "reductions", "_slots")
+    __slots__ = ("poly", "seed", "divisors", "reductions")
 
     def __init__(self, poly, seed=None):
         self.poly = poly
         self.seed = seed
         self.divisors = []
         self.reductions = {}
-        self._slots = None
-
-    def _support(self):
-        """The slots of poly, read once: a quotient's lie in its
-        dividend's."""
-        if self._slots is None:
-            self._slots = _support(self.poly.terms)
-        return self._slots
 
     def _univariate(self, w):
-        """Whether poly involves no variable but w."""
-        return all(_NAMES[s] == w for s in self._support())
+        """Whether poly involves no variable but w: every code is its own
+        field of w, read until a term says otherwise."""
+        slot = _SLOT[w]
+        return all(m == _read(m, slot) << _SHIFT[slot]
+                   for m in self.poly.terms)
 
     def _image(self, w):
         """The image of poly in w, or None: the seed's after the divisions
@@ -777,7 +757,7 @@ class _DivisionFilter:
                         break
                     coeffs = _quotient_image(coeffs, atom, w)
             if coeffs is None:
-                coeffs = _reduce(self.poly, w, self._support())
+                coeffs = _reduce(self.poly, w)
             self.reductions[w] = coeffs
         return coeffs
 
@@ -1036,6 +1016,10 @@ def _cancel(num, image, atoms, den):
 class FactoredRat:
     """Rational function prefactor * numerator / prod(denominator atoms).
 
+    A normalized fraction is written (to_json, repr) with the content
+    monomial of its numerator in the prefactor (_written), whatever the
+    split it holds; a raw one is written as it is held.
+
     _images holds images of the numerator at the fixed point, keyed by
     w (see the module docstring); it is filled by normalize and on first
     use.
@@ -1090,8 +1074,9 @@ class FactoredRat:
                 for w, img in self._images.items()}
 
     def normalize(self, seed=None):
-        """Cancel denominator atoms dividing the numerator and pull the
-        monomial content of the numerator into the prefactor.
+        """Cancel denominator atoms dividing the numerator; the prefactor
+        and the numerator's monomial content stay where they are (the
+        canonical split is made where the result is written, _written).
 
         seed(w), when given, composes the image of the numerator in w
         from the operands it was built from, or returns None."""
@@ -1100,7 +1085,6 @@ class FactoredRat:
         num = self.numerator
         if num.is_zero():
             return FactoredRat.zero()
-        pre = self.prefactor
         out_den = self.denominator
         images = {}
         if out_den and len(num.terms) > 1:  # no atom divides a monomial
@@ -1111,16 +1095,8 @@ class FactoredRat:
                 k = grouped[atom]
                 out_den.extend([atom] * (k - filt.cancel(atom, k)))
             num, images = filt.poly, filt.images()
-        mc = num.content_monomial()
-        if not mc.is_one():
-            pre = pre * mc
-            num = num.mul_monomial(mc ** -1)
-            for w, img in images.items():
-                r, e = _at_point(mc, w)
-                inv = pow(r, -1, _P)
-                images[w] = {d - e: v * inv % _P for d, v in img.items()}
-        return FactoredRat(pre, num, _sorted_atoms(out_den), normalized=True,
-                           images=images)
+        return FactoredRat(self.prefactor, num, _sorted_atoms(out_den),
+                           normalized=True, images=images)
 
     def __add__(self, other):
         return add_many((self, other))
@@ -1236,14 +1212,26 @@ class FactoredRat:
             right = right.mul_atom(a)
         return left == right
 
+    def _written(self):
+        """(prefactor, numerator) as written: for a normalized fraction
+        the numerator's content monomial moves into the prefactor, and 0
+        has the prefactor 1."""
+        pre, num = self.prefactor, self.numerator
+        if self._normalized:
+            mc = num.content_monomial()
+            pre = pre * mc if num.terms else _ONE_M
+            num = num.mul_monomial(mc ** -1)
+        return pre, num
+
     def to_json(self):
         """JSON object in the codec below; bit-exact round trip."""
-        slots = _support([*self.numerator.terms, self.prefactor.code,
+        pre, num = self._written()
+        slots = _support([*num.terms, pre.code,
                           *(a.shape.code for a in self.denominator)])
         return {
             "variables": [_NAMES[s] for s in slots],
-            "prefactor": _vector(self.prefactor.code, slots),
-            "numerator": _terms_to_json(self.numerator, slots),
+            "prefactor": _vector(pre.code, slots),
+            "numerator": _terms_to_json(num, slots),
             "denominator": [[rational_to_json(a.constant),
                              _vector(a.shape.code, slots)]
                             for a in _sorted_atoms(self.denominator)],
@@ -1262,10 +1250,11 @@ class FactoredRat:
                             for (c, _), m in zip(den, shapes)])
 
     def __repr__(self):
+        pre, num = self._written()
         bits = []
-        if not self.prefactor.is_one():
-            bits.append(str(self.prefactor))
-        bits.append("(%s)" % (self.numerator,))
+        if not pre.is_one():
+            bits.append(str(pre))
+        bits.append("(%s)" % (num,))
         s = "*".join(bits)
         if self.denominator:
             s += " / [%s]" % "".join(str(a) for a in self.denominator)

@@ -330,11 +330,11 @@ def constant_lambda_term_by_chain(g, lam):
 
 
 # ---------------------------------------------------------------------------
-# The passes that the one-pass content, the one-map pair reduction and the
-# row serializer replaced: the content read slot by slot, the even roots
-# substituted one at a time with a normalize after each, and every
-# exponent of the JSON read again through Monomial.exponent.  The tests
-# compare the new passes against them byte for byte.
+# The passes that the one-map pair reduction and the row serializer
+# replaced, and the content read slot by slot: the even roots substituted
+# one at a time with a normalize after each, and every exponent of the
+# JSON read again through Monomial.exponent.  The tests compare the
+# library's passes against them byte for byte.
 
 def content_monomial_by_slots(p):
     """The content monomial with a min pass over every slot of the
@@ -491,3 +491,10 @@ def constant_class_sums_by_decompose(g, r):
     for j, c in z_decompose(Q0).items():
         sums[j % r] += pipeline._as_rational(c)
     return tuple(sums)
+
+
+def univariate_by_support(poly, w):
+    """Whether poly involves no variable but w, read from its whole
+    support: the test that the division filter's early-exit
+    _univariate replaced."""
+    return all(_NAMES[s] == w for s in _support(poly.terms))

@@ -183,6 +183,44 @@ class TestJson:
         assert "higgs_points" not in json.loads(out)
 
 
+class TestFractionKind:
+    """Byte pins of the three formats of a fraction-kind result: the
+    normal form kac_rational(1, 2), served as if it were A(1,2,0), once
+    as computed and once parsed back from its JSON, as a cache hit is."""
+
+    JSON = (
+        '{"degree_class": 0, "flags": {"is_d_independent": false, '
+        '"is_polynomial": false}, "genus": 1, "polynomial": {"denominator": '
+        '[["1/1", [0, 0, 2]]], "kind": "fraction", "numerator": '
+        '[[[2, 0, 1], "-1/1"], [[1, 1, 1], "1/1"], [[0, 1, 1], "-1/1"], '
+        '[[2, 0, 0], "-1/1"], [[1, 0, 1], "1/1"], [[1, 1, 0], "1/1"], '
+        '[[0, 1, 0], "-1/1"], [[1, 0, 0], "1/1"]], "prefactor": [-1, 0, 0], '
+        '"variables": ["a1", "q", "z"]}, "provenance": {"engine": "1.0", '
+        '"orders": {"T": 2}, "route": "log-extraction"}, "rank": 2}\n')
+    TEXT = (
+        "A(genus=1, rank=2, degree class=0)\n"
+        "polynomial: no\n"
+        "degree-class independent: no\n"
+        "value: a1^-1*(-1*a1^2*z + 1*a1*q*z + -1*q*z + -1*a1^2 + 1*a1*z"
+        " + 1*a1*q + -1*q + 1*a1) / [(1-z^2)]\n")
+    LATEX = ("(1-\\alpha_1)(1-\\alpha_2)\\cdot"
+             "\\left[\\frac{z+1}{-z^2+1}\\right]\n")
+
+    @pytest.mark.parametrize("parsed", [False, True])
+    @pytest.mark.parametrize("fmt", ["json", "text", "latex"])
+    def test_bytes(self, capsys, monkeypatch, fmt, parsed):
+        res = KacResult(genus=1, rank=2, degree_class=0,
+                        value=pipeline.kac_rational(1, 2), lifted=None,
+                        is_d_independent=False, route="log-extraction",
+                        orders={"T": 2})
+        blob = res.to_json()
+        monkeypatch.setattr(cli, "_kac_result", lambda args: (
+            blob, None if parsed else res))
+        want = {"json": self.JSON, "text": self.TEXT, "latex": self.LATEX}
+        assert run_cli(capsys, "--format", fmt, "kac", "-g", "1",
+                       "-r", "2") == (0, want[fmt], "")
+
+
 # the keys of a kac(1,2,0) entry; the malformed entries replace one field
 _G1R2D0 = {"genus": 1, "rank": 2, "degree_class": 0,
            "polynomial": {"kind": "polynomial", "variables": [],
@@ -526,6 +564,22 @@ class TestExitCodes:
         assert (proc.returncode, proc.stdout) == (1, "")
         assert proc.stderr == ("ValueError: genus %d is above the limit %d\n"
                                % (g, zeta.MAX_GENUS))
+
+    def test_closed_stdout_exits_one_quietly(self, tmp_path):
+        # kac(7,1) writes about 150 KB, more than a pipe holds, so the
+        # writer is still writing when the reader closes the pipe after 80
+        # bytes, as `census kac -g 7 -r 1 | head -c 80` does
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+            str(REPO / "src"), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "census.cli", "kac", "-g", "7", "-r", "1"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+            cwd=tmp_path)
+        head = proc.stdout.read(80)
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert head.startswith(b"A(genus=7, rank=1, degree class=0)\n")
+        assert (len(head), proc.returncode, err) == (80, 1, b"")
 
     def test_negative_genus(self, capsys):
         code, _, err = run_cli(capsys, "kac", "-g", "-1", "-r", "1")

@@ -34,6 +34,7 @@ from builders import (
     normalize_by_filter,
     poly_to_json_by_exponents,
     sorted_terms_by_fields,
+    univariate_by_support,
 )
 
 
@@ -625,6 +626,56 @@ def test_filter_update_random(poly, atoms, data):
         assert n.numerator.divide_atom(atom) is None
 
 
+UNIVARIATE_CASES = [
+    (SparsePoly.zero(), "q", True),
+    # pure w, negative exponents, down to the edge of the field
+    (SparsePoly([(Monomial.of(q=-3), 2), (Monomial(), 1),
+                 (Monomial.of(q=4), -1)]), "q", True),
+    (SparsePoly([(Monomial.of(z2=-(2 ** 22 - 1)), 1),
+                 (Monomial.of(z2=-1), 5)]), "z2", True),
+    (SparsePoly([(Monomial.of(a3=-2), 1), (Monomial.of(a3=7), 1)]), "a3",
+     True),
+    # w in a family slot, beside a neighbouring slot of the other family
+    (SparsePoly([(Monomial.of(a1=1), 1), (Monomial.of(z1=1), 1)]), "a1",
+     False),
+    (SparsePoly([(Monomial.of(z1=-1), 1), (Monomial.of(a2=-1), 1)]), "z1",
+     False),
+    # the first term pure w, a later one not
+    (SparsePoly([(Monomial.of(z=-1), 1), (Monomial(), 3),
+                 (Monomial.of(z=2, q=-1), 1)]), "z", False),
+    (SparsePoly([(Monomial.of(a128=5), 1), (Monomial.of(a128=-5, T=1), 1)]),
+     "a128", False),
+    (SparsePoly([(Monomial.of(q=1), 1)]), "z", False),
+]
+
+
+@pytest.mark.parametrize("poly, w, want", UNIVARIATE_CASES)
+def test_univariate_examples(poly, w, want):
+    assert univariate_by_support(poly, w) is want
+    assert ring._DivisionFilter(poly)._univariate(w) is want
+
+
+UNIVARIATE_NAMES = ("q", "z", "T", "a1", "a2", "a128", "z1", "z2", "z128")
+UNIVARIATE_EXPONENTS = (st.integers(min_value=-3, max_value=3)
+                        | st.integers(min_value=-2 ** 22 + 1,
+                                      max_value=2 ** 22 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(UNIVARIATE_NAMES), st.data())
+def test_univariate_matches_the_support(w, data):
+    # terms pure in w first, then terms in any variables, so that the
+    # early exit meets a term outside w at every position
+    pure = data.draw(st.lists(UNIVARIATE_EXPONENTS.map(
+        lambda e: Monomial({w: e})), max_size=4))
+    mixed = data.draw(st.lists(st.dictionaries(
+        st.sampled_from(UNIVARIATE_NAMES), UNIVARIATE_EXPONENTS,
+        max_size=3).map(Monomial), max_size=3))
+    poly = SparsePoly([(m, 1) for m in pure + mixed])
+    assert (ring._DivisionFilter(poly)._univariate(w)
+            is univariate_by_support(poly, w))
+
+
 def test_filter_leaves_an_atom_that_vanishes_to_exact_division():
     # 1 - p*z specializes to the unit 1 mod the filter's prime p, which
     # decides nothing: the filter lets it through even where it does not
@@ -745,8 +796,23 @@ def test_normalize_bytes_match_exact_division_alone(poly, planted, extra):
     filtered = f.normalize()
     exact = normalize_by_division(f)
     assert json.dumps(filtered.to_json()) == json.dumps(exact.to_json())
-    assert filtered.numerator == exact.numerator
+    assert (filtered.numerator.mul_monomial(filtered.prefactor)
+            == exact.numerator.mul_monomial(exact.prefactor))
     assert filtered.denominator == exact.denominator
+
+
+@settings(max_examples=100, deadline=None)
+@given(raw_fracs(), diff_monomials(max_vars=3))
+def test_written_form_ignores_the_held_split(f, m):
+    # normalize leaves a monomial where it finds it, in the prefactor or in
+    # the numerator; a normalized fraction compares and is written the same
+    # wherever it is held
+    f = f.normalize()
+    g = FactoredRat(f.prefactor * m, f.numerator.mul_monomial(m ** -1),
+                    f.denominator, normalized=True)
+    assert g == f and f == g
+    assert json.dumps(g.to_json()) == json.dumps(f.to_json())
+    assert repr(g) == repr(f)
 
 
 # ---------------------------------------------------------------------------
@@ -808,7 +874,8 @@ def test_images_compose(a, b, fs, c):
 
 
 def test_images_follow_the_content_monomial():
-    # the numerator q*z^2*(1 + a1*q) carries its content q*z^2 out
+    # the numerator q*z^2*(1 + a1*q) keeps its content q*z^2, and the
+    # split that to_json writes carries it in the prefactor
     atoms = [_atom(1, q=1, z=1), _atom(2, a1=1, z=1)]
     num = SparsePoly([(Monomial.of(q=1, z=2), 1), (Monomial.of(a1=1, q=2, z=2),
                                                    1)])
@@ -817,7 +884,8 @@ def test_images_follow_the_content_monomial():
     with checked_images() as composed:
         n = f * FactoredRat.from_poly(SparsePoly([(Monomial.of(a2=1), 3),
                                                   (Monomial(), 1)]))
-    assert n.prefactor == Monomial.of(q=1, z=2)
+    assert (FactoredRat.from_json(n.to_json()).prefactor
+            == Monomial.of(q=1, z=2))
     assert n.denominator == (atoms[1],)
     assert composed and n._images
 
