@@ -13,6 +13,7 @@ import json
 import os
 import sys
 import tempfile
+import warnings
 from functools import lru_cache
 
 from . import pipeline
@@ -191,7 +192,13 @@ def _emit_constant_term(args, out):
 
 
 def _emit_betti(args, out):
-    p = pipeline.betti_polynomial(args.genus, args.rank, args.degree)
+    # each warning as one line on stderr, on every call: the default
+    # showwarning adds the source line, and its registry shows it once
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        p = pipeline.betti_polynomial(args.genus, args.rank, args.degree)
+    for w in caught:
+        sys.stderr.write("warning: %s\n" % (w.message,))
     if args.format == "json":
         blob = {"genus": args.genus, "rank": args.rank,
                 "degree_class": args.degree % args.rank,

@@ -12,7 +12,9 @@ keeps its own memo, sharing none), the Poincare specialization, numeric
 point counts, and the conjecture/identity checkers.
 
 Everything is exact rational arithmetic; floats appear only in
-count_points and in the numeric convergence identities.
+count_points, in the numeric convergence identities, and in the pole
+orders that regularity_report estimates in complex floats
+(_numeric_pole_order).
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ from .errors import (IdentityViolation, NegativeBettiCoefficient,
 from .partitions import pairing, partitions_of
 from .residues import h_factor
 from .ring import (Atom, FactoredRat, Monomial, SparsePoly, _check,
-                   _check_codes, _clean, _read, _slot, add_many, atom_inverse,
-                   poly_from_json, poly_to_json)
+                   _check_codes, _clean, _moves, _read, _slot, add_many,
+                   atom_inverse, poly_from_json, poly_to_json)
 from .series import BiSeries, LazyLog, frac_to_series, pleth_exp, \
     pleth_log, series_exp, z_decompose, z_truncate_frac
 from . import zeta as _zeta
@@ -45,11 +47,11 @@ _ONE = Monomial()
 
 
 def _q_minus_one():
-    return FactoredRat.from_poly(SparsePoly({Monomial.of(q=1): 1, _ONE: -1}))
+    return FactoredRat(SparsePoly({Monomial.of(q=1): 1, _ONE: -1}))
 
 
 def _one_minus_z_pow(r):
-    return FactoredRat.from_poly(SparsePoly({_ONE: 1, Monomial.of(z=r): -1}))
+    return FactoredRat(SparsePoly({_ONE: 1, Monomial.of(z=r): -1}))
 
 
 def _lambda_term(g, lam):
@@ -170,7 +172,7 @@ def lift_paired(f, g):
     if f.denominator:
         return None
     odd = [alpha_name(2 * i - 1) for i in range(1, g + 1)]
-    poly = f.numerator.mul_monomial(f.prefactor)
+    poly = f.numerator
     if not poly.variables() <= set(odd) | {"q"}:
         return None
     # α_{2i-1}^{-1} = α_{2i}/q: each negative power b adds -b times the
@@ -222,8 +224,7 @@ class KacResult:
     @property
     def value(self):
         if self._value is None:
-            self._value = pair_reduce(FactoredRat.from_poly(self.lifted),
-                                      self.genus)
+            self._value = pair_reduce(FactoredRat(self.lifted), self.genus)
         return self._value
 
     @property
@@ -322,9 +323,8 @@ def _as_rational(f):
     f = f.normalize()
     if f.denominator:
         raise ValueError("not constant: %r" % (f,))
-    poly = f.numerator.mul_monomial(f.prefactor)
     total = Fraction(0)
-    for m, c in poly.terms.items():
+    for m, c in f.numerator.terms.items():
         if m:  # code 0 is the monomial 1
             raise ValueError("not constant: %r" % (f,))
         total += Fraction(c)
@@ -339,7 +339,7 @@ def _constant_lambda_term(g, lam):
           for j in range(1, mult + 1)]
     e = (g - 1) * pairing(lam, lam) - len(lam) + sum(js)
     atoms = sorted((Atom(1, Monomial.of(z=j)) for j in js), key=Atom.key)
-    return FactoredRat(Monomial.of(z=e), SparsePoly.const((-1) ** len(lam)),
+    return FactoredRat(SparsePoly({Monomial.of(z=e): (-1) ** len(lam)}),
                        atoms, normalized=True)
 
 
@@ -361,7 +361,7 @@ def _constant_class_sums(g, r):
             % (r, g))
     z, unit = _slot("z"), Monomial.of(z=1).code
     sums = [Fraction(0)] * r
-    for m, c in Q0.numerator.mul_monomial(Q0.prefactor).terms.items():
+    for m, c in Q0.numerator.terms.items():
         j = _read(m, z)
         if m != j * unit:
             raise ValueError("not a polynomial in z: %r" % (Q0,))
@@ -387,10 +387,9 @@ def betti_polynomial(g, r, d):
     if res.lifted is None:
         raise NotPolynomialAfterClearing(
             "A_{%d,%d,%d} has no polynomial model" % (g, r, d))
-    p = res.lifted
-    for name in alpha_names(g):
-        p = p.substitute(name, -1, Monomial.of(t=1))
-    p = p.substitute("q", 1, Monomial.of(t=2))
+    t = Monomial.of(t=1)
+    subs = [(name, -1, t) for name in alpha_names(g)] + [("q", 1, t ** 2)]
+    p = res.lifted._moved(_moves(subs))
     p = p.mul_monomial(Monomial.of(t=2 * (1 + (g - 1) * r * r)))
     if not coprime or p.is_zero():
         return p
@@ -584,7 +583,7 @@ def _torsion_resummed(g, L):
         for name in alpha_names(g):
             m = Monomial.of(**{name: l})
             terms[m] = terms.get(m, 0) - 1
-        f = FactoredRat.from_poly(SparsePoly(terms))
+        f = FactoredRat(SparsePoly(terms))
         f = f * atom_inverse(1, Monomial.of(q=l)).mul_scalar(Fraction(-1, l))
         coeffs.append(f)
     rhs = series_exp(BiSeries("s", L, coeffs))
@@ -600,7 +599,7 @@ def _exp_log_roundtrip(g, order=5):
         for mono in (_ONE, Monomial.of(q=1), Monomial.of(z=1),
                      Monomial.of(q=1, z=2)):
             terms[mono] = Fraction(rng.randint(-9, 9), rng.randint(1, 7))
-        coeffs.append(FactoredRat.from_poly(SparsePoly(terms)))
+        coeffs.append(FactoredRat(SparsePoly(terms)))
     f = BiSeries("T", order, coeffs)
     return pleth_log(pleth_exp(f)) == f
 
@@ -742,7 +741,6 @@ def latex_value(res):
         return latex_poly(res.lifted) if res.lifted is not None \
             else _latex_fraction(f)
     num = f.numerator
-    pre = f.prefactor
     factors = []
     for sign, k in ((1, 0), (-1, 0), (1, 1), (-1, 1)):
         while True:
@@ -759,10 +757,9 @@ def latex_value(res):
                 mono = mono * um
             if not ok:
                 break
-            num = trial
-            pre = pre * mono ** -1
+            num = trial.mul_monomial(mono ** -1)
             factors.append(_pattern_latex(sign, k, g))
-    rest = FactoredRat(pre, num, f.denominator).normalize()
+    rest = FactoredRat(num, f.denominator).normalize()
     if not factors:
         return _latex_fraction(rest)
     try:
@@ -777,7 +774,7 @@ def latex_value(res):
 
 def _latex_fraction(f):
     f = f.normalize()
-    num = f.numerator.mul_monomial(f.prefactor)
+    num = f.numerator
     if not f.denominator:
         return latex_poly(num)
     den = SparsePoly.one()

@@ -98,12 +98,12 @@ def _subs(term, var, image):
 def _expand(term):
     """The factor list multiplied out and normalized."""
     scalar, mono, atoms = term
-    num = SparsePoly.const(scalar)
+    num = SparsePoly({mono: scalar})
     for atom, k in atoms.items():
         for _ in range(k):
             num = num.mul_atom(atom)
     den = [atom for atom, k in atoms.items() for _ in range(-k)]
-    return FactoredRat(mono, num, den).normalize()
+    return FactoredRat(num, den).normalize()
 
 
 @lru_cache(maxsize=None)

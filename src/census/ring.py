@@ -3,23 +3,24 @@ rational functions kept in factored form.
 
 A rational function is stored as
 
-    prefactor * numerator / product(denominator atoms)
+    numerator / product(denominator atoms)
 
-where the prefactor is a Laurent monomial, the numerator is a sparse
-multivariate polynomial with exact rational coefficients, and every
-denominator factor is a binomial atom (1 - c*m) for a nonzero rational c
-and a nonconstant Laurent monomial m.  Denominators are never expanded.
+where the numerator is a sparse multivariate Laurent polynomial with
+exact rational coefficients, and every denominator factor is a binomial
+atom (1 - c*m) for a nonzero rational c and a nonconstant Laurent
+monomial m.  Denominators are never expanded, and a monomial factor has
+one home, the numerator.
 
 Cancellation.  normalize divides the numerator by each denominator atom
-as often as it divides, in Atom.key order, and leaves the prefactor and
-the numerator as the divisions left them.  Exact division by 1 - c*m
-walks lattice lines: on the terms x + k*m of one line, q_k = n_k +
-c*q_(k-1) runs from the lowest k and must vanish at the highest, so a
-line of one term never divides.  Each atom cancels min(multiplicity,
-valuation) times, and for a fixed multiset of atoms left the written
-form is unique: where a normalized fraction is written (to_json, repr),
-and only there, the numerator's content monomial moves into the
-prefactor (_written), so products and sums never shift it out and back.
+as often as it divides, in Atom.key order, and leaves the numerator as
+the divisions left it.  Exact division by 1 - c*m walks lattice lines:
+on the terms x + k*m of one line, q_k = n_k + c*q_(k-1) runs from the
+lowest k and must vanish at the highest, so a line of one term never
+divides.  Each atom cancels min(multiplicity, valuation) times, and for
+a fixed multiset of atoms left the written form is unique: where a
+fraction is written (to_json, repr), and only there, the numerator's
+content monomial is split off as the prefactor (_written), so products
+and sums never shift it out and back.
 An atom a is free when it shares no factor with any atom of the
 denominator that sorts before it (_free_atoms).  Dividing the numerator
 by a free atom k times ahead of normalize, and taking k copies of it
@@ -79,16 +80,15 @@ A numerator of one term skips the filter: no atom divides a Laurent
 monomial.  Specialization is a ring homomorphism, so images compose
 through the operations that build a numerator: the image of a product is
 the convolution of its factors' images, and that of a sum over a common
-denominator is the sum of its terms' images, each shifted and scaled by
-its prefactor and multiplied by its missing atoms, or their quotients, at
-the point.  A FactoredRat keeps the images of its numerator (_images,
-keyed by w); __mul__ and add_many hand normalize a seed that composes the
-image of the numerator they built (add_many only from images its terms
-already hold), so _reduce reads a numerator only where no image is known,
-or where it involves no variable but w (its image is then the polynomial
-itself, cheaper to read than to compose).  Exact division still decides
-every cancellation: the filter changes the speed of normalize, never a
-normal form.
+denominator is the sum of its terms' images, each multiplied by its
+missing atoms, or their quotients, at the point.  A FactoredRat keeps
+the images of its numerator (_images, keyed by w); __mul__ and add_many
+hand normalize a seed that composes the image of the numerator they
+built (add_many only from images its terms already hold), so _reduce
+reads a numerator only where no image is known, or where it involves no
+variable but w (its image is then the polynomial itself, cheaper to read
+than to compose).  Exact division still decides every cancellation: the
+filter changes the speed of normalize, never a normal form.
 """
 
 from __future__ import annotations
@@ -492,9 +492,6 @@ class SparsePoly:
         return SparsePoly._raw({_scale(m, k): c
                                 for m, c in self.terms.items()})
 
-    def substitute(self, var, coeff, image):
-        return self._moved(_moves([(var, coeff, image)]))
-
     def _moved(self, moves):
         """The substitutions of _moves(subs), made at once in one pass."""
         out = {}
@@ -637,18 +634,16 @@ _POINT = {name: _FILTER_RNG.randrange(2, _P - 2) for name in _NAMES}
 _POINT_INV = {name: pow(r, -1, _P) for name, r in _POINT.items()}
 
 
-def _reduce(poly, w, support=None):
+def _reduce(poly, w):
     """The image of poly at the point (see the module docstring), a dict
     degree of w -> nonzero residue, or None when _P divides a coefficient
-    denominator.  support, when the caller knows it, lists slots that hold
-    every variable of the terms, and saves a pass over them.  The residue
-    of each distinct monomial without w is made once."""
+    denominator.  The residue of each distinct monomial without w is made
+    once."""
     main = _slot(w)
     rnd, sh = _ROUND[main], _SHIFT[main]
-    if support is None:
-        support = _support(poly.terms)
     others = [(_ROUND[s], _SHIFT[s], _POINT[x], _POINT_INV[x])
-              for s in support if s != main for x in [_NAMES[s]]]
+              for s in _support(poly.terms) if s != main
+              for x in [_NAMES[s]]]
     rests = {}
     out = {}
     for m, c in poly.terms.items():
@@ -682,22 +677,16 @@ def _residue(c):
     return c.numerator * pow(den, -1, _P) % _P if den else None
 
 
-def _at_point(mono, w):
-    """(the monomial with w set aside, at the point; the exponent of w)."""
-    r = 1
-    for x, e in mono.items:
-        if x != w:
-            r = r * pow(_POINT[x], e, _P) % _P
-    return r, mono.exponent(w)
-
-
 def _specialize(atom, w):
     """c * (shape without w) at the point, or None when _P divides the
     denominator of c; the atom's image is 1 - that * w^e."""
     cc = _residue(atom.constant_fast)
     if cc is None:
         return None
-    return cc * _at_point(atom.shape, w)[0] % _P
+    for x, e in atom.shape.items:
+        if x != w:
+            cc = cc * pow(_POINT[x], e, _P) % _P
+    return cc
 
 
 class _DivisionFilter:
@@ -895,9 +884,6 @@ class Atom:
             return _clean(-c), shape, Atom(1 / c, shape ** -1)
         return 1, _ONE_M, Atom(c, shape)
 
-    def as_poly(self):
-        return SparsePoly._raw({0: 1, self.shape.code: _clean(-self.constant)})
-
     def eval(self, assignment):
         return 1 - self.constant_fast * self.shape.eval(assignment)
 
@@ -1014,43 +1000,37 @@ def _cancel(num, image, atoms, den):
 
 
 class FactoredRat:
-    """Rational function prefactor * numerator / prod(denominator atoms).
+    """Rational function numerator / prod(denominator atoms), the
+    numerator a Laurent polynomial.
 
-    A normalized fraction is written (to_json, repr) with the content
-    monomial of its numerator in the prefactor (_written), whatever the
-    split it holds; a raw one is written as it is held.
+    It is written (to_json, repr) with the content monomial of its
+    numerator split off as the prefactor (_written).
 
     _images holds images of the numerator at the fixed point, keyed by
     w (see the module docstring); it is filled by normalize and on first
     use.
     """
 
-    __slots__ = ("prefactor", "numerator", "denominator", "_normalized",
-                 "_images")
+    __slots__ = ("numerator", "denominator", "_normalized", "_images")
 
-    def __init__(self, prefactor=_ONE_M, numerator=None, denominator=(),
-                 normalized=False, images=None):
-        self.prefactor = prefactor
-        self.numerator = numerator if numerator is not None else SparsePoly.one()
+    def __init__(self, numerator, denominator=(), normalized=False,
+                 images=None):
+        self.numerator = numerator
         self.denominator = tuple(denominator)
         self._normalized = normalized
         self._images = {} if images is None else images
 
     @classmethod
     def zero(cls):
-        return cls(_ONE_M, SparsePoly.zero(), (), normalized=True)
+        return cls(SparsePoly.zero(), normalized=True)
 
     @classmethod
     def one(cls):
-        return cls(_ONE_M, SparsePoly.one(), (), normalized=True)
-
-    @classmethod
-    def from_poly(cls, p):
-        return cls(_ONE_M, p, ())
+        return cls(SparsePoly.one(), normalized=True)
 
     @classmethod
     def from_monomial(cls, m, c=1):
-        return cls(m, SparsePoly.const(c), (), normalized=True)
+        return cls(SparsePoly.const(c).mul_monomial(m), normalized=True)
 
     def is_zero(self):
         return self.numerator.is_zero()
@@ -1074,9 +1054,9 @@ class FactoredRat:
                 for w, img in self._images.items()}
 
     def normalize(self, seed=None):
-        """Cancel denominator atoms dividing the numerator; the prefactor
-        and the numerator's monomial content stay where they are (the
-        canonical split is made where the result is written, _written).
+        """Cancel denominator atoms dividing the numerator; the
+        numerator's monomial content stays where it is (the canonical
+        split is made where the result is written, _written).
 
         seed(w), when given, composes the image of the numerator in w
         from the operands it was built from, or returns None."""
@@ -1095,14 +1075,14 @@ class FactoredRat:
                 k = grouped[atom]
                 out_den.extend([atom] * (k - filt.cancel(atom, k)))
             num, images = filt.poly, filt.images()
-        return FactoredRat(self.prefactor, num, _sorted_atoms(out_den),
-                           normalized=True, images=images)
+        return FactoredRat(num, _sorted_atoms(out_den), normalized=True,
+                           images=images)
 
     def __add__(self, other):
         return add_many((self, other))
 
     def __neg__(self):
-        return FactoredRat(self.prefactor, -self.numerator, self.denominator,
+        return FactoredRat(-self.numerator, self.denominator,
                            normalized=self._normalized,
                            images=self._scaled_images(-1))
 
@@ -1126,20 +1106,19 @@ class FactoredRat:
             b = image_b(w) if a is not None else None
             return None if b is None else _convolve_mod(a, b)
 
-        return FactoredRat(self.prefactor * other.prefactor, num_a * num_b,
-                           den).normalize(seed)
+        return FactoredRat(num_a * num_b, den).normalize(seed)
 
     def mul_scalar(self, c):
         if not c:
             return FactoredRat.zero()
-        return FactoredRat(self.prefactor, self.numerator.mul_scalar(c),
-                           self.denominator, normalized=self._normalized,
+        return FactoredRat(self.numerator.mul_scalar(c), self.denominator,
+                           normalized=self._normalized,
                            images=self._scaled_images(c))
 
     def adams(self, k):
         if k == 1:
             return self
-        return FactoredRat(self.prefactor ** k, self.numerator.adams(k),
+        return FactoredRat(self.numerator.adams(k),
                            _sorted_atoms(a.adams(k) for a in self.denominator),
                            normalized=self._normalized and not self.denominator)
 
@@ -1151,18 +1130,18 @@ class FactoredRat:
         """The substitutions var -> coeff*image of the list subs, made at
         once (one pass over the numerator) and followed by one normalize;
         normalize alone when no var of subs occurs.  No image may mention
-        a var of subs."""
+        a var of subs.  The unit monomials of the flipped atoms shift the
+        moved numerator once."""
         if any(image.exponent(v) for v, _, _ in subs for _, _, image in subs):
             raise ValueError("substitution image mentions a variable of %r"
                              % (subs,))
-        present = _support([*self.numerator.terms, self.prefactor.code,
+        present = _support([*self.numerator.terms,
                             *(a.shape.code for a in self.denominator)])
         subs = [x for x in subs if _slot(x[0]) in present]
         if not subs:
             return self.normalize()
         moves = _moves(subs)
-        scale, pre = _move(self.prefactor.code, moves)
-        scale = Fraction(scale)
+        scale, shift = Fraction(1), 0
         den = []
         for a in self.denominator:
             kind, payload = a._moved(moves)
@@ -1175,12 +1154,12 @@ class FactoredRat:
             u, um, at = payload
             if u != 1:
                 scale /= u
-            pre = _check(pre - um.code)
+            shift = _check(shift - um.code)
             den.append(at)
-        num = self.numerator._moved(moves)
+        num = self.numerator._moved(moves).mul_monomial(Monomial._raw(shift))
         if scale != 1:
             num = num.mul_scalar(scale)
-        return FactoredRat(Monomial._raw(pre), num, den).normalize()
+        return FactoredRat(num, den).normalize()
 
     def eval_numeric(self, assignment, tol=1e-12):
         den = complex(1)
@@ -1189,13 +1168,12 @@ class FactoredRat:
             if abs(v) <= tol:
                 raise PoleAtPoint("denominator atom %s vanishes at the given point" % (a,))
             den *= v
-        val = self.numerator.eval_numeric(assignment)
-        return self.prefactor.eval(assignment) * val / den
+        return self.numerator.eval_numeric(assignment) / den
 
     def __eq__(self, other):
         if not isinstance(other, FactoredRat):
             return NotImplemented
-        if (self.prefactor == other.prefactor and self.denominator == other.denominator
+        if (self.denominator == other.denominator
                 and self.numerator == other.numerator):
             return True
         return self._cross_equal(other)
@@ -1204,8 +1182,7 @@ class FactoredRat:
 
     def _cross_equal(self, other):
         mine, theirs = Counter(self.denominator), Counter(other.denominator)
-        left = self.numerator.mul_monomial(self.prefactor)
-        right = other.numerator.mul_monomial(other.prefactor)
+        left, right = self.numerator, other.numerator
         for a in (theirs - mine).elements():
             left = left.mul_atom(a)
         for a in (mine - theirs).elements():
@@ -1213,15 +1190,11 @@ class FactoredRat:
         return left == right
 
     def _written(self):
-        """(prefactor, numerator) as written: for a normalized fraction
-        the numerator's content monomial moves into the prefactor, and 0
-        has the prefactor 1."""
-        pre, num = self.prefactor, self.numerator
-        if self._normalized:
-            mc = num.content_monomial()
-            pre = pre * mc if num.terms else _ONE_M
-            num = num.mul_monomial(mc ** -1)
-        return pre, num
+        """(prefactor, numerator) as written: the numerator's content
+        monomial split off as the prefactor, which is 1 for 0."""
+        num = self.numerator
+        mc = num.content_monomial()
+        return mc, num.mul_monomial(mc ** -1)
 
     def to_json(self):
         """JSON object in the codec below; bit-exact round trip."""
@@ -1239,13 +1212,14 @@ class FactoredRat:
 
     @staticmethod
     def from_json(obj):
-        """Inverse of to_json."""
+        """Inverse of to_json: the prefactor is folded into the
+        numerator."""
         shifts = _shifts(obj["variables"])
         den = [(rational_from_json(c), vec) for c, vec in obj["denominator"]]
         pre, *shapes = _codes([obj["prefactor"], *(vec for _, vec in den)],
                               shifts)
-        return FactoredRat(Monomial._raw(pre),
-                           _terms_from_json(obj["numerator"], shifts),
+        num = _terms_from_json(obj["numerator"], shifts)
+        return FactoredRat(num.mul_monomial(Monomial._raw(pre)),
                            [Atom(c, Monomial._raw(m))
                             for (c, _), m in zip(den, shapes)])
 
@@ -1387,7 +1361,7 @@ def add_many(fracs):
     total = {}
     tget = total.get
     for f, mults in zip(live, factors):
-        num = f.numerator.mul_monomial(f.prefactor)
+        num = f.numerator
         for b, a in mults:
             num = num.mul_atom(b) if a is None else num * _quotient(b, a)
         for m, cf in num.terms.items():
@@ -1400,8 +1374,6 @@ def add_many(fracs):
             img = f._images.get(w)
             if img is None:
                 return None
-            r, e = _at_point(f.prefactor, w)
-            img = {d + e: v * r for d, v in img.items()}
             for b, a in mults:
                 cc = _specialize(b, w)
                 if cc is None:
@@ -1416,7 +1388,7 @@ def add_many(fracs):
         return {d: v % _P for d, v in out.items() if v % _P}
 
     den = _sorted_atoms((lcm - removed).elements())
-    return FactoredRat(_ONE_M, num, den).normalize(seed)
+    return FactoredRat(num, den).normalize(seed)
 
 
 def _convolve_mod(a, b):
@@ -1443,5 +1415,5 @@ def _mul_binomial_mod(coeffs, cc, e):
 def atom_inverse(constant, shape):
     """The FactoredRat 1/(1 - constant*shape)."""
     u, um, at = Atom.make(constant, shape)
-    return FactoredRat(um ** -1, SparsePoly.const(Fraction(1) / Fraction(u)), (at,),
-                       normalized=True)
+    num = SparsePoly.const(Fraction(1) / Fraction(u)).mul_monomial(um ** -1)
+    return FactoredRat(num, (at,), normalized=True)

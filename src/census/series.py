@@ -32,7 +32,6 @@ __all__ = [
     "pleth_exp",
     "pleth_log",
     "series_exp",
-    "series_log",
     "z_decompose",
     "z_truncate_frac",
 ]
@@ -74,10 +73,9 @@ def z_truncate_frac(f, bound, var="z"):
         else:
             keep.append(atom)
     sh = _SHIFT[_slot(var)]
-    cap = bound - f.prefactor.exponent(var)
     by_degree = f.numerator.split(var)
     low = min(by_degree)
-    if low > cap:
+    if low > bound:
         return FactoredRat.zero()
     for atom in expand:
         e = atom.shape.exponent(var)
@@ -85,7 +83,7 @@ def z_truncate_frac(f, bound, var="z"):
             raise ValueError("denominator atom %r not expandable in %s"
                              % (atom, var))
         rest, c = atom.shape.code - (e << sh), atom.constant_fast
-        for k in range(low + e, cap + 1):
+        for k in range(low + e, bound + 1):
             below = by_degree.get(k - e)
             if below:
                 blk = by_degree.setdefault(k, {})
@@ -94,17 +92,16 @@ def z_truncate_frac(f, bound, var="z"):
                     m += rest
                     blk[m] = get(m, 0) + c * cf
     num = {m + (k << sh): _clean(cf) for k, blk in by_degree.items()
-           if k <= cap for m, cf in blk.items() if cf}
+           if k <= bound for m, cf in blk.items() if cf}
     _check_codes(num)
-    return FactoredRat(f.prefactor, SparsePoly._raw(num),
-                       tuple(keep)).normalize()
+    return FactoredRat(SparsePoly._raw(num), keep).normalize()
 
 
 def z_decompose(f, var="z"):
     """Split a var-polynomial FactoredRat into {var-degree: coefficient}.
 
-    Denominator atoms must be free of var; Laurent (negative) degrees from
-    the prefactor are allowed.
+    Denominator atoms must be free of var; Laurent (negative) degrees are
+    allowed.
     """
     f = f.normalize()
     if f.is_zero():
@@ -112,10 +109,7 @@ def z_decompose(f, var="z"):
     for atom in f.denominator:
         if atom.shape.exponent(var):
             raise ValueError("denominator involves %s: %r" % (var, atom))
-    az = f.prefactor.exponent(var)
-    base = f.prefactor.without(var)
-    return {az + d: FactoredRat(base, SparsePoly._raw(terms),
-                                f.denominator).normalize()
+    return {d: FactoredRat(SparsePoly._raw(terms), f.denominator).normalize()
             for d, terms in f.numerator.split(var).items()}
 
 
@@ -138,19 +132,17 @@ def _snap(f, z_order):
 
 def _times(a, b, z_order):
     """a * b; in the z-truncated mode only the terms of z-degrees i, j of
-    the numerators with i + j <= z_order less the prefactor's z-exponent
-    are multiplied, so no term past z_order is formed."""
+    the numerators with i + j <= z_order are multiplied, so no term past
+    z_order is formed."""
     if z_order is None:
         return a * b
-    pre = a.prefactor * b.prefactor
-    cap = z_order - pre.exponent("z")
     sh = _SHIFT[_slot("z")]
     right = sorted(b.numerator.split("z").items())
     out = {}
     get = out.get
     for i, left in a.numerator.split("z").items():
         for j, blk in right:
-            if i + j > cap:
+            if i + j > z_order:
                 break
             shift = (i + j) << sh
             for mb, cb in blk.items():
@@ -160,7 +152,7 @@ def _times(a, b, z_order):
                     out[m] = get(m, 0) + ca * cb
     _check_codes(out)
     num = SparsePoly._raw({m: _clean(c) for m, c in out.items() if c})
-    return FactoredRat(pre, num, a.denominator + b.denominator).normalize()
+    return FactoredRat(num, a.denominator + b.denominator).normalize()
 
 
 class BiSeries:
@@ -345,15 +337,6 @@ class LazyLog:
                 parts.append(_snap(c.adams(k), self.z_order)
                              .mul_scalar(Fraction(mu, n)))
         return add_many(parts)
-
-
-def series_log(f):
-    """Ordinary logarithm of a series with constant term 1: solves
-    F·L' = F' coefficientwise (LazyLog.log), O(order²) coefficient
-    products."""
-    _check_unit(f)
-    log = LazyLog(f.coeffs.__getitem__)
-    return BiSeries(f.var, f.order, [log.log(n) for n in range(f.order + 1)])
 
 
 def pleth_exp(f):

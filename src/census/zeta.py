@@ -47,7 +47,7 @@ def one_minus(coeff, monomial):
         terms[ONE_MONOMIAL] = 1 - c
     else:
         terms[monomial] = -c
-    return FactoredRat.from_poly(SparsePoly(terms))
+    return FactoredRat(SparsePoly(terms))
 
 
 def pair_reduce(f, g):
@@ -123,16 +123,6 @@ def zeta_star(g, u, v):
     for name in alpha_names(g):
         out = out * one_minus(1, Monomial.of(**{name: 1}))
     return out.normalize()
-
-
-def zeta_tilde(g, coeff, monomial):
-    """ζ̃(arg) = arg^{1-g} ζ(arg)."""
-    c = Fraction(coeff)
-    if c == 0:
-        raise PoleArgument("zeta_tilde needs a nonzero argument")
-    e = 1 - g
-    scale = FactoredRat.from_monomial(monomial ** e).mul_scalar(c ** e)
-    return (scale * zeta_at(g, coeff, monomial)).normalize()
 
 
 def j_factor(g, lam):
@@ -368,7 +358,7 @@ def torsion_volume_series(g, L):
     terms = {ONE_MONOMIAL: 1, Monomial.of(q=1): 1}
     for name in alpha_names(g):
         terms[Monomial.of(**{name: 1})] = -1
-    c1 = FactoredRat.from_poly(SparsePoly(terms))
+    c1 = FactoredRat(SparsePoly(terms))
     c1 = c1 * atom_inverse(1, Monomial.of(q=1)).mul_scalar(-1)
     coeffs = [FactoredRat.zero()] * (L + 1)
     coeffs[1] = c1.normalize()

@@ -6,7 +6,7 @@ from functools import reduce
 from itertools import repeat
 from operator import and_, itemgetter, or_, rshift
 
-from census.errors import HigherOrderPole, SubstitutionToZeroPole
+from census.errors import HigherOrderPole, PoleArgument, SubstitutionToZeroPole
 from census.partitions import chain_blocks, pairing, partitions_of
 from census.ring import (
     _HALF,
@@ -21,10 +21,10 @@ from census.ring import (
     FactoredRat,
     Monomial,
     SparsePoly,
-    _at_point,
     _check,
     _DivisionFilter,
     _clean,
+    _moves,
     _mul_binomial_mod,
     _read,
     _slot,
@@ -36,8 +36,8 @@ from census.ring import (
     var_key,
 )
 from census import pipeline
-from census.series import BiSeries, z_decompose
-from census.zeta import alpha_name, alpha_names, pair_reduce
+from census.series import BiSeries, LazyLog, _check_unit, z_decompose
+from census.zeta import alpha_name, alpha_names, pair_reduce, zeta_at
 
 
 def geometric(constant=1, **exponents):
@@ -53,6 +53,35 @@ def const(c):
 def series(var, coeffs):
     """The BiSeries Σ coeffs[j] var^j, exact through len(coeffs) - 1."""
     return BiSeries(var, len(coeffs) - 1, coeffs)
+
+
+def substitute_poly(p, var, coeff, image):
+    """The polynomial p under var -> coeff*image."""
+    return p._moved(_moves([(var, coeff, image)]))
+
+
+def atom_poly(atom):
+    """The atom (1 - c*m) as a polynomial."""
+    return SparsePoly._raw({0: 1, atom.shape.code: _clean(-atom.constant)})
+
+
+def series_log(f):
+    """Ordinary logarithm of a series with constant term 1: solves
+    F·L' = F' coefficientwise (LazyLog.log), O(order²) coefficient
+    products."""
+    _check_unit(f)
+    log = LazyLog(f.coeffs.__getitem__)
+    return BiSeries(f.var, f.order, [log.log(n) for n in range(f.order + 1)])
+
+
+def zeta_tilde(g, coeff, monomial):
+    """ζ̃(arg) = arg^{1-g} ζ(arg)."""
+    c = Fraction(coeff)
+    if c == 0:
+        raise PoleArgument("zeta_tilde needs a nonzero argument")
+    e = 1 - g
+    scale = FactoredRat.from_monomial(monomial ** e).mul_scalar(c ** e)
+    return (scale * zeta_at(g, coeff, monomial)).normalize()
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +108,7 @@ def rho(g, hi, lo):
         pref = pref * am ** -1
         dens.append(Atom(Fraction(1), w * am ** -1))
     dens.append(Atom(Fraction(1), w * Monomial.of(q=1)))
-    return pair_reduce(FactoredRat(pref, num, tuple(dens)), g)
+    return pair_reduce(FactoredRat(num.mul_monomial(pref), dens), g)
 
 
 def kernel_summand(g, sigma):
@@ -94,14 +123,12 @@ def kernel_summand(g, sigma):
         for j in range(i + 1, n):
             if sigma[i] > sigma[j]:
                 pieces.append(rho(g, sigma[i], sigma[j]))
-    pref = ONE_MONOMIAL
     num = SparsePoly.one()
     dens = []
     for p in pieces:
-        pref = pref * p.prefactor
         num = num * p.numerator
         dens.extend(p.denominator)
-    return FactoredRat(pref, num, tuple(dens))
+    return FactoredRat(num, dens)
 
 
 def res_simple(f, var, point=ONE_MONOMIAL):
@@ -130,7 +157,7 @@ def res_simple(f, var, point=ONE_MONOMIAL):
         raise HigherOrderPole(
             "pole of order %d at %s = %r" % (len(singular), var, point))
     _, e = singular[0]
-    rest = FactoredRat(f.prefactor, f.numerator, tuple(regular))
+    rest = FactoredRat(f.numerator, regular)
     return rest.substitute(var, 1, point).mul_scalar(Fraction(-1, e))
 
 
@@ -183,12 +210,11 @@ def z_truncate_by_geometric(f, bound, var="z"):
             expand.append(atom)
         else:
             keep.append(atom)
-    az = f.prefactor.exponent(var)
     slot = _slot(var)
-    low = min(_read(m, slot) for m in f.numerator.terms) + az
+    low = min(_read(m, slot) for m in f.numerator.terms)
     if low > bound:
         return FactoredRat.zero()
-    num = _drop_high(f.numerator, var, bound - az)
+    num = _drop_high(f.numerator, var, bound)
     for atom in expand:
         e = atom.shape.exponent(var)
         if e <= 0:
@@ -204,8 +230,8 @@ def z_truncate_by_geometric(f, bound, var="z"):
             mk = mk * atom.shape
             ck = ck * atom.constant
             geom[mk] = geom.get(mk, 0) + ck
-        num = _drop_high(num * SparsePoly(geom), var, bound - az)
-    return FactoredRat(f.prefactor, num, tuple(keep)).normalize()
+        num = _drop_high(num * SparsePoly(geom), var, bound)
+    return FactoredRat(num, keep).normalize()
 
 
 def lift_paired_by_terms(f, g):
@@ -218,7 +244,7 @@ def lift_paired_by_terms(f, g):
     if f.denominator:
         return None
     odd = [alpha_name(2 * i - 1) for i in range(1, g + 1)]
-    poly = f.numerator.mul_monomial(f.prefactor)
+    poly = f.numerator
     if not poly.variables() <= set(odd) | {"q"}:
         return None
     moves = [(name, Monomial.of(q=-1, **{name: 1, alpha_name(2 * i): 1}))
@@ -247,7 +273,7 @@ def add_many_by_lcm(fracs):
     lcm = reduce(or_, counts)
     total = {}
     for f, c in zip(live, counts):
-        num = f.numerator.mul_monomial(f.prefactor)
+        num = f.numerator
         for a, k in lcm.items():
             for _ in range(k - c.get(a, 0)):
                 num = num.mul_atom(a)
@@ -261,8 +287,6 @@ def add_many_by_lcm(fracs):
             img = f._images.get(w)
             if img is None:
                 return None
-            r, e = _at_point(f.prefactor, w)
-            img = {d + e: v * r for d, v in img.items()}
             for a, k in lcm.items():
                 for _ in range(k - c.get(a, 0)):
                     cc = _specialize(a, w)
@@ -273,8 +297,7 @@ def add_many_by_lcm(fracs):
                 out[d] = out.get(d, 0) + v
         return {d: v % _P for d, v in out.items() if v % _P}
 
-    return FactoredRat(ONE_MONOMIAL, num,
-                       _sorted_atoms(lcm.elements())).normalize(seed)
+    return FactoredRat(num, _sorted_atoms(lcm.elements())).normalize(seed)
 
 
 # ---------------------------------------------------------------------------
@@ -291,16 +314,12 @@ def normalize_by_filter(f):
     for atom, k in sorted(Counter(f.denominator).items(),
                           key=lambda ak: ak[0].key()):
         den += [atom] * (k - filt.cancel(atom, k))
-    num = filt.poly
-    mc = num.content_monomial()
-    return FactoredRat(f.prefactor * mc, num.mul_monomial(mc ** -1),
-                       _sorted_atoms(den), normalized=True)
+    return FactoredRat(filt.poly, _sorted_atoms(den), normalized=True)
 
 
 def normalize_by_division(f):
     """normalize with no division filter: each atom, in Atom.key order, is
-    cancelled by exact division as often as it divides, and the content
-    monomial is then moved into the prefactor."""
+    cancelled by exact division as often as it divides."""
     num = f.numerator
     if num.is_zero():
         return FactoredRat.zero()
@@ -313,9 +332,7 @@ def normalize_by_division(f):
                 break
             num, k = quotient, k - 1
         den += [atom] * k
-    mc = num.content_monomial()
-    return FactoredRat(f.prefactor * mc, num.mul_monomial(mc ** -1),
-                       _sorted_atoms(den), normalized=True)
+    return FactoredRat(num, _sorted_atoms(den), normalized=True)
 
 
 def constant_lambda_term_by_chain(g, lam):
@@ -350,14 +367,14 @@ def content_monomial_by_slots(p):
 
 
 def substitute_by_atoms(f, var, coeff, image):
-    """FactoredRat.substitute of one variable: the prefactor, numerator
-    and each atom substituted on their own, then normalize."""
+    """FactoredRat.substitute of one variable: the numerator and each atom
+    substituted on their own, then normalize."""
     if image.exponent(var):
         raise ValueError("substitution image mentions %r itself" % (var,))
-    sc, pre = f.prefactor.subs(var, coeff, image)
-    num = f.numerator.substitute(var, coeff, image)
+    pre = ONE_MONOMIAL
+    num = substitute_poly(f.numerator, var, coeff, image)
     den = []
-    scale = Fraction(sc)
+    scale = Fraction(1)
     for a in f.denominator:
         kind, payload = a.subs(var, coeff, image)
         if kind == "zero":
@@ -371,9 +388,10 @@ def substitute_by_atoms(f, var, coeff, image):
         if not um.is_one():
             pre = pre * um ** -1
         den.append(at)
+    num = num.mul_monomial(pre)
     if scale != 1:
         num = num.mul_scalar(scale)
-    return FactoredRat(pre, num, den).normalize()
+    return FactoredRat(num, den).normalize()
 
 
 def pair_reduce_by_roots(f, g):
@@ -420,14 +438,16 @@ def poly_to_json_by_exponents(p):
 
 def frac_to_json_by_exponents(f):
     """FactoredRat.to_json reading every exponent through
-    Monomial.exponent."""
-    names = f.numerator.variables().union(
-        f.prefactor.variables(), *(a.shape.variables() for a in f.denominator))
+    Monomial.exponent, with the content monomial split off slot by slot."""
+    pre = content_monomial_by_slots(f.numerator)
+    num = f.numerator.mul_monomial(pre ** -1)
+    names = num.variables().union(
+        pre.variables(), *(a.shape.variables() for a in f.denominator))
     variables = sorted(names, key=var_key)
     return {
         "variables": variables,
-        "prefactor": _exponents(f.prefactor, variables),
-        "numerator": _terms_to_json_by_exponents(f.numerator, variables),
+        "prefactor": _exponents(pre, variables),
+        "numerator": _terms_to_json_by_exponents(num, variables),
         "denominator": [[rational_to_json(a.constant),
                          _exponents(a.shape, variables)]
                         for a in _sorted_atoms(f.denominator)],

@@ -62,7 +62,7 @@ def prod_roots(g, sign=1, qpow=0):
     """∏_{i=1}^{2g} (1 - sign*q^qpow*α_i) over the free root variables."""
     out = FactoredRat.one()
     for name in alpha_names(g):
-        out = out * FactoredRat.from_poly(SparsePoly({
+        out = out * FactoredRat(SparsePoly({
             mono(): 1, mono(q=qpow, **{name: 1}): -sign}))
     return out
 

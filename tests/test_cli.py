@@ -9,6 +9,7 @@ and the installed `census` script as well when one is on PATH.
 import json
 import os
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -446,6 +447,17 @@ class TestReports:
         blob = json.loads(out)
         assert all(blob["identities"].values())
 
+    def test_betti_warning_is_one_line_on_every_call(self, capsys):
+        # gcd(2, 0) > 1: outside the coprime range the value is printed
+        # with one warning line, in a second call of the same process too
+        want = ("warning: betti_polynomial(1, 2, 0): gcd(r, d) > 1 is "
+                "outside the guaranteed range\n")
+        for _ in range(2):
+            code, out, err = run_cli(capsys, "betti", "-g", "1", "-r", "2",
+                                     "-d", "0")
+            assert (code, err) == (0, want)
+            assert out.strip()
+
 
 class TestExitCodes:
     def test_no_subcommand(self, capsys):
@@ -585,3 +597,38 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "kac", "-g", "-1", "-r", "1")
         assert code == 1
         assert "ValueError" in err
+
+
+def readme_examples():
+    """(command, stdout) of each `$ ...` line in the examples of README
+    "Command line", in order: the nonblank lines below a command up to the
+    next one are its output."""
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("Examples:\n\n```\n", 1)[1].split("\n```", 1)[0]
+    examples = []
+    for line in filter(None, block.split("\n")):
+        if line.startswith("$ "):
+            examples.append([line[2:], ""])
+        else:
+            examples[-1][1] += line + "\n"
+    return examples
+
+
+def test_readme_examples_replay(tmp_path):
+    # every example runs in sh, in one empty directory (the curve file one
+    # example writes is read by the next), with `census` the command line
+    # of this checkout
+    examples = readme_examples()
+    assert sum(cmd.startswith("census ") for cmd, _ in examples) == 7
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(REPO / "src"), os.environ.get("PYTHONPATH")])))
+    env.pop("CENSUS_CACHE", None)
+    census = 'census() { %s -m census.cli "$@"; }\n' % shlex.quote(
+        sys.executable)
+    for command, out in examples:
+        proc = subprocess.run(["sh", "-c", census + command], env=env,
+                              cwd=tmp_path, capture_output=True, text=True,
+                              timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, ""), command
+        assert proc.stdout == out, command

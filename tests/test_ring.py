@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 import sympy
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from census import pipeline, ring
 from census.errors import ExponentOverflow, PoleAtPoint, SubstitutionToZeroPole
@@ -26,6 +26,7 @@ from census.residues import h_factor
 
 from builders import (
     add_many_by_lcm,
+    atom_poly,
     content_monomial_by_slots,
     divide_atom_by_buckets,
     frac_to_json_by_exponents,
@@ -34,13 +35,14 @@ from builders import (
     normalize_by_filter,
     poly_to_json_by_exponents,
     sorted_terms_by_fields,
+    substitute_poly,
     univariate_by_support,
 )
 
 
 def fr_poly(*terms):
     """FactoredRat from (coeff, {var: exp}) pairs."""
-    return FactoredRat.from_poly(
+    return FactoredRat(
         SparsePoly([(Monomial(e), c) for c, e in terms]))
 
 
@@ -87,25 +89,25 @@ def test_mul_prefactor_arithmetic():
 
 def test_normalize_cancels_matching_atom():
     _, _, at = Atom.make(1, Monomial({"q": 1, "z": 1}))
-    num = at.as_poly() * SparsePoly([(Monomial({"q": 2}), 3), (Monomial(), 1)])
-    f = FactoredRat(Monomial(), num, (at,))
+    num = atom_poly(at) * SparsePoly([(Monomial({"q": 2}), 3), (Monomial(), 1)])
+    f = FactoredRat(num, (at,))
     g = f.normalize()
     assert not g.denominator
-    assert g == FactoredRat.from_poly(SparsePoly([(Monomial({"q": 2}), 3), (Monomial(), 1)]))
+    assert g == FactoredRat(SparsePoly([(Monomial({"q": 2}), 3), (Monomial(), 1)]))
 
 
 def test_normalize_cyclotomic_quotient():
     _, _, at = Atom.make(1, Z)
-    f = FactoredRat(Monomial(), SparsePoly([(Monomial(), 1), (Monomial({"z": 3}), -1)]), (at,))
+    f = FactoredRat(SparsePoly([(Monomial(), 1), (Monomial({"z": 3}), -1)]), (at,))
     assert f.normalize() == fr_poly((1, {}), (1, {"z": 1}), (1, {"z": 2}))
 
 
 def test_normalize_zero_form():
     _, _, a1 = Atom.make(1, Z)
     _, _, a2 = Atom.make(1, Monomial({"q": 1, "z": 1}))
-    f = FactoredRat(Monomial(), SparsePoly.zero(), (a1, a2))
+    f = FactoredRat(SparsePoly.zero(), (a1, a2))
     g = f.normalize()
-    assert g.is_zero() and not g.denominator and g.prefactor.is_one()
+    assert g.is_zero() and not g.denominator and repr(g) == "(0)"
 
 
 def test_adams_examples():
@@ -165,7 +167,11 @@ def test_json_decode_drops_zero_coefficients():
                                 "terms": terms}) == want
     f = FactoredRat.from_json({"variables": ["a1", "q"], "prefactor": [0, 1],
                                "numerator": terms, "denominator": []})
-    assert (f.prefactor, f.numerator) == (Monomial({"q": 1}), want)
+    # the prefactor is folded into the numerator, and the written form
+    # splits the content a1*q of the one term left off again
+    assert f.numerator == want.mul_monomial(Monomial({"q": 1}))
+    assert f.to_json() == {"variables": ["a1", "q"], "prefactor": [1, 1],
+                           "numerator": [[[0, 0], "2/3"]], "denominator": []}
 
 
 @pytest.mark.parametrize("variables,vec,error", [
@@ -222,7 +228,8 @@ def fracs(draw):
         unit *= u
         pre = pre * um
         den.append(at)
-    f = FactoredRat(draw(monomials()) * pre ** -1, num.mul_scalar(Fraction(1, unit) if unit != 1 else 1), den)
+    f = FactoredRat(num.mul_scalar(Fraction(1, unit) if unit != 1 else 1)
+                    .mul_monomial(draw(monomials()) * pre ** -1), den)
     return f.normalize()
 
 
@@ -241,7 +248,7 @@ def test_ring_axioms(a, b, c):
 def test_normalize_idempotent(a):
     n1 = a.normalize()
     n2 = n1.normalize()
-    assert n1.prefactor == n2.prefactor
+    assert json.dumps(n1.to_json()) == json.dumps(n2.to_json())
     assert n1.numerator == n2.numerator
     assert n1.denominator == n2.denominator
 
@@ -259,7 +266,7 @@ def test_adams_homomorphism(a, b, k, m):
 def test_eval_commutes_with_normalize(a, rng):
     point = {v: complex(rng.uniform(0.3, 1.7), rng.uniform(0.1, 1.3))
              for v in ("a1", "a2", "q", "z")}
-    raw = FactoredRat(a.prefactor, a.numerator, a.denominator)
+    raw = FactoredRat(a.numerator, a.denominator)
     try:
         lhs = raw.eval_numeric(point)
         rhs = a.normalize().eval_numeric(point)
@@ -295,7 +302,7 @@ def _sym_monomial(variables, vec):
 def to_sympy(f):
     """A FactoredRat (or SparsePoly) as a sympy expression."""
     if isinstance(f, SparsePoly):
-        f = FactoredRat.from_poly(f)
+        f = FactoredRat(f)
     blob = f.to_json()
     vs = blob["variables"]
     num = sum((_sym_rational(c) * _sym_monomial(vs, vec)
@@ -314,7 +321,7 @@ def sym_equal(a, b):
 
 
 def sym_atom(atom):
-    return to_sympy(FactoredRat.from_poly(atom.as_poly()))
+    return to_sympy(FactoredRat(atom_poly(atom)))
 
 
 @st.composite
@@ -349,10 +356,10 @@ def raw_fracs(draw, min_terms=0, max_terms=3):
     den = draw(st.lists(diff_atoms(), max_size=3))
     for atom in den:
         if draw(st.booleans()):
-            num = num * atom.as_poly()
+            num = num * atom_poly(atom)
     if den and draw(st.booleans()):
         den.append(den[0])
-    return FactoredRat(draw(diff_monomials()), num, den)
+    return FactoredRat(num.mul_monomial(draw(diff_monomials())), den)
 
 
 DIFF = settings(max_examples=40, deadline=None)
@@ -374,8 +381,8 @@ def test_diff_add_many(fs):
     assert sym_equal(to_sympy(add_many(fs)), want)
 
 
-Q_PLUS_HALF = FactoredRat.from_poly(SparsePoly([(Monomial.of(q=1), 1),
-                                              (Monomial(), Fraction(1, 2))]))
+Q_PLUS_HALF = FactoredRat(SparsePoly([(Monomial.of(q=1), 1),
+                                      (Monomial(), Fraction(1, 2))]))
 
 
 @DIFF
@@ -389,7 +396,7 @@ def test_diff_mul(a, b):
 @given(diff_polys(), diff_atoms(), st.booleans())
 def test_diff_divide_atom(p, atom, plant):
     if plant:
-        p = p * atom.as_poly()
+        p = p * atom_poly(atom)
     quotient = p.divide_atom(atom)
     if quotient is None:
         assert not plant
@@ -428,7 +435,7 @@ def line_numerators(draw, atom):
     poly = SparsePoly([(Monomial(e), c)
                        for e, c in draw(st.lists(LINE_TERMS, max_size=6))])
     if draw(st.booleans()):
-        poly = poly * atom.as_poly()
+        poly = poly * atom_poly(atom)
         if draw(st.booleans()):
             e, c = draw(LINE_TERMS)
             poly = poly + SparsePoly([(Monomial(e), c)])
@@ -476,7 +483,7 @@ def test_line_walk_agrees_with_bucket_division(atom, data):
 def test_line_walk_at_the_edge_of_the_exponent_range(c, shape, quotient):
     atom = Atom.make(c, Monomial(shape))[2]
     q = SparsePoly([(Monomial(e), cf) for cf, e in quotient])
-    poly = q * atom.as_poly()
+    poly = q * atom_poly(atom)
     assert assert_same_division(poly, atom) == q
     near = poly + SparsePoly([(Monomial(quotient[0][1]), 1)])
     assert assert_same_division(near, atom) is None
@@ -560,7 +567,7 @@ def _planted(poly, atoms):
     num = poly
     for atom in atoms:
         num = num.mul_atom(atom)
-    return FactoredRat(Monomial(), num, atoms)
+    return FactoredRat(num, atoms)
 
 
 def _atom(c, **exps):
@@ -578,7 +585,7 @@ def test_filter_update_every_kind():
         n = _planted(poly, atoms).normalize()
     assert seen == {"leading", "binomial", "scalar"}
     assert not n.denominator
-    assert n.numerator.mul_monomial(n.prefactor) == poly
+    assert n.numerator == poly
 
 
 def test_filter_update_drops_an_entry_it_cannot_specialize():
@@ -591,7 +598,7 @@ def test_filter_update_drops_an_entry_it_cannot_specialize():
         n = _planted(poly, atoms).normalize()
     assert "dropped" in seen
     assert not n.denominator
-    assert n.numerator.mul_monomial(n.prefactor) == poly
+    assert n.numerator == poly
 
 
 def test_filter_update_on_a_numerator_in_z():
@@ -609,7 +616,7 @@ def test_filter_update_on_a_numerator_in_z():
         n = _planted(poly, atoms).normalize()
     assert seen == {"leading", "binomial", "scalar", "dropped"}
     assert not n.denominator
-    assert n.numerator.mul_monomial(n.prefactor) == poly
+    assert n.numerator == poly
 
 
 @DIFF
@@ -618,7 +625,7 @@ def test_filter_update_on_a_numerator_in_z():
 def test_filter_update_random(poly, atoms, data):
     extra = data.draw(st.lists(diff_atoms(), max_size=2))
     f = _planted(poly, atoms)
-    f = FactoredRat(f.prefactor, f.numerator, f.denominator + tuple(extra))
+    f = FactoredRat(f.numerator, f.denominator + tuple(extra))
     with checked_filter_updates():
         n = f.normalize()
     assert sym_equal(to_sympy(n), to_sympy(f))
@@ -686,7 +693,7 @@ def test_filter_leaves_an_atom_that_vanishes_to_exact_division():
     assert poly.divide_atom(atom) is None
     n = _planted(poly, [atom]).normalize()
     assert not n.denominator
-    assert n.numerator.mul_monomial(n.prefactor) == poly
+    assert n.numerator == poly
 
 
 @settings(max_examples=300, deadline=None)
@@ -745,25 +752,19 @@ def direct_image(poly, w):
            st.integers(-9, 9) | st.fractions(-9, 9, max_denominator=7)),
            max_size=8),
        # t never occurs in the terms
-       st.sampled_from(REDUCE_NAMES + ("t",)),
-       st.sampled_from([None, "exact", "every"]), st.booleans())
+       st.sampled_from(REDUCE_NAMES + ("t",)), st.booleans())
 @example([({"q": 1, "z": -2}, Fraction(2, 3)), ({"q": 1, "z": 1}, -1),
-          ({"q": 1}, 1)], "z", None, False)
-@example([({"a1": -1}, Fraction(5, 7)), ({"T": 2}, 3)], "t", "every", False)
-@example([({"q": 2}, 1), ({}, 4)], "q", "exact", True)
-def test_reduce_agrees_with_a_term_by_term_evaluation(terms, w, support,
-                                                      undefined):
+          ({"q": 1}, 1)], "z", False)
+@example([({"a1": -1}, Fraction(5, 7)), ({"T": 2}, 3)], "t", False)
+@example([({"q": 2}, 1), ({}, 4)], "q", True)
+def test_reduce_agrees_with_a_term_by_term_evaluation(terms, w, undefined):
     poly = SparsePoly([(Monomial(e), c) for e, c in terms])
     if undefined:
         # no other coefficient's denominator can cancel the prime
         poly = poly + SparsePoly([(Monomial.of(q=1), Fraction(1, ring._P))])
-    if support == "exact":
-        support = ring._support(poly.terms)
-    elif support == "every":
-        support = [ring._SLOT[v] for v in REDUCE_NAMES + ("t",)]
     want = direct_image(poly, w)
     assert (want is None) == undefined
-    assert ring._reduce(poly, w, support) == want
+    assert ring._reduce(poly, w) == want
 
 
 @DIFF
@@ -773,7 +774,7 @@ def test_normalize_of_a_monomial_matches_the_filtered_path(m, c, pre, atoms,
                                                            data):
     if not m.is_one() and data.draw(st.booleans()):
         atoms.append(Atom.make(c, m)[2])
-    f = FactoredRat(pre, SparsePoly([(m, c)]), atoms)
+    f = FactoredRat(SparsePoly([(m * pre, c)]), atoms)
     assert json.dumps(f.normalize().to_json()) == \
         json.dumps(normalize_by_filter(f).to_json())
 
@@ -792,27 +793,27 @@ SLICE_ATOMS = [Atom.make(c, Monomial(e))[2] for c, e in [
        st.lists(st.sampled_from(SLICE_ATOMS), max_size=4))
 def test_normalize_bytes_match_exact_division_alone(poly, planted, extra):
     f = _planted(poly, planted)
-    f = FactoredRat(f.prefactor, f.numerator, f.denominator + tuple(extra))
+    f = FactoredRat(f.numerator, f.denominator + tuple(extra))
     filtered = f.normalize()
     exact = normalize_by_division(f)
     assert json.dumps(filtered.to_json()) == json.dumps(exact.to_json())
-    assert (filtered.numerator.mul_monomial(filtered.prefactor)
-            == exact.numerator.mul_monomial(exact.prefactor))
+    assert filtered.numerator == exact.numerator
     assert filtered.denominator == exact.denominator
 
 
 @settings(max_examples=100, deadline=None)
 @given(raw_fracs(), diff_monomials(max_vars=3))
-def test_written_form_ignores_the_held_split(f, m):
-    # normalize leaves a monomial where it finds it, in the prefactor or in
-    # the numerator; a normalized fraction compares and is written the same
-    # wherever it is held
+def test_written_form_round_trips_a_folded_monomial(f, m):
+    # a monomial folded into the numerator is split off again only where
+    # the fraction is written: it compares and is written the same as its
+    # from_json round trip, which folds the written prefactor back in
     f = f.normalize()
-    g = FactoredRat(f.prefactor * m, f.numerator.mul_monomial(m ** -1),
-                    f.denominator, normalized=True)
-    assert g == f and f == g
-    assert json.dumps(g.to_json()) == json.dumps(f.to_json())
-    assert repr(g) == repr(f)
+    g = FactoredRat(f.numerator.mul_monomial(m), f.denominator,
+                    normalized=True)
+    back = FactoredRat.from_json(json.loads(json.dumps(g.to_json())))
+    assert back == g and g == back
+    assert json.dumps(back.to_json()) == json.dumps(g.to_json())
+    assert repr(back) == repr(g)
 
 
 # ---------------------------------------------------------------------------
@@ -880,12 +881,13 @@ def test_images_follow_the_content_monomial():
     num = SparsePoly([(Monomial.of(q=1, z=2), 1), (Monomial.of(a1=1, q=2, z=2),
                                                    1)])
     f = _planted(num, atoms[:1])
-    f = FactoredRat(f.prefactor, f.numerator, f.denominator + (atoms[1],))
+    f = FactoredRat(f.numerator, f.denominator + (atoms[1],))
     with checked_images() as composed:
-        n = f * FactoredRat.from_poly(SparsePoly([(Monomial.of(a2=1), 3),
-                                                  (Monomial(), 1)]))
-    assert (FactoredRat.from_json(n.to_json()).prefactor
-            == Monomial.of(q=1, z=2))
+        n = f * FactoredRat(SparsePoly([(Monomial.of(a2=1), 3),
+                                        (Monomial(), 1)]))
+    blob = n.to_json()
+    assert {v: e for v, e in zip(blob["variables"], blob["prefactor"]) if e} \
+        == {"q": 1, "z": 2}
     assert n.denominator == (atoms[1],)
     assert composed and n._images
 
@@ -918,7 +920,7 @@ def test_images_on_the_main_route():
 CROSS_ATOMS = (_atom(1, z=1), _atom(-1, z=1), _atom(1, z=2), _atom(1, z=3),
                _atom(1, q=-1, z=1), _atom(-1, q=-1, z=1), _atom(1, q=-2, z=2),
                _atom(2, a1=1, q=1))
-CROSS_FACTORS = tuple(a.as_poly() for a in CROSS_ATOMS) + (
+CROSS_FACTORS = tuple(atom_poly(a) for a in CROSS_ATOMS) + (
     SparsePoly([(Monomial(), 1), (Monomial.of(z=1), 1),
                 (Monomial.of(z=2), 1)]),)
 X = SparsePoly([(Monomial(), 1), (Monomial.of(a1=1, q=1), 1)])
@@ -926,7 +928,7 @@ Y = SparsePoly([(Monomial(), 1), (Monomial.of(q=1), 3)])
 
 
 def normal_frac(num, *den):
-    return FactoredRat(Monomial(), num, den).normalize()
+    return FactoredRat(num, den).normalize()
 
 
 @st.composite
@@ -939,15 +941,16 @@ def cross_pairs(draw):
     for mine, theirs in (dens, dens[::-1]):
         num = draw(st.one_of(st.sampled_from((X, Y)),
                              diff_polys(min_terms=1)))
-        factors = [atom.as_poly() for atom in theirs] + list(CROSS_FACTORS)
+        factors = [atom_poly(atom) for atom in theirs] + list(CROSS_FACTORS)
         for factor in draw(st.lists(st.sampled_from(factors), max_size=3)):
             num = num * factor
-        pair.append(FactoredRat(draw(diff_monomials()), num, mine).normalize())
+        pair.append(FactoredRat(num.mul_monomial(draw(diff_monomials())),
+                                mine).normalize())
     return pair
 
 
 def reference_product(a, b):
-    return FactoredRat(a.prefactor * b.prefactor, a.numerator * b.numerator,
+    return FactoredRat(a.numerator * b.numerator,
                        a.denominator + b.denominator).normalize()
 
 
@@ -983,8 +986,8 @@ def test_cross_cancellation_keeps_the_bytes(pair):
 SUM_ATOMS = (_atom(1, z=1), _atom(1, z=2), _atom(-1, z=1), _atom(1, z=3),
              _atom(2, z=1), _atom(4, z=2), _atom(1, q=1), _atom(1, q=2),
              _atom(1, q=-1, z=1), _atom(1, q=-2, z=2), _atom(1, q=-2, z=1))
-SUM_COFACTORS = (_atom(-1, z=1).as_poly(), _atom(-2, z=1).as_poly(),
-                 _atom(-1, q=1).as_poly(), _atom(-1, q=-1, z=1).as_poly(),
+SUM_COFACTORS = (atom_poly(_atom(-1, z=1)), atom_poly(_atom(-2, z=1)),
+                 atom_poly(_atom(-1, q=1)), atom_poly(_atom(-1, q=-1, z=1)),
                  CROSS_FACTORS[-1])
 
 
@@ -1001,7 +1004,7 @@ def sums(draw):
                                     max_size=2)):
             num = num * factor
         den = draw(st.lists(st.sampled_from(SUM_ATOMS), max_size=4))
-        f = FactoredRat(draw(diff_monomials()), num, den)
+        f = FactoredRat(num.mul_monomial(draw(diff_monomials())), den)
         terms.append(f.normalize() if draw(st.booleans()) else f)
     return terms
 
@@ -1011,8 +1014,8 @@ def worked_sum():
     normalize cancels (1 - y^2), which sorts first, from the numerator
     2(1 - y^2).  Removing 1 - y, a factor of 1 - y^2, ahead of normalize
     would leave 2(1 + y)/(1 - y^2)."""
-    return [FactoredRat(Monomial(), SUM_COFACTORS[3], (SUM_ATOMS[9],)),
-            FactoredRat(Monomial(), SparsePoly.one(), (SUM_ATOMS[8],))]
+    return [FactoredRat(SUM_COFACTORS[3], (SUM_ATOMS[9],)),
+            FactoredRat(SparsePoly.one(), (SUM_ATOMS[8],))]
 
 
 @settings(max_examples=200, deadline=None)
@@ -1144,8 +1147,20 @@ def test_content_and_json_match_the_references(p):
            lambda e: any(e.values()))), max_size=3))
 def test_fraction_json_matches_the_reference(num, pre, atoms):
     den = tuple(Atom.make(c, Monomial(e))[2] for c, e in atoms)
-    f = FactoredRat(Monomial(pre), num, den)
-    assert json.dumps(f.to_json()) == json.dumps(frac_to_json_by_exponents(f))
+    try:
+        num = num.mul_monomial(Monomial(pre))
+    except ExponentOverflow:
+        assume(False)  # the folded numerator is not representable
+    f = FactoredRat(num, den)
+    try:
+        want = json.dumps(frac_to_json_by_exponents(f))
+    except ExponentOverflow:
+        # the numerator spans 2**22 or more in some variable, so its
+        # content-free split leaves the field range: no form is written
+        with pytest.raises(ExponentOverflow):
+            f.to_json()
+        return
+    assert json.dumps(f.to_json()) == want
 
 
 def test_code_out_of_range_raises():
@@ -1167,7 +1182,7 @@ def test_code_out_of_range_raises():
     with pytest.raises(ExponentOverflow):
         poly.adams(3)
     with pytest.raises(ExponentOverflow):
-        poly.substitute("q", 1, Monomial.of(a1=-1))
+        substitute_poly(poly, "q", 1, Monomial.of(a1=-1))
     with pytest.raises(ExponentOverflow):
         FactoredRat.from_monomial(top) * FactoredRat.from_monomial(
             Monomial.of(a1=2))
@@ -1178,7 +1193,7 @@ def test_code_out_of_range_raises():
 def test_slot_layout_independent_of_first_use():
     """A FactoredRat pickled by a process that met the variables in
     another order is the same value in this one."""
-    build = ("atom_inverse(2, Monomial.of(a4=1, z2=-1)) * FactoredRat.from_poly("
+    build = ("atom_inverse(2, Monomial.of(a4=1, z2=-1)) * FactoredRat("
              "SparsePoly([(Monomial.of(z5=2, q=-1), 3), "
              "(Monomial.of(z2=1, a1=1), -1)]))")
     child = ("import pickle, sys\n"

@@ -17,7 +17,6 @@ from census.series import (
     pleth_exp,
     pleth_log,
     series_exp,
-    series_log,
     z_decompose,
     z_truncate_frac,
 )
@@ -26,6 +25,7 @@ from builders import (
     const,
     geometric,
     series,
+    series_log,
     z_truncate_by_geometric,
 )
 
@@ -36,7 +36,7 @@ def fr(*terms):
     for coeff, exps in terms:
         m = Monomial.of(**exps)
         d[m] = d.get(m, 0) + coeff
-    return FactoredRat.from_poly(SparsePoly(d))
+    return FactoredRat(SparsePoly(d))
 
 
 def T_series(*coeffs):
@@ -331,7 +331,7 @@ _MIXED_ATOMS = [Atom.make(c, Monomial.of(**e))[2] for c, e in [
 
 @st.composite
 def mixed_fracs(draw):
-    """Fractions over q, z and a1 with a z-Laurent prefactor, and
+    """Fractions over q, z and a1 with a z-Laurent monomial factor, and
     denominator atoms drawn from z-free ones and ones in z, interleaved in
     Atom.key order and possibly repeated."""
     terms = draw(st.lists(
@@ -346,7 +346,7 @@ def mixed_fracs(draw):
         num = num.mul_atom(atom)
     den = draw(st.lists(st.sampled_from(_MIXED_ATOMS), max_size=4))
     pre = Monomial.of(z=draw(st.integers(min_value=-1, max_value=2)))
-    return FactoredRat(pre, num, den).normalize()
+    return FactoredRat(num.mul_monomial(pre), den).normalize()
 
 
 class TestTruncatedProduct:
