@@ -12,14 +12,11 @@ keeps its own memo, sharing none), the Poincare specialization, numeric
 point counts, and the conjecture/identity checkers.
 
 Everything is exact rational arithmetic; floats appear only in
-count_points, in the numeric convergence identities, and in the pole
-orders that regularity_report estimates in complex floats
-(_numeric_pole_order).
+count_points and in the numeric convergence identities.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import random
 import sys
@@ -36,22 +33,14 @@ from .residues import h_factor
 from .ring import (Atom, FactoredRat, Monomial, SparsePoly, _check,
                    _check_codes, _clean, _moves, _read, _slot, add_many,
                    atom_inverse, poly_from_json, poly_to_json)
-from .series import BiSeries, LazyLog, frac_to_series, pleth_exp, \
-    pleth_log, series_exp, z_decompose, z_truncate_frac
+from .series import BiSeries, LazyLog, frac_to_series, mobius, \
+    pleth_exp, pleth_log, series_exp, z_decompose, z_truncate_frac
 from . import zeta as _zeta
-from .zeta import CurveData, alpha_name, alpha_names, pair_reduce
+from .zeta import CurveData, alpha_name, alpha_names, one_minus, pair_reduce
 
 ENGINE_VERSION = "1.0"
 
 _ONE = Monomial()
-
-
-def _q_minus_one():
-    return FactoredRat(SparsePoly({Monomial.of(q=1): 1, _ONE: -1}))
-
-
-def _one_minus_z_pow(r):
-    return FactoredRat(SparsePoly({_ONE: 1, Monomial.of(z=r): -1}))
 
 
 def _lambda_term(g, lam):
@@ -126,8 +115,8 @@ def kac_rational(g, r):
     pole structure is visible.
     """
     _validate_gr(g, r)
-    A = _partition_log(g).pleth_coefficient(r) * _q_minus_one()
-    return pair_reduce(A, g)
+    A = _partition_log(g).pleth_coefficient(r)
+    return pair_reduce(A * -one_minus(1, Monomial.of(q=1)), g)
 
 
 def _validate_gr(g, r):
@@ -145,7 +134,7 @@ def _z_atoms(f):
 def degree_class_sums(g, r):
     """The r values Σ_{j ≡ d (mod r)} [z^j] (1-z^r)·A_{g,r}(z), d = 0..r-1."""
     A = kac_rational(g, r)
-    Q = (A * _one_minus_z_pow(r)).normalize()
+    Q = (A * one_minus(1, Monomial.of(z=r))).normalize()
     bad = _z_atoms(Q)
     if bad:
         raise NotPolynomialAfterClearing(
@@ -301,8 +290,8 @@ def kac_series_oracle(g, r, D=None):
     if D <= (g - 1) * r * (r - 1) + r:
         raise ValueError("z-order %d does not reach past the stabilization "
                          "bound %d" % (D, (g - 1) * r * (r - 1)))
-    A = _truncated_log(g, D).pleth_coefficient(r) * _q_minus_one()
-    A = pair_reduce(A, g)
+    A = _truncated_log(g, D).pleth_coefficient(r)
+    A = pair_reduce(A * -one_minus(1, Monomial.of(q=1)), g)
     dec = z_decompose(A)
     out = []
     for dd in range(D + 1):
@@ -354,7 +343,7 @@ def _constant_log(g):
 @lru_cache(maxsize=None)
 def _constant_class_sums(g, r):
     A0 = _constant_log(g).pleth_coefficient(r).mul_scalar(-1)
-    Q0 = (A0 * _one_minus_z_pow(r)).normalize()
+    Q0 = (A0 * one_minus(1, Monomial.of(z=r))).normalize()
     if Q0.denominator:
         raise NotPolynomialAfterClearing(
             "(1-z^%d) does not clear the constant-term series at g=%d"
@@ -400,8 +389,8 @@ def betti_polynomial(g, r, d):
             raise NegativeBettiCoefficient(
                 "coefficient %s of t^%d in betti(%d,%d,%d)"
                 % (fc, Monomial.from_code(code).exponent("t"), g, r, d))
-    lead, c = p.sorted_terms()[0]
-    if lead != Monomial.of(t=top) or c != 1:
+    lead, c = p.sorted_items()[0]
+    if lead != Monomial.of(t=top).items or c != 1:
         raise IdentityViolation(
             "betti(%d,%d,%d) is not monic of degree %d" % (g, r, d, top))
     return p
@@ -499,42 +488,49 @@ def _root_orders(atom):
     return []
 
 
-def _numeric_pole_order(A, m, point):
-    """log-slope estimate of the pole order at a primitive m-th root."""
-    root = cmath.exp(2j * cmath.pi / m)
-    vals = []
-    for eps in (1e-3, 1e-4):
-        pt = dict(point)
-        pt["z"] = root * (1 + eps)
-        vals.append(abs(A.eval_numeric(pt)))
-    if vals[0] == 0.0:
-        return 0
-    return max(0, round(math.log10(vals[1] / vals[0])))
+def _pole_order(num, m, k):
+    """The z-pole order at the primitive m-th roots of unity of num over k
+    denominator atoms that vanish there: k less the power of
+    Φ_m = ±∏_{d|m}(1 - z^d)^{μ(m/d)} that divides num, and at least 0."""
+    divisors = [d for d in range(1, m + 1) if not m % d]
+    up = [Atom(1, Monomial.of(z=d)) for d in divisors if mobius(m // d) < 0]
+    down = [Atom(1, Monomial.of(z=d)) for d in divisors if mobius(m // d) > 0]
+    for j in range(k):
+        for atom in up:
+            num = num.mul_atom(atom)
+        for atom in down:
+            num = num.divide_atom(atom)
+            if num is None:
+                return k - j
+    return 0
+
+
+def _pole_orders(A):
+    """{m: the z-pole order of A at the primitive m-th roots of unity} for
+    each m where A has a pole."""
+    counts = Counter(m for atom in _z_atoms(A) for m in _root_orders(atom))
+    orders = {}
+    for m in sorted(counts):
+        k = _pole_order(A.numerator, m, counts[m])
+        if k:
+            orders[m] = k
+    return orders
 
 
 def regularity_report(g, r):
     """Inspect the z-poles of kac_rational(g, r) and the degree classes.
 
-    Pole orders are measured numerically at a generic pairing-compatible
-    point: a structural scan of the denominator atoms cannot see removable
+    A count of the denominator atoms alone cannot see removable
     cyclotomic factors (an atom 1 - z^k never splits, even when only its
     z = 1 part is a genuine pole), and regularity at nontrivial roots of
-    unity is exactly the behavior worth reporting.  The clearing booleans
-    are exact.
+    unity is exactly the behavior worth reporting, so each count is
+    reduced by the power of Φ_m dividing the numerator (_pole_order).
+    Everything is exact.
     """
     A = kac_rational(g, r)
-    candidates = set()
-    for atom in _z_atoms(A):
-        candidates.update(_root_orders(atom))
-    point = _zeta.paired_point(
-        4.0, [cmath.rect(2.0, 0.6 + 0.9 * i) for i in range(1, g + 1)])
-    orders = {}
-    for m in sorted(candidates):
-        k = _numeric_pole_order(A, m, point)
-        if k:
-            orders[m] = k
-    lin = not _z_atoms((A * _one_minus_z_pow(1)).normalize())
-    power = not _z_atoms((A * _one_minus_z_pow(r)).normalize())
+    orders = _pole_orders(A)
+    lin = not _z_atoms((A * one_minus(1, Monomial.of(z=1))).normalize())
+    power = not _z_atoms((A * one_minus(1, Monomial.of(z=r))).normalize())
     indep = None
     if power:
         sums = degree_class_sums(g, r)

@@ -8,8 +8,8 @@ Dividing the σ-permuted ζ̃-product by the unpermuted one leaves one ratio
 −(w−q)∏_i(1−α_i w) / ((1−qw)∏_i(w−α_i)), independent of the genus.  Every
 factor of K_σ is then a binomial (1 − c·m)^{±1}, so K_σ is kept as a
 factor list (scalar, monomial, {Atom: signed multiplicity}), and
-Atom.subs maps each factor under a residue or specialization to an atom,
-a scalar or 0.  Residues are taken in the kernel variables: inside a
+Atom._moved maps each factor under a residue or specialization to an
+atom, a scalar or 0.  Residues are taken in the kernel variables: inside a
 block (partitions.chain_blocks), z_k = q^{-1}z_{k-1} is a simple pole in
 z_k once the variables below it are held fixed; the measure is dz_k/z_k.
 """
@@ -23,7 +23,8 @@ from itertools import combinations, permutations
 
 from .errors import HigherOrderPole, SubstitutionToZeroPole
 from .partitions import chain_blocks
-from .ring import Atom, FactoredRat, Monomial, ONE_MONOMIAL, SparsePoly, add_many
+from .ring import (Atom, FactoredRat, Monomial, ONE_MONOMIAL, SparsePoly,
+                   _move, _moves, add_many)
 from .zeta import alpha_names
 
 SymmetrizedKernel = namedtuple("SymmetrizedKernel", "n fraction")
@@ -78,11 +79,12 @@ def _subs(term, var, image):
     """term under var -> image: the factor list of the atoms that stay
     atoms, and {atom: multiplicity} of those that vanish."""
     scalar, mono, atoms = term
-    sc, mono = mono.subs(var, 1, image)
-    scalar *= sc
+    moves = _moves([(var, 1, image)])
+    sc, code = _move(mono.code, moves)
+    scalar, mono = scalar * sc, Monomial._raw(code)
     out, zero = Counter(), {}
     for atom, k in atoms.items():
-        kind, payload = atom.subs(var, 1, image)
+        kind, payload = atom._moved(moves)
         if kind == "zero":
             zero[atom] = k
         elif kind == "scalar":

@@ -322,13 +322,6 @@ class Monomial:
     def is_one(self):
         return not self.code
 
-    def subs(self, var, coeff, image):
-        """Replace var by coeff*image; return (rational scalar, monomial)."""
-        if not self.exponent(var):
-            return 1, self
-        sc, code = _move(self.code, _moves([(var, coeff, image)]))
-        return sc, Monomial._raw(code)
-
     def eval(self, assignment):
         out = complex(1)
         for v, e in self.items:
@@ -578,21 +571,13 @@ class SparsePoly:
             blk[m - (e << sh)] = c
         return buckets
 
-    def sorted_terms(self):
-        """(Monomial, coefficient) pairs in descending canonical order
-        (deterministic)."""
-        slots = _support(self.terms)
-        names = [_NAMES[s] for s in slots]
-        return [(Monomial._raw(m, tuple(compress(zip(names, vec), vec))), c)
-                for _, m, vec, c in _rows(self.terms, slots)]
-
     def sorted_items(self):
-        """(Monomial.items, coefficient) pairs in the order of
-        sorted_terms, for printing: no Monomial is made."""
+        """(Monomial.items, coefficient) pairs in descending canonical
+        order (deterministic): no Monomial is made."""
         slots = _support(self.terms)
         names = [_NAMES[s] for s in slots]
         return [(tuple(compress(zip(names, vec), vec)), c)
-                for _, _, vec, c in _rows(self.terms, slots)]
+                for _, vec, c in _rows(self.terms, slots)]
 
     def variables(self):
         return {_NAMES[s] for s in _support(self.terms)}
@@ -609,7 +594,7 @@ class SparsePoly:
 
 
 def _rows(terms, slots):
-    """(sort key, code, exponent vector over slots, coefficient) for each
+    """(sort key, exponent vector over slots, coefficient) for each
     term of a dict, in descending canonical order; slots, in canonical
     order, hold every variable of the terms.  Each field is read once,
     from the code biased as in _support, and the terms are sorted once."""
@@ -621,7 +606,7 @@ def _rows(terms, slots):
         b = m + bias
         vec = [((b >> sh) & _MASK) - _HALF for sh in shifts]
         rows.append(((sum(vec), tuple(compress(zip(keys, vec), vec))),
-                     m, vec, c))
+                     vec, c))
     rows.sort(key=itemgetter(0), reverse=True)
     return rows
 
@@ -890,19 +875,11 @@ class Atom:
     def adams(self, k):
         return Atom(self.constant, self.shape ** k)
 
-    def subs(self, var, coeff, image):
-        """Substitute var -> coeff*image.
-
-        Returns ('atom', (unit_coeff, unit_mono, Atom)), ('scalar', value)
-        when the shape collapses to a constant, or ('zero', None) when the
-        whole atom vanishes identically.
-        """
-        if not self.shape.exponent(var):
-            return "atom", (1, _ONE_M, self)
-        return self._moved(_moves([(var, coeff, image)]))
-
     def _moved(self, moves):
-        """subs for the substitutions of _moves(subs), made at once."""
+        """The atom under the substitutions of _moves(subs), made at once:
+        ('atom', (unit_coeff, unit_mono, Atom)), ('scalar', value) when
+        the shape collapses to a constant, or ('zero', None) when the whole
+        atom vanishes identically."""
         sc, code = _move(self.shape.code, moves)
         if code == self.shape.code:
             return "atom", (1, _ONE_M, self)
@@ -1122,10 +1099,6 @@ class FactoredRat:
                            _sorted_atoms(a.adams(k) for a in self.denominator),
                            normalized=self._normalized and not self.denominator)
 
-    def substitute(self, var, coeff, image):
-        """Exact substitution var -> coeff*image followed by normalize."""
-        return self.substitute_all([(var, coeff, image)])
-
     def substitute_all(self, subs):
         """The substitutions var -> coeff*image of the list subs, made at
         once (one pass over the numerator) and followed by one normalize;
@@ -1283,7 +1256,7 @@ def _terms_to_json(p, slots):
     """The terms of p as [exponent vector over slots, "n/d"] rows, in
     descending canonical order."""
     return [[vec, "%d/1" % c if c.__class__ is int else rational_to_json(c)]
-            for _, _, vec, c in _rows(p.terms, slots)]
+            for _, vec, c in _rows(p.terms, slots)]
 
 
 def _terms_from_json(terms, shifts):

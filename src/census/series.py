@@ -314,12 +314,6 @@ class LazyLog:
             ms.append(add_many(parts))
         return ms[n]
 
-    def log(self, n):
-        """L_n, the x^n coefficient of log F: L_0 = 0, else M_n/n."""
-        if not n:
-            return FactoredRat.zero()
-        return self._m(n).mul_scalar(Fraction(1, n))
-
     def pleth_coefficient(self, n):
         """[x^n] Log F = [x^n] Σ_k μ(k)/k ψ_k(log F), as one add_many.
 

@@ -73,16 +73,6 @@ def pair_reduce(f, g):
         for i in range(1, g + 1)])
 
 
-def paired_point(q, odd_roots):
-    """Numeric assignment honoring the pair relations: the even root of
-    each pair is q divided by the odd one."""
-    pt = {"q": q}
-    for i, a in enumerate(odd_roots, start=1):
-        pt[alpha_name(2 * i - 1)] = a
-        pt[alpha_name(2 * i)] = q / a
-    return pt
-
-
 def _check_not_unit(coeff, monomial):
     if monomial.is_one() and Fraction(coeff) == 1:
         raise PoleArgument("zeta denominator atom vanishes identically")

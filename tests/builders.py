@@ -1,5 +1,7 @@
 """Value builders that only the tests use."""
 
+import cmath
+import math
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
@@ -37,7 +39,8 @@ from census.ring import (
 )
 from census import pipeline
 from census.series import BiSeries, LazyLog, _check_unit, z_decompose
-from census.zeta import alpha_name, alpha_names, pair_reduce, zeta_at
+from census.zeta import alpha_name, alpha_names, one_minus, pair_reduce, \
+    zeta_at
 
 
 def geometric(constant=1, **exponents):
@@ -65,13 +68,22 @@ def atom_poly(atom):
     return SparsePoly._raw({0: 1, atom.shape.code: _clean(-atom.constant)})
 
 
+def log_coefficient(log, n):
+    """L_n, the x^n coefficient of the log F that a LazyLog holds: 0 at
+    n = 0, else M_n/n."""
+    if not n:
+        return FactoredRat.zero()
+    return log._m(n).mul_scalar(Fraction(1, n))
+
+
 def series_log(f):
     """Ordinary logarithm of a series with constant term 1: solves
-    F·L' = F' coefficientwise (LazyLog.log), O(order²) coefficient
+    F·L' = F' coefficientwise (LazyLog), O(order²) coefficient
     products."""
     _check_unit(f)
     log = LazyLog(f.coeffs.__getitem__)
-    return BiSeries(f.var, f.order, [log.log(n) for n in range(f.order + 1)])
+    return BiSeries(f.var, f.order,
+                    [log_coefficient(log, n) for n in range(f.order + 1)])
 
 
 def zeta_tilde(g, coeff, monomial):
@@ -158,7 +170,7 @@ def res_simple(f, var, point=ONE_MONOMIAL):
             "pole of order %d at %s = %r" % (len(singular), var, point))
     _, e = singular[0]
     rest = FactoredRat(f.numerator, regular)
-    return rest.substitute(var, 1, point).mul_scalar(Fraction(-1, e))
+    return rest.substitute_all([(var, 1, point)]).mul_scalar(Fraction(-1, e))
 
 
 def h_tilde(f, lam):
@@ -181,7 +193,8 @@ def specialize_leaders(f, lam):
     where r_{<i}, the number of variables in the blocks below, is its index
     less one."""
     for part, first, _ in chain_blocks(lam):
-        f = f.substitute(_z(first), 1, Monomial.of(z=part, q=1 - first))
+        f = f.substitute_all(
+            [(_z(first), 1, Monomial.of(z=part, q=1 - first))])
     return f.normalize()
 
 
@@ -367,8 +380,8 @@ def content_monomial_by_slots(p):
 
 
 def substitute_by_atoms(f, var, coeff, image):
-    """FactoredRat.substitute of one variable: the numerator and each atom
-    substituted on their own, then normalize."""
+    """FactoredRat.substitute_all of one variable: the numerator and each
+    atom substituted on their own, then normalize."""
     if image.exponent(var):
         raise ValueError("substitution image mentions %r itself" % (var,))
     pre = ONE_MONOMIAL
@@ -376,7 +389,7 @@ def substitute_by_atoms(f, var, coeff, image):
     den = []
     scale = Fraction(1)
     for a in f.denominator:
-        kind, payload = a.subs(var, coeff, image)
+        kind, payload = a._moved(_moves([(var, coeff, image)]))
         if kind == "zero":
             raise SubstitutionToZeroPole("atom %s vanishes" % (a,))
         if kind == "scalar":
@@ -404,8 +417,8 @@ def pair_reduce_by_roots(f, g):
 
 
 def sorted_terms_by_fields(p):
-    """SparsePoly.sorted_terms with each term's key built from its
-    (name, exponent) fields."""
+    """The terms of SparsePoly.sorted_items as (Monomial, coefficient)
+    pairs, each term's key built from its (name, exponent) fields."""
     reads = [(_ROUND[s], _SHIFT[s], _NAMES[s], _KEY[s])
              for s in _support(p.terms)]
     rows = []
@@ -506,7 +519,7 @@ def constant_class_sums_by_decompose(g, r):
     """The class sums of constant_term read through z_decompose: one
     normalized FactoredRat per z-degree of Q0, each made a Fraction."""
     A0 = pipeline._constant_log(g).pleth_coefficient(r).mul_scalar(-1)
-    Q0 = (A0 * pipeline._one_minus_z_pow(r)).normalize()
+    Q0 = (A0 * one_minus(1, Monomial.of(z=r))).normalize()
     sums = [Fraction(0)] * r
     for j, c in z_decompose(Q0).items():
         sums[j % r] += pipeline._as_rational(c)
@@ -518,3 +531,45 @@ def univariate_by_support(poly, w):
     support: the test that the division filter's early-exit
     _univariate replaced."""
     return all(_NAMES[s] == w for s in _support(poly.terms))
+
+
+# ---------------------------------------------------------------------------
+# The float route that the exact pole orders of regularity_report replaced.
+
+def paired_point(q, odd_roots):
+    """Numeric assignment honoring the pair relations: the even root of
+    each pair is q divided by the odd one."""
+    pt = {"q": q}
+    for i, a in enumerate(odd_roots, start=1):
+        pt[alpha_name(2 * i - 1)] = a
+        pt[alpha_name(2 * i)] = q / a
+    return pt
+
+
+def numeric_pole_order(A, m, point):
+    """log-slope estimate of the pole order at a primitive m-th root."""
+    root = cmath.exp(2j * cmath.pi / m)
+    vals = []
+    for eps in (1e-3, 1e-4):
+        pt = dict(point)
+        pt["z"] = root * (1 + eps)
+        vals.append(abs(A.eval_numeric(pt)))
+    if vals[0] == 0.0:
+        return 0
+    return max(0, round(math.log10(vals[1] / vals[0])))
+
+
+def numeric_pole_orders(A, g):
+    """The z-pole orders of A, a fraction in z, q and the g odd roots, as
+    complex-float log-slopes at a fixed pairing-compatible point."""
+    candidates = set()
+    for atom in pipeline._z_atoms(A):
+        candidates.update(pipeline._root_orders(atom))
+    point = paired_point(
+        4.0, [cmath.rect(2.0, 0.6 + 0.9 * i) for i in range(1, g + 1)])
+    orders = {}
+    for m in sorted(candidates):
+        k = numeric_pole_order(A, m, point)
+        if k:
+            orders[m] = k
+    return orders

@@ -25,12 +25,13 @@ from census.ring import (
     SparsePoly,
     atom_inverse,
 )
-from census.zeta import alpha_names, pair_reduce, paired_point
+from census.zeta import alpha_names, pair_reduce
 
 from builders import (
     const,
     h_tilde,
     kernel_summand,
+    paired_point,
     res_simple,
     rho,
     specialize_leaders,
@@ -334,7 +335,8 @@ class TestHFactor:
 
     @pytest.mark.parametrize("g", [0, 1])
     def test_two_ones(self, g):
-        want = pair_reduce(expected_h11(g), g).substitute("z1", 1, mono(z=1))
+        want = pair_reduce(expected_h11(g), g).substitute_all(
+            [("z1", 1, mono(z=1))])
         assert h_factor(g, P(1, 1)) == want
 
     @pytest.mark.parametrize("g", [0, 1, 2])
