@@ -8,8 +8,7 @@ point counts, Poincare polynomials, and constant-term invariants.
 from .errors import (CensusError, ExponentOverflow, HigherOrderPole,
                      IdentityViolation, NegativeBettiCoefficient, NotAugmented,
                      NotPolynomialAfterClearing, NotUnitConstantTerm, NotWeil,
-                     PoleArgument, PoleAtPoint, RoundingFailure,
-                     SubstitutionToZeroPole, UsageError)
+                     PoleArgument, SubstitutionToZeroPole, UsageError)
 from .partitions import Partition, pairing, partitions_up_to
 from .pipeline import (ENGINE_VERSION, KacResult, RegularityReport,
                        betti_polynomial, check_identities, constant_term,
@@ -29,7 +28,7 @@ __all__ = [
     "Monomial",
     "NegativeBettiCoefficient", "NotAugmented", "NotPolynomialAfterClearing",
     "NotUnitConstantTerm", "NotWeil", "Partition", "PoleArgument",
-    "PoleAtPoint", "RegularityReport", "RoundingFailure", "SparsePoly",
+    "RegularityReport", "SparsePoly",
     "SubstitutionToZeroPole", "UsageError", "betti_polynomial",
     "check_identities", "constant_term", "count_points", "degree_class_sums",
     "identity_report", "kac_polynomial", "kac_rational", "kac_series_oracle",

@@ -18,10 +18,6 @@ class ExponentOverflow(CensusError):
     """A monomial exponent left the packed field range |e| < 2**22."""
 
 
-class PoleAtPoint(CensusError):
-    """Numeric evaluation hit a vanishing denominator atom."""
-
-
 class PoleArgument(CensusError):
     """A zeta-type factor was requested at an argument where it has a pole."""
 
@@ -48,10 +44,6 @@ class NotPolynomialAfterClearing(CensusError):
 
 class NegativeBettiCoefficient(CensusError):
     """The Poincare specialization produced a negative or non-integer coefficient."""
-
-
-class RoundingFailure(CensusError):
-    """A numeric point count failed the integer-rounding residual bound."""
 
 
 class IdentityViolation(CensusError):

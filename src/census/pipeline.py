@@ -8,18 +8,17 @@ the partitions of k), so all ranks of a genus share it, and [T^r] Log is
 read from it as Σ_{k|r} μ(k)/k ψ_k(L_{r/k}).  Around it sit the
 cross-checking routes (a truncated series oracle that shares only the
 λ-terms with the main route, and a pure-z constant-term pipeline that
-keeps its own memo, sharing none), the Poincare specialization, numeric
-point counts, and the conjecture/identity checkers.
+keeps its own memo, sharing none), the Poincare specialization, exact
+point counts over a concrete curve, and the conjecture/identity checkers.
 
-Everything is exact rational arithmetic; floats appear only in
-count_points and in the numeric convergence identities.
+Everything is exact rational arithmetic, the counts and the identities
+at a sample curve included.
 """
 
 from __future__ import annotations
 
 import math
 import random
-import sys
 import warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -27,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import (IdentityViolation, NegativeBettiCoefficient,
-                     NotPolynomialAfterClearing, RoundingFailure)
+                     NotPolynomialAfterClearing)
 from .partitions import pairing, partitions_of
 from .residues import h_factor
 from .ring import (Atom, FactoredRat, Monomial, SparsePoly, _check,
@@ -396,57 +395,22 @@ def betti_polynomial(g, r, d):
     return p
 
 
-def _rounding_bound(poly, q):
-    """A bound on the float error of poly at the Weil numbers of a curve
-    over F_q.  A term c·m of degree k in the roots has |m(σ)| =
-    q^{e_q + k/2}, as |σ| = √q.  Each σ is off by about _ROOT_TOL of
-    itself, the root finder's stopping step, so the term by k·_ROOT_TOL
-    of its size; float products and the sum of N add (e_q + k + N)·ε.
-    A bound beyond the float range is inf."""
-    n, eps = len(poly.terms), sys.float_info.epsilon
-    bound = 0.0
-    for code, c in poly.terms.items():
-        exps = dict(Monomial._raw(code).items)
-        e_q = exps.pop("q", 0)
-        k = sum(map(abs, exps.values()))
-        try:
-            size = q ** (e_q + k / 2)
-        except OverflowError:
-            return math.inf
-        bound += abs(c) * size * (k * _zeta._ROOT_TOL + (e_q + k + n) * eps)
-    return bound
-
-
 def count_points(curve, r, d):
-    """(indecomposables, higgs_points) over the given curve.
+    """(indecomposables, higgs_points) over the given curve, exactly.
 
-    higgs_points is q^{1+(g-1)r^2} times the indecomposable count and is
-    only emitted in the coprime case; otherwise it is None.  The count,
-    the polynomial model in floats at the Weil numbers, is rounded only
-    when _rounding_bound is below 1/4; else RoundingFailure.
+    indecomposables is A_{g,r,d} at the curve (CurveData.evaluate);
+    higgs_points is q^{1+(g-1)r^2} times it and is only emitted in the
+    coprime case; otherwise it is None.  A count that is not an integer
+    is an IdentityViolation.
     """
     if not isinstance(curve, CurveData):
         raise TypeError("curve must be CurveData")
-    res = kac_polynomial(curve.genus, r, d)
-    if res.lifted is None:
-        raise RoundingFailure("no polynomial model, so no error bound")
-    bound = _rounding_bound(res.lifted, curve.q)
-    if not bound < 0.25:
-        raise RoundingFailure("error bound %.3g is not below 1/4" % bound)
-    v = res.lifted.eval_numeric(curve.assignment())
-    n = round(v.real)
-    err = abs(v - n)
-    if err >= min(0.25, 1e-6 * max(1.0, abs(v))):
-        raise RoundingFailure(
-            "count %r is %.3g away from the nearest integer" % (v, err))
-    n = int(n)
-    if math.gcd(r, d) != 1:
-        return n, None
-    e = 1 + (curve.genus - 1) * r * r
-    hv = Fraction(curve.q) ** e * n
-    if hv.denominator != 1:
-        raise RoundingFailure("q^%d * %d is not an integer" % (e, n))
-    return n, int(hv)
+    n = curve.evaluate(degree_class_sums(curve.genus, r)[d % r])
+    higgs = Fraction(curve.q) ** (1 + (curve.genus - 1) * r * r) * n
+    if n.denominator != 1 or higgs.denominator != 1:
+        raise IdentityViolation("A_{%d,%d,%d} is %s over the curve, not an "
+                                "integer" % (curve.genus, r, d, n))
+    return int(n), int(higgs) if math.gcd(r, d) == 1 else None
 
 
 @dataclass(frozen=True)
@@ -546,8 +510,7 @@ def _sample_curve(g):
 
     Small genera use literal curves; g >= 3 is synthesized from the first
     g of nine distinct Frobenius traces over F_4, ordered so that every
-    point count stays nonnegative (distinct quadratic factors keep the
-    zeta numerator roots simple).  Supported through g = 9.
+    point count stays nonnegative.  Supported through g = 9.
     """
     if g == 0:
         return _zeta.weil_from_counts(2, [])
@@ -603,42 +566,42 @@ def _exp_log_roundtrip(g, order=5):
 def _zeta_product_convergence(g, L):
     """∏_{i<=L} ζ_X(q^{-i}s) approaches the torsion volume series.
 
-    Compared numerically at a sample curve; the truncation error of the
+    Compared exactly at a sample curve; the truncation error of the
     finite product is O(q^{-L}) per coefficient.
     """
     curve = _sample_curve(g)
-    point = curve.assignment()
     prod = BiSeries.one("s", L)
     for i in range(1, L + 1):
         prod = prod * frac_to_series(
             _zeta.zeta_at(g, 1, Monomial.of(q=-i, s=1)), "s", L)
     want = _zeta.torsion_volume_series(g, L)
-    tol = 30.0 * curve.q ** (-L)
+    tol = Fraction(30, curve.q ** L)
     for j in range(L + 1):
-        a = prod.coefficient(j).eval_numeric(point)
-        b = want.coefficient(j).eval_numeric(point)
-        if abs(a - b) > tol * max(1.0, abs(b)):
+        a, b = (curve.evaluate(pair_reduce(f.coefficient(j), g))
+                for f in (prod, want))
+        if abs(a - b) > tol * max(1, abs(b)):
             return False
     return True
 
 
 def _siegel_instantiation(g, L):
-    """The symbolic unstable volume against a direct numeric route.
+    """The symbolic unstable volume against a direct route, exactly.
 
-    The direct route uses only the integer zeta-numerator coefficients and
-    point counts: |Pic^0| = P(1) and Z_X(q^{-k}) = exp Σ_l N_l q^{-kl}/l.
+    The direct route uses only the integer zeta-numerator coefficients:
+    |Pic^0| = P(1) and Z_X(u) = P(u)/((1-u)(1-qu)) at u = q^{-k}.
     """
     curve = _sample_curve(g)
-    point = curve.assignment()
+    q = Fraction(curve.q)
+
+    def P(u):
+        return sum(a * u ** j for j, a in enumerate(curve.numerator))
+
     for r in (2, 3):
-        sym = _zeta.siegel_volume(g, r).eval_numeric(point)
-        pic0 = sum(curve.numerator)
-        direct = curve.q ** ((g - 1) * (r * r - 1)) * pic0 / (curve.q - 1)
+        direct = q ** ((g - 1) * (r * r - 1)) * P(1) / (q - 1)
         for k in range(2, r + 1):
-            s = sum(curve.count(l) * curve.q ** (-k * l) / l
-                    for l in range(1, 60))
-            direct *= math.exp(s)
-        if abs(sym - direct) > 1e-8 * max(1.0, abs(direct)):
+            u = q ** -k
+            direct *= P(u) / ((1 - u) * (1 - q * u))
+        if curve.evaluate(_zeta.siegel_volume(g, r)) != direct:
             return False
     return True
 

@@ -101,7 +101,7 @@ from itertools import chain, compress, repeat
 from math import gcd
 from operator import index, itemgetter, lshift, or_, xor
 
-from .errors import ExponentOverflow, PoleAtPoint, SubstitutionToZeroPole
+from .errors import ExponentOverflow, SubstitutionToZeroPole
 
 _VAR_FIXED = {"q": (1, 0), "z": (2, 0), "T": (3, 0), "t": (6, 0), "s": (7, 0)}
 _VAR_FAMILY = {"a": 0, "z": 4}
@@ -322,15 +322,6 @@ class Monomial:
     def is_one(self):
         return not self.code
 
-    def eval(self, assignment):
-        out = complex(1)
-        for v, e in self.items:
-            base = assignment[v]
-            if base == 0 and e < 0:
-                raise PoleAtPoint("monomial %s has a pole at %s=0" % (self, v))
-            out *= base ** e
-        return out
-
     def sort_key(self):
         return (self.degree(), tuple((var_key(v), e) for v, e in self.items))
 
@@ -500,10 +491,6 @@ class SparsePoly:
                     cf = cf * sc
             out[m] = get(m, 0) + cf
         return SparsePoly._raw({m: _clean(c) for m, c in out.items() if c})
-
-    def eval_numeric(self, assignment):
-        return sum((c * Monomial._raw(m).eval(assignment)
-                    for m, c in self.terms.items()), complex(0))
 
     def content_monomial(self):
         """Largest monomial (Laurent) dividing every term: the least
@@ -869,9 +856,6 @@ class Atom:
             return _clean(-c), shape, Atom(1 / c, shape ** -1)
         return 1, _ONE_M, Atom(c, shape)
 
-    def eval(self, assignment):
-        return 1 - self.constant_fast * self.shape.eval(assignment)
-
     def adams(self, k):
         return Atom(self.constant, self.shape ** k)
 
@@ -1133,15 +1117,6 @@ class FactoredRat:
         if scale != 1:
             num = num.mul_scalar(scale)
         return FactoredRat(num, den).normalize()
-
-    def eval_numeric(self, assignment, tol=1e-12):
-        den = complex(1)
-        for a in self.denominator:
-            v = a.eval(assignment)
-            if abs(v) <= tol:
-                raise PoleAtPoint("denominator atom %s vanishes at the given point" % (a,))
-            den *= v
-        return self.numerator.eval_numeric(assignment) / den
 
     def __eq__(self, other):
         if not isinstance(other, FactoredRat):

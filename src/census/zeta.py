@@ -2,14 +2,15 @@
 numerator roots live in formal variables a1..a{2g} (written alpha below)
 with q an independent variable, so every value is a FactoredRat.
 
-Also: ingestion of actual point counts into Weil numbers, and the two
-volume quantities used by the census identities.
+Also: ingestion of actual point counts into a curve's integer zeta
+numerator, exact evaluation of W-invariant values at a curve, and the
+two volume quantities used by the census identities.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -125,27 +126,100 @@ def j_factor(g, lam):
     return out.normalize()
 
 
+def _set_partitions(items):
+    """Every set partition of the list items, as a list of blocks."""
+    if not items:
+        yield []
+        return
+    for blocks in _set_partitions(items[1:]):
+        yield [[items[0]]] + blocks
+        for i, block in enumerate(blocks):
+            yield blocks[:i] + [[items[0]] + block] + blocks[i + 1:]
+
+
+def _pair_average(ms, s, q, g):
+    """The average over the g! orders of the pairs of ∏_i D_{m_i}(t_i)/2
+    over the k slots with m_i > 0 (a slot with m = 0 gives D_0/2 = 1):
+    (g-k)!/(g!·2^k) times the sum over the injections of the slots into
+    the pairs.  Möbius inversion over the set partitions of the slots
+    makes that a sum over partitions of ∏ over blocks B of
+    (-1)^{|B|-1}(|B|-1)! Σ_j ∏_{i∈B} D_{m_i}(t_j), where the product is
+    expanded by D_a·D_b = D_{a+b} + q^{min(a,b)}·D_{|a-b|} and
+    Σ_j D_k(t_j) = S_k."""
+    def block_sum(block):
+        prod = Counter(block[:1])
+        for b in block[1:]:
+            nxt = Counter()
+            for a, c in prod.items():
+                nxt[a + b] += c
+                nxt[abs(a - b)] += c * q ** min(a, b)
+            prod = nxt
+        n = len(block) - 1
+        return (-1) ** n * math.factorial(n) * sum(c * s[k]
+                                                  for k, c in prod.items())
+
+    total = sum(math.prod(map(block_sum, blocks))
+                for blocks in _set_partitions(list(ms)))
+    k = len(ms)
+    return Fraction(total * math.factorial(g - k), math.factorial(g) * 2 ** k)
+
+
 @dataclass(frozen=True)
 class CurveData:
-    """A concrete curve over F_q: counts, zeta numerator, Weil numbers."""
+    """A concrete curve over F_q: its point counts and its zeta numerator
+    P(T) = Σ a_k T^k = ∏_i (1 - σ_i T) over the 2g Weil numbers σ_i."""
 
     q: int
     genus: int
     point_counts: tuple
     numerator: tuple        # a_0..a_{2g}, integers
-    weil_numbers: tuple     # σ_1..σ_{2g}, complex, σ_{2i-1}σ_{2i} = q
 
-    def assignment(self):
-        """Numeric substitution {a_i: σ_i, q: q} honoring the pair relation."""
-        out = {"q": complex(self.q)}
-        for i, s in enumerate(self.weil_numbers, start=1):
-            out[alpha_name(i)] = s
-        return out
+    def power_sums(self, n):
+        """[S_0, ..., S_n], S_k = Σ_i σ_i^k, from Newton's identities
+        k a_k = -Σ_{i=1}^{k} S_i a_{k-i}, in integers; S_0 = 2g."""
+        a = self.numerator + (0,) * n
+        s = [2 * self.genus]
+        for k in range(1, n + 1):
+            s.append(-k * a[k] - sum(s[i] * a[k - i] for i in range(1, k)))
+        return s
 
-    def count(self, l):
-        """|X(F_{q^l})| recomputed from the Weil numbers (numeric)."""
-        return (1 + self.q ** l
-                - sum(s ** l for s in self.weil_numbers)).real
+    def evaluate(self, f):
+        """The exact value at this curve of f, a pair-reduced fraction in
+        the odd roots and q whose atoms involve q alone; any other variable
+        or atom is a ValueError.
+
+        Precondition: f is the pair reduction of a W-invariant value, W
+        the group that permutes the g pairs σ, q/σ and swaps inside each;
+        A_{g,r,d} and every value built from ζ over all 2g roots are.  So
+        f's value is its average over W.  Swapping the pair of σ sends a^n
+        to (q/a)^n, and the average of the two is q^{min(n,0)}·D_{|n|}(t)/2,
+        t = σ + q/σ, with D as in _real_weil_polynomial.  Terms with one
+        multiset of |n_i| are averaged over the orders of the pairs at once
+        (_pair_average), from the power sums S_k alone.
+        """
+        q, odd = self.q, set(alpha_names(self.genus)[::2])
+        groups = {}
+        for code, c in f.numerator.terms.items():
+            e, ms = 0, []
+            for v, n in Monomial.from_code(code).items:
+                if v in odd:
+                    e += min(n, 0)
+                    ms.append(abs(n))
+                elif v == "q":
+                    e += n
+                else:
+                    raise ValueError("%s is not a pair-reduced variable of "
+                                     "genus %d" % (v, self.genus))
+            ms = tuple(sorted(ms))
+            groups[ms] = groups.get(ms, 0) + c * Fraction(q) ** e
+        s = self.power_sums(max(map(sum, groups), default=0))
+        value = sum((w * _pair_average(ms, s, q, self.genus)
+                     for ms, w in groups.items()), Fraction(0))
+        for atom in f.denominator:
+            if atom.shape.variables() != ["q"]:
+                raise ValueError("atom %s involves more than q" % (atom,))
+            value /= 1 - atom.constant * Fraction(q) ** atom.shape.exponent("q")
+        return value
 
     @staticmethod
     def from_dict(obj):
@@ -161,10 +235,6 @@ class CurveData:
         if type(counts) is not list or any(type(n) is not int for n in counts):
             raise ValueError("curve point_counts must be JSON integers")
         return weil_from_counts(q, counts, genus=genus)
-
-
-_WEIL_TOL = 1e-6
-_ROOT_TOL = 1e-14     # _simple_roots' stopping step, a share of its radius
 
 
 def _real_weil_polynomial(a, q):
@@ -209,55 +279,44 @@ def _gcd(f, d):
     return [Fraction(c) / f[-1] for c in f]
 
 
-def _squarefree_levels(h):
-    """[s_1, s_2, ...] for a monic h: s_k is monic with the roots of h of
-    multiplicity at least k, each once, so h = s_1 s_2 ... exactly."""
-    levels = []
-    while len(h) > 1:
-        d = _gcd(h, [i * c for i, c in enumerate(h)][1:])
-        levels.append(_divmod(h, d)[0])
-        h = d
-    return levels
+def _sign_at_edge(f, side, q):
+    """The sign of f, lowest degree first, at side·2√q (side = ±1).  There
+    f = a + b√q, whose sign is that of a|a| + b|b|q, as u|u| increases."""
+    a, b = (sum(c * (2 * side) ** i * q ** (i // 2)
+                for i, c in enumerate(f) if i % 2 == odd) for odd in (0, 1))
+    v = a * abs(a) + b * abs(b) * q
+    return (v > 0) - (v < 0)
 
 
-def _simple_roots(f):
-    """The roots of a monic f with simple roots, lowest degree first, by
-    Durand–Kerner sweeps in complex floats from a circle that holds every
-    root (twice Fujiwara's bound), until no root moves by _ROOT_TOL of
-    that radius, or for at most 100 sweeps."""
-    c = [complex(x) for x in f]
-    n = len(c) - 1
-    if n < 2:
-        return [-c[0]] if n else []
-    radius = 2 * max(abs(c[n - k]) ** (1 / k) for k in range(1, n + 1))
-    z = [cmath.rect(radius, 0.4 + 2 * math.pi * k / n) for k in range(n)]
-    for _ in range(100):
-        step = 0.0
-        for k, zk in enumerate(z):
-            num = 0j
-            for x in reversed(c):
-                num = num * zk + x
-            den = 1
-            for j, zj in enumerate(z):
-                if j != k:
-                    den *= zk - zj
-            w = num / den
-            z[k] = zk - w
-            step = max(step, abs(w))
-        if step <= _ROOT_TOL * radius:
-            break
-    return z
+def _is_weil(h, q):
+    """Whether every root t of h is real with |t| <= 2√q, by Sturm's
+    theorem on f = h/gcd(h, h'), whose roots are those of h, each once.
+    With V(x) the sign changes of f's Sturm chain at x, f has V(x) - V(y)
+    distinct roots in (x, y]; a root at -2√q is counted apart."""
+    def derivative(p):
+        return [i * c for i, c in enumerate(p)][1:]
+
+    f = _divmod(h, _gcd(h, derivative(h)))[0]
+    chain = [f, derivative(f)]
+    while chain[-1]:
+        chain.append([-c for c in _divmod(chain[-2], chain[-1])[1]])
+
+    def changes(side):
+        signs = [s for p in chain[:-1] if (s := _sign_at_edge(p, side, q))]
+        return sum(x != y for x, y in zip(signs, signs[1:]))
+
+    roots = changes(-1) - changes(1) + (not _sign_at_edge(f, -1, q))
+    return roots == len(f) - 1
 
 
 def weil_from_counts(q, counts, genus=None):
     """Build CurveData from |X(F_{q^l})| for l = 1..g.
 
     Exact Newton identities produce the numerator; the functional equation
-    fills the top half.  Each root t of the real Weil polynomial h gives
-    the pair σ, q/σ of roots of x² - t·x + q.  h is split exactly into
-    squarefree levels, so a repeated root keeps its multiplicity; only
-    the simple roots of each level are found numerically.  Every σ is
-    checked against |σ| = √q.
+    fills the top half.  The counts are a curve's when every Weil number
+    has |σ| = √q, that is, when every root t = σ + q/σ of the real Weil
+    polynomial h is real with |t| <= 2√q; a Sturm count on h decides it
+    exactly (_is_weil), else NotWeil.
     """
     counts = tuple(int(n) for n in counts)
     g = len(counts)
@@ -269,60 +328,20 @@ def weil_from_counts(q, counts, genus=None):
     if any(n < 0 for n in counts):
         raise ValueError("point counts must be nonnegative")
 
-    # power sums of the Weil numbers
-    p = [0] + [1 + q ** l - counts[l - 1] for l in range(1, g + 1)]
-    e = [Fraction(1)] + [Fraction(0)] * g
-    for l in range(1, g + 1):
-        acc = Fraction(0)
-        for i in range(1, l + 1):
-            acc += (-1) ** (i - 1) * e[l - i] * p[i]
-        e[l] = acc / l
-    a = [0] * (2 * g + 1)
-    a[0] = 1
+    # Newton's identities k a_k = -Σ_{i=1}^{k} S_i a_{k-i} on the power
+    # sums S_i = 1 + q^i - N_i of the Weil numbers
+    s = [None] + [1 + q ** l - n for l, n in enumerate(counts, start=1)]
+    a = [1]
     for k in range(1, g + 1):
-        ak = (-1) ** k * e[k]
+        ak = Fraction(-sum(s[i] * a[k - i] for i in range(1, k + 1)), k)
         if ak.denominator != 1:
             raise NotWeil("counts give a non-integer zeta numerator")
-        a[k] = int(ak)
-    for k in range(0, g):
-        a[2 * g - k] = q ** (g - k) * a[k]
-
-    if g == 0:
-        return CurveData(q, 0, counts, (1,), ())
-
-    try:
-        sigmas = []
-        for level in _squarefree_levels(_real_weil_polynomial(a, q)):
-            # a root t = ±2√q gives the real pair σ = q/σ = t/2, taken
-            # apart: the square root below would lose half its digits
-            edge = _gcd(level, [-4 * q, 0, 1])
-            for t in _simple_roots(edge):
-                sigmas += (t / 2, t / 2)
-            for t in _simple_roots(_divmod(level, edge)[0]):
-                # the roots of x^2 - t x + q, larger modulus first
-                d = cmath.sqrt(t * t - 4 * q)
-                s = (t + d if (t.conjugate() * d).real >= 0 else t - d) / 2
-                sigmas += (s, q / s)
-        sq = math.sqrt(q)
-        if not all(map(cmath.isfinite, sigmas)):
-            raise OverflowError
-    except OverflowError:
-        raise ValueError("q and the point counts are too large for numeric "
-                         "root extraction") from None
-    for s in sigmas:
-        if abs(abs(s) - sq) > _WEIL_TOL * sq:
-            raise NotWeil("|σ| = %.8f differs from √q = %.8f"
-                          % (abs(s), sq))
-
-    # the loop builds the σ as pairs; put the lower (re, im) first in
-    # each, and order the pairs by their first members
-    def key(s):
-        return round(s.real, 9), round(s.imag, 9)
-
-    pairs = [sorted(sigmas[i:i + 2], key=key) for i in range(0, 2 * g, 2)]
-    pairs.sort(key=lambda pair: key(pair[0]))
-    return CurveData(q, g, counts, tuple(a),
-                     tuple(s for pair in pairs for s in pair))
+        a.append(int(ak))
+    a += [q ** (g - k) * a[k] for k in range(g - 1, -1, -1)]
+    if g and not _is_weil(_real_weil_polynomial(a, q), q):
+        raise NotWeil("the Weil numbers of the counts are not all of "
+                      "absolute value √q")
+    return CurveData(q, g, counts, tuple(a))
 
 
 def siegel_volume(g, r):

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import sys
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
@@ -39,8 +40,8 @@ from census.ring import (
 )
 from census import pipeline
 from census.series import BiSeries, LazyLog, _check_unit, z_decompose
-from census.zeta import alpha_name, alpha_names, one_minus, pair_reduce, \
-    zeta_at
+from census.zeta import (_divmod, _gcd, _real_weil_polynomial, alpha_name,
+                         alpha_names, one_minus, pair_reduce, zeta_at)
 
 
 def geometric(constant=1, **exponents):
@@ -534,7 +535,34 @@ def univariate_by_support(poly, w):
 
 
 # ---------------------------------------------------------------------------
-# The float route that the exact pole orders of regularity_report replaced.
+# The float routes that exact arithmetic replaced: complex-float values
+# at a point, the Weil numbers of a curve by a root finder, counts
+# rounded under an error bound, and the log-slope pole orders that
+# regularity_report once estimated.
+
+_WEIL_TOL = 1e-6
+_ROOT_TOL = 1e-14     # _simple_roots' stopping step, a share of its radius
+
+
+def eval_numeric(f, point, tol=1e-12):
+    """A FactoredRat or SparsePoly at a numeric point, in complex floats;
+    ZeroDivisionError where a denominator atom is within tol of 0."""
+    def at(code):
+        out = complex(1)
+        for v, e in Monomial._raw(code).items:
+            out *= point[v] ** e
+        return out
+
+    if isinstance(f, SparsePoly):
+        f = FactoredRat(f)
+    value = sum((c * at(m) for m, c in f.numerator.terms.items()), complex(0))
+    for a in f.denominator:
+        v = 1 - a.constant_fast * at(a.shape.code)
+        if abs(v) <= tol:
+            raise ZeroDivisionError("atom %s vanishes at the point" % (a,))
+        value /= v
+    return value
+
 
 def paired_point(q, odd_roots):
     """Numeric assignment honoring the pair relations: the even root of
@@ -546,6 +574,160 @@ def paired_point(q, odd_roots):
     return pt
 
 
+def _squarefree_levels(h):
+    """[s_1, s_2, ...] for a monic h: s_k is monic with the roots of h of
+    multiplicity at least k, each once, so h = s_1 s_2 ... exactly."""
+    levels = []
+    while len(h) > 1:
+        d = _gcd(h, [i * c for i, c in enumerate(h)][1:])
+        levels.append(_divmod(h, d)[0])
+        h = d
+    return levels
+
+
+def _simple_roots(f):
+    """The roots of a monic f with simple roots, lowest degree first, by
+    Durand–Kerner sweeps in complex floats from a circle that holds every
+    root (twice Fujiwara's bound), until no root moves by _ROOT_TOL of
+    that radius, or for at most 100 sweeps."""
+    c = [complex(x) for x in f]
+    n = len(c) - 1
+    if n < 2:
+        return [-c[0]] if n else []
+    radius = 2 * max(abs(c[n - k]) ** (1 / k) for k in range(1, n + 1))
+    z = [cmath.rect(radius, 0.4 + 2 * math.pi * k / n) for k in range(n)]
+    for _ in range(100):
+        step = 0.0
+        for k, zk in enumerate(z):
+            num = 0j
+            for x in reversed(c):
+                num = num * zk + x
+            den = 1
+            for j, zj in enumerate(z):
+                if j != k:
+                    den *= zk - zj
+            w = num / den
+            z[k] = zk - w
+            step = max(step, abs(w))
+        if step <= _ROOT_TOL * radius:
+            break
+    return z
+
+
+def weil_numbers(curve):
+    """σ_1..σ_{2g} of a curve's zeta numerator in complex floats, with
+    σ_{2i-1}σ_{2i} = q.  Each root t of the real Weil polynomial h gives
+    the pair σ, q/σ of roots of x² - t·x + q.  h is split exactly into
+    squarefree levels, so a repeated root keeps its multiplicity; only the
+    simple roots of each level are found numerically.  ValueError where
+    the floats overflow."""
+    q = curve.q
+    try:
+        sigmas = []
+        for level in _squarefree_levels(_real_weil_polynomial(
+                curve.numerator, q)):
+            # a root t = ±2√q gives the real pair σ = q/σ = t/2, taken
+            # apart: the square root below would lose half its digits
+            edge = _gcd(level, [-4 * q, 0, 1])
+            for t in _simple_roots(edge):
+                sigmas += (t / 2, t / 2)
+            for t in _simple_roots(_divmod(level, edge)[0]):
+                # the roots of x^2 - t x + q, larger modulus first
+                d = cmath.sqrt(t * t - 4 * q)
+                s = (t + d if (t.conjugate() * d).real >= 0 else t - d) / 2
+                sigmas += (s, q / s)
+        if not all(map(cmath.isfinite, sigmas)):
+            raise OverflowError
+    except OverflowError:
+        raise ValueError("q and the point counts are too large for numeric "
+                         "root extraction") from None
+
+    # put the lower (re, im) first in each pair, and order the pairs by
+    # their first members
+    def key(s):
+        return round(s.real, 9), round(s.imag, 9)
+
+    pairs = [sorted(sigmas[i:i + 2], key=key)
+             for i in range(0, len(sigmas), 2)]
+    pairs.sort(key=lambda pair: key(pair[0]))
+    return tuple(s for pair in pairs for s in pair)
+
+
+def is_weil_by_roots(curve):
+    """Whether every float Weil number has |σ| = √q to _WEIL_TOL."""
+    sq = math.sqrt(curve.q)
+    return all(abs(abs(s) - sq) <= _WEIL_TOL * sq
+               for s in weil_numbers(curve))
+
+
+def weil_point(curve):
+    """The numeric point {q: q, a_i: σ_i} of a curve's Weil numbers."""
+    point = {"q": complex(curve.q)}
+    point.update(zip(alpha_names(curve.genus), weil_numbers(curve)))
+    return point
+
+
+def _rounding_bound(poly, q):
+    """A bound on the float error of poly at the Weil numbers of a curve
+    over F_q.  A term c·m of degree k in the roots has |m(σ)| =
+    q^{e_q + k/2}, as |σ| = √q.  Each σ is off by about _ROOT_TOL of
+    itself, the root finder's stopping step, so the term by k·_ROOT_TOL
+    of its size; float products and the sum of N add (e_q + k + N)·ε.
+    A bound beyond the float range is inf."""
+    n, eps = len(poly.terms), sys.float_info.epsilon
+    bound = 0.0
+    for code, c in poly.terms.items():
+        exps = dict(Monomial._raw(code).items)
+        e_q = exps.pop("q", 0)
+        k = sum(map(abs, exps.values()))
+        try:
+            size = q ** (e_q + k / 2)
+        except OverflowError:
+            return math.inf
+        bound += abs(c) * size * (k * _ROOT_TOL + (e_q + k + n) * eps)
+    return bound
+
+
+def float_count(curve, r, d):
+    """A_{g,r,d} at a curve as the polynomial model in floats at the
+    Weil numbers, rounded; None where _rounding_bound is not below 1/4.
+    Where the bound allows, the float value must lie that close to an
+    integer."""
+    lifted = pipeline.kac_polynomial(curve.genus, r, d).lifted
+    if not _rounding_bound(lifted, curve.q) < 0.25:
+        return None
+    v = eval_numeric(lifted, weil_point(curve))
+    n = round(v.real)
+    assert abs(v - n) < min(0.25, 1e-6 * max(1.0, abs(v))), (curve, r, d, v)
+    return n
+
+
+def quotient_ring_value(f, q, traces):
+    """f, a polynomial in a1..a{2g} and q, in the ring ⊗_i Q[x_i]/(x_i² -
+    t_i·x_i + q) with a_{2i-1} = x_i and a_{2i} = t_i - x_i = q/x_i: the
+    value at a curve whose real Weil polynomial has the roots t_i, as a
+    Fraction, with no Weil number written down.  Every coefficient but
+    that of 1 must vanish."""
+    def mul(u, v, t):
+        return (u[0] * v[0] - q * u[1] * v[1],
+                u[0] * v[1] + u[1] * v[0] + t * u[1] * v[1])
+
+    total = Counter()
+    for m, c in f.terms.items():
+        exps = dict(Monomial._raw(m).items)
+        vec = {(): Fraction(c) * q ** exps.pop("q", 0)}
+        for i, t in enumerate(traces, start=1):
+            u = (1, 0)
+            for root, n in (((0, 1), exps.get(alpha_name(2 * i - 1), 0)),
+                            ((t, -1), exps.get(alpha_name(2 * i), 0))):
+                for _ in range(n):
+                    u = mul(u, root, t)
+            vec = {k + (b,): w * u[b] for k, w in vec.items() for b in (0, 1)}
+        total.update(vec)
+    assert not any(w for k, w in total.items() if any(k)), total
+    return total[(0,) * len(traces)]
+
+
 def numeric_pole_order(A, m, point):
     """log-slope estimate of the pole order at a primitive m-th root."""
     root = cmath.exp(2j * cmath.pi / m)
@@ -553,7 +735,7 @@ def numeric_pole_order(A, m, point):
     for eps in (1e-3, 1e-4):
         pt = dict(point)
         pt["z"] = root * (1 + eps)
-        vals.append(abs(A.eval_numeric(pt)))
+        vals.append(abs(eval_numeric(A, pt)))
     if vals[0] == 0.0:
         return 0
     return max(0, round(math.log10(vals[1] / vals[0])))

@@ -24,7 +24,7 @@ from census.cli import main
 from census.pipeline import ENGINE_VERSION, KacResult
 from fractions import Fraction
 
-from builders import const
+from builders import const, quotient_ring_value
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -486,22 +486,28 @@ class TestExitCodes:
         assert code == 1
 
     def test_count_past_float_precision(self, capsys, tmp_path):
+        # past what float evaluation can round, the count is exact
         path = write_curve(tmp_path, blob={"q": 49, "genus": 2,
                                            "point_counts": [52, 2564]})
         code, out, err = run_cli(capsys, "count", "-r", "3", "-d", "1",
                                  "--curve", path)
-        assert (code, out) == (1, "")
-        assert err.startswith("RoundingFailure: ")
+        assert (code, err) == (0, "")
+        assert out == ("indecomposables 87846568892661975\n"
+                       "higgs_points 7009476818414802906414834596361975\n")
 
     def test_count_bound_beyond_float_range(self, capsys, tmp_path):
-        # at r = 3 the error bound's q^(k/2) for q = 2^200 is past any float
+        # q = 2^200 is past any float bound; P(T) = 1 + qT² + q²T⁴, so
+        # the real Weil polynomial is t² - q, with the roots ±2^100
         q = 2 ** 200
         path = write_curve(tmp_path, blob={"q": q, "genus": 2, "point_counts":
                                            [q + 1, q * q + 2 * q + 1]})
         code, out, err = run_cli(capsys, "count", "-r", "3", "-d", "1",
                                  "--curve", path)
-        assert (code, out) == (1, "")
-        assert err.startswith("RoundingFailure: ")
+        n = quotient_ring_value(pipeline.kac_polynomial(2, 3, 1).lifted, q,
+                                (2 ** 100, -2 ** 100))
+        assert (code, err) == (0, "")
+        assert out == "indecomposables %d\nhiggs_points %d\n" % (
+            n, q ** 10 * n)
 
     def test_deeply_nested_curve_file(self, capsys, tmp_path):
         path = tmp_path / "curve.json"
@@ -517,18 +523,25 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "count", "-r", "1", "--curve", path)
         assert code == 1
 
-    @pytest.mark.parametrize("text", [
-        '{"q": 1e400, "genus": 1, "point_counts": [3]}',
-        '{"q": %d, "genus": 1, "point_counts": [%d]}' % (10 ** 400,
-                                                          10 ** 400 + 1),
+    @pytest.mark.parametrize("text,want", [
+        ('{"q": 1e400, "genus": 1, "point_counts": [3]}', None),
+        # t = 0: the rank-1 count is P(1) = 1 + q
+        ('{"q": %d, "genus": 1, "point_counts": [%d]}' % (10 ** 400,
+                                                           10 ** 400 + 1),
+         10 ** 400 + 1),
     ], ids=["q-infinite", "q-beyond-float"])
-    def test_curve_beyond_float_range(self, capsys, tmp_path, text):
+    def test_curve_beyond_float_range(self, capsys, tmp_path, text, want):
         path = tmp_path / "curve.json"
         path.write_text(text)
         code, out, err = run_cli(capsys, "count", "-r", "1",
                                  "--curve", str(path))
-        assert (code, out) == (1, "")
-        assert err.startswith("ValueError: ")
+        if want is None:
+            assert (code, out) == (1, "")
+            assert err.startswith("ValueError: ")
+        else:
+            assert (code, err) == (0, "")
+            assert out == "indecomposables %d\nhiggs_points %d\n" % (
+                want, 10 ** 400 * want)
 
     @pytest.mark.parametrize("blob,field", [
         ({"q": 2, "genus": 2, "point_counts": [3.5, 13]}, "point_counts"),

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import census
 from census import pipeline
-from census.errors import IdentityViolation, RoundingFailure
+from census.errors import IdentityViolation
 from census.partitions import Partition, partitions_up_to
 from census.pipeline import (
     KacResult,
@@ -44,9 +44,10 @@ from census.zeta import (
 )
 
 from builders import (const, constant_class_sums_by_decompose,
-                      constant_lambda_term_by_chain, lift_paired_by_terms,
-                      log_coefficient, numeric_pole_orders,
-                      partition_sum_by_pairs, series_log)
+                      constant_lambda_term_by_chain, float_count,
+                      lift_paired_by_terms, log_coefficient,
+                      numeric_pole_orders, partition_sum_by_pairs,
+                      quotient_ring_value, series_log)
 
 
 def mono(**e):
@@ -776,16 +777,16 @@ class TestCounts:
                 assert n == N
                 assert higgs == q * N   # exponent 1 + (g-1)r² = 1 at g=1
 
+    def test_a_count_off_the_integers_is_an_identity_violation(
+            self, monkeypatch):
+        monkeypatch.setattr(CurveData, "evaluate",
+                            lambda self, f: Fraction(1, 2))
+        with pytest.raises(IdentityViolation, match="not an integer"):
+            count_points(ELLIPTIC, 1, 0)
+
     def test_non_coprime_no_higgs(self):
         n, higgs = count_points(ELLIPTIC, 2, 0)
         assert n == 3 and higgs is None
-
-    def test_rounding_guard(self):
-        # deliberately invalid Weil numbers: paired, but off the circle
-        s = 0.3 + 1.1j
-        fake = CurveData(2, 1, (3,), (1, 0, 2), (s, 2 / s))
-        with pytest.raises(RoundingFailure):
-            count_points(fake, 1, 0)
 
     @settings(deadline=None, max_examples=20)
     @given(st.lists(st.sampled_from([0, 1, 2, -1, -2, 3]),
@@ -807,8 +808,10 @@ class TestCounts:
 
     # a genus-2 curve over F_49 whose counts at r >= 3 lie past what
     # float evaluation can round: the value at r = 3 is ...975 exactly,
-    # and the float sum reads ...968
+    # and the float sum reads ...968.  Its real Weil polynomial has the
+    # roots t = 3 and t = -5.
     Q49 = (49, [52, 2564])
+    EXACT49 = {3: 87846568892661975, 4: 59580107572543347309117515830}
 
     @pytest.mark.parametrize("curve,r,want", [
         (Q49, 2, (310846250, 87806371869466250)),
@@ -820,8 +823,18 @@ class TestCounts:
 
     @pytest.mark.parametrize("r", [3, 4])
     def test_rounding_bound_refuses(self, r):
-        with pytest.raises(RoundingFailure, match="not below 1/4"):
-            count_points(weil_from_counts(*self.Q49), r, 1)
+        # where the float route's bound refuses, the count is exact
+        curve = weil_from_counts(*self.Q49)
+        assert float_count(curve, r, 1) is None
+        n, higgs = count_points(curve, r, 1)
+        assert n == self.EXACT49[r]
+        assert higgs == 49 ** (1 + r * r) * n
+
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    def test_matches_the_quotient_ring(self, r):
+        # the lifted polynomial in Q[a1,a3]/(a1² - 3a1 + 49, a3² + 5a3 + 49)
+        want = quotient_ring_value(kac_polynomial(2, r, 1).lifted, 49, (3, -5))
+        assert count_points(weil_from_counts(*self.Q49), r, 1)[0] == want
 
 
 class TestSampleCurve:

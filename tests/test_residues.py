@@ -29,6 +29,7 @@ from census.zeta import alpha_names, pair_reduce
 
 from builders import (
     const,
+    eval_numeric,
     h_tilde,
     kernel_summand,
     paired_point,
@@ -201,7 +202,7 @@ class TestBuildL:
               for _ in range(n)]
         for i, z in enumerate(zs, 1):
             point["z%d" % i] = z
-        got = build_L(g, n).fraction.eval_numeric(point)
+        got = eval_numeric(build_L(g, n).fraction, point)
         want = L_num(alphas_at(point, g), q, zs)
         assert abs(got - want) < 1e-9 * abs(want)
 
@@ -217,12 +218,12 @@ class TestBuildL:
             point = dict(roots)
             for i, z in enumerate(zvals, 1):
                 point["z%d" % i] = z
-            val = build_L(g, n).fraction.eval_numeric(point)
+            val = eval_numeric(build_L(g, n).fraction, point)
             zt = zeta_tilde(g, 1, mono(s=1))
             for i in range(n):
                 for j in range(i + 1, n):
                     spoint = dict(point, s=zvals[i] / zvals[j])
-                    val *= zt.eval_numeric(spoint)
+                    val *= eval_numeric(zt, spoint)
             return val
 
         base = symmetrized(zs)
@@ -236,14 +237,14 @@ class TestBuildL:
         point.update(z1=0.4 + 0.2j, z2=0.7 - 0.3j)
         w = point["z2"] / point["z1"]
         zt = zeta_tilde(g, 1, mono(s=1))
-        want = (zt.eval_numeric(dict(point, s=w))
-                / zt.eval_numeric(dict(point, s=1 / w)))
-        got = rho(g, 2, 1).eval_numeric(point)
+        want = (eval_numeric(zt, dict(point, s=w))
+                / eval_numeric(zt, dict(point, s=1 / w)))
+        got = eval_numeric(rho(g, 2, 1), point)
         assert abs(got - want) < 1e-9 * abs(want)
         # the factor list K_(2,1) = ρ(z2/z1) / ((1-z2)(1-q z1/z2))
         chain = (1 - point["z2"]) * (1 - point["q"] / w)
-        got = residues._expand(residues._summand(g, (2, 1))).eval_numeric(
-            point)
+        got = eval_numeric(residues._expand(residues._summand(g, (2, 1))),
+                           point)
         assert abs(got * chain - want) < 1e-9 * abs(want)
 
 
@@ -295,25 +296,25 @@ class TestHTilde:
             # n = 1 shapes: no residues at all
             direct = L_at([z1])
             for lam in (P(1), P(2), P(3)):
-                got = kernel_residue(g, lam).eval_numeric(point)
+                got = eval_numeric(kernel_residue(g, lam), point)
                 assert abs(got - direct) < 1e-6 * abs(direct)
 
             # (1,1): one residue in u1 = z2/z1 at q^{-1}, orientation
             # flips the sign once
-            got = kernel_residue(g, P(1, 1)).eval_numeric(point)
+            got = eval_numeric(kernel_residue(g, P(1, 1)), point)
             want = -circle_integral(
                 lambda u: L_at([z1, z1 * u]) / u, 1 / q)
             assert abs(got - want) < 1e-6 * max(1.0, abs(want))
 
             # (2,1): no constraints, two leaders
             z2 = z1 * (0.8 + 0.3j)
-            got = kernel_residue(g, P(2, 1)).eval_numeric(dict(point, z2=z2))
+            got = eval_numeric(kernel_residue(g, P(2, 1)), dict(point, z2=z2))
             want = L_at([z1, z2])
             assert abs(got - want) < 1e-6 * abs(want)
 
             # (1,1,1): nested residues, top of chain first
             if g <= 1:
-                got = kernel_residue(g, P(1, 1, 1)).eval_numeric(point)
+                got = eval_numeric(kernel_residue(g, P(1, 1, 1)), point)
                 want = circle_integral(
                     lambda u1: circle_integral(
                         lambda u2: L_at([z1, z1 * u1, z1 * u1 * u2]) / u2,
@@ -345,7 +346,7 @@ class TestHFactor:
         point, alphas, z = sample_point(g, 31 + g)
         q = point["q"]
         point["z"] = z
-        got = h_factor(g, P(2, 1)).eval_numeric(point)
+        got = eval_numeric(h_factor(g, P(2, 1)), point)
         want = L_num(alphas, q, [z, z * z / q])
         assert abs(got - want) < 1e-9 * abs(want)
 
@@ -355,7 +356,7 @@ class TestHFactor:
         point, alphas, z = sample_point(g, 77)
         q = point["q"]
         point["z"] = z
-        got = h_factor(g, P(3, 1)).eval_numeric(point)
+        got = eval_numeric(h_factor(g, P(3, 1)), point)
         want = L_num(alphas, q, [z, z ** 3 / q])
         assert abs(got - want) < 1e-9 * abs(want)
 

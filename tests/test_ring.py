@@ -12,7 +12,7 @@ import sympy
 from hypothesis import assume, example, given, settings, strategies as st
 
 from census import pipeline, ring
-from census.errors import ExponentOverflow, PoleAtPoint, SubstitutionToZeroPole
+from census.errors import ExponentOverflow, SubstitutionToZeroPole
 from census.ring import (
     Atom,
     FactoredRat,
@@ -29,6 +29,7 @@ from builders import (
     atom_poly,
     content_monomial_by_slots,
     divide_atom_by_buckets,
+    eval_numeric,
     frac_to_json_by_exponents,
     geometric,
     normalize_by_division,
@@ -138,12 +139,12 @@ def test_substitute_to_zero_pole():
 
 def test_eval_examples():
     f = geometric(1, q=1, z=1)
-    assert abs(f.eval_numeric({"q": 2, "z": 0.25}) - 2.0) < 1e-12
+    assert abs(eval_numeric(f, {"q": 2, "z": 0.25}) - 2.0) < 1e-12
     sigma = complex(0, 2 ** 0.5)
     g = fr_poly((1, {}), (-1, {"a1": 1})) * fr_poly((1, {}), (-1, {"a2": 1}))
-    assert abs(g.eval_numeric({"a1": sigma, "a2": -sigma}) - 3.0) < 1e-9
-    with pytest.raises(PoleAtPoint):
-        geometric(1, z=1).eval_numeric({"z": 1})
+    assert abs(eval_numeric(g, {"a1": sigma, "a2": -sigma}) - 3.0) < 1e-9
+    with pytest.raises(ZeroDivisionError):
+        eval_numeric(geometric(1, z=1), {"z": 1})
 
 
 def test_atom_canonical_flip():
@@ -271,9 +272,9 @@ def test_eval_commutes_with_normalize(a, rng):
              for v in ("a1", "a2", "q", "z")}
     raw = FactoredRat(a.numerator, a.denominator)
     try:
-        lhs = raw.eval_numeric(point)
-        rhs = a.normalize().eval_numeric(point)
-    except PoleAtPoint:
+        lhs = eval_numeric(raw, point)
+        rhs = eval_numeric(a.normalize(), point)
+    except ZeroDivisionError:
         return
     scale = max(1.0, abs(lhs))
     assert abs(lhs - rhs) / scale < 1e-9

@@ -42,8 +42,11 @@ from census.zeta import (
     zeta_value,
 )
 
+import census.zeta as zeta
 import test_pipeline
-from builders import pair_reduce_by_roots, zeta_tilde
+from builders import (eval_numeric, float_count, is_weil_by_roots,
+                      pair_reduce_by_roots, weil_numbers, weil_point,
+                      zeta_tilde)
 
 LIMIT = 2 ** 22
 
@@ -123,12 +126,12 @@ class TestZetaValue:
         for name in names:
             point[name] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         f = zeta_value(g, 2, 1)
-        base = f.eval_numeric(dict(point, z=0.3 + 0.1j))
+        base = eval_numeric(f, dict(point, z=0.3 + 0.1j))
         shuffled = names[1:] + names[:1]
         permuted = {new: point[old] for new, old in zip(names, shuffled)}
         permuted["q"] = point["q"]
         permuted["z"] = 0.3 + 0.1j
-        assert abs(f.eval_numeric(permuted) - base) < 1e-9 * abs(base)
+        assert abs(eval_numeric(f, permuted) - base) < 1e-9 * abs(base)
 
 
 class TestZetaStar:
@@ -147,7 +150,7 @@ class TestZetaStar:
     def test_genus1_special_numeric(self):
         # against ∏(1-α_i^{-1})/(1-q^{-1}) under α_1 α_2 = q
         point = curve_point(1, q=3.7, seed=3)
-        got = zeta_star(1, 1, 0).eval_numeric(point)
+        got = eval_numeric(zeta_star(1, 1, 0), point)
         a1, a2, q = point["a1"], point["a2"], point["q"]
         want = (1 - 1 / a1) * (1 - 1 / a2) / (1 - 1 / q)
         assert abs(got - want) < 1e-9 * abs(want)
@@ -201,18 +204,18 @@ class TestJFactor:
         point = curve_point(2, q=4.0, seed=5)
         point["z"] = 0.21 + 0.11j
         f = j_factor(2, Partition((2, 1)))
-        base = f.eval_numeric(point)
+        base = eval_numeric(f, point)
         swapped = dict(point)
         swapped["a1"], swapped["a3"] = point["a3"], point["a1"]
         swapped["a2"], swapped["a4"] = point["a4"], point["a2"]
-        assert abs(f.eval_numeric(swapped) - base) < 1e-9 * abs(base)
+        assert abs(eval_numeric(f, swapped) - base) < 1e-9 * abs(base)
 
 
 class TestWeilFromCounts:
     def test_elliptic_q2(self):
         curve = weil_from_counts(2, [3])
         assert curve.numerator == (1, 0, 2)
-        got = sorted((s.real, s.imag) for s in curve.weil_numbers)
+        got = sorted((s.real, s.imag) for s in weil_numbers(curve))
         rt2 = 2 ** 0.5
         assert abs(got[0][1] + rt2) < 1e-9 and abs(got[1][1] - rt2) < 1e-9
         assert abs(got[0][0]) < 1e-9 and abs(got[1][0]) < 1e-9
@@ -223,15 +226,16 @@ class TestWeilFromCounts:
     def test_genus0(self):
         curve = weil_from_counts(5, [])
         assert curve.numerator == (1,)
-        assert curve.weil_numbers == ()
+        assert weil_numbers(curve) == ()
+        assert curve.power_sums(2) == [0, 0, 0]
 
     def test_genus2_square(self):
         # numerator (1+2z²)² gives counts N_1=3, N_2=13 over F_2
         curve = weil_from_counts(2, [3, 13])
         assert curve.numerator == (1, 0, 4, 0, 4)
+        sigmas = weil_numbers(curve)
         for i in range(0, 4, 2):
-            pair = curve.weil_numbers[i] * curve.weil_numbers[i + 1]
-            assert abs(pair - 2) < 1e-6
+            assert abs(sigmas[i] * sigmas[i + 1] - 2) < 1e-6
 
     def test_functional_equation(self):
         curve = weil_from_counts(3, [6, 12])
@@ -253,29 +257,34 @@ class TestWeilFromCounts:
     def test_hasse_interval_round_trip(self, t):
         q = 5
         curve = weil_from_counts(q, [q + 1 + t])
-        assert abs(curve.count(1) - (q + 1 + t)) < 1e-6
-        s1, s2 = curve.weil_numbers
+        assert 1 + q - curve.power_sums(1)[1] == q + 1 + t
+        s1, s2 = weil_numbers(curve)
         assert abs(s1 * s2 - q) < 1e-6
 
     def test_round_trip_higher_powers(self):
+        # the exact power sums against the float Weil numbers, and the
+        # counts read back where they were given
         curve = weil_from_counts(2, [3, 13])
-        for l in (1, 2, 3):
-            want = 1 + 2 ** l - sum(s ** l for s in curve.weil_numbers)
-            assert abs(curve.count(l) - want.real) < 1e-6
+        counts = [1 + 2 ** l - s for l, s in enumerate(curve.power_sums(5))]
+        assert counts[1:3] == [3, 13]
+        for l in range(1, 6):
+            want = 1 + 2 ** l - sum(s ** l for s in weil_numbers(curve))
+            assert abs(counts[l] - want) < 1e-6
 
     def test_assignment_pairs_to_q(self):
-        point = weil_from_counts(2, [3, 13]).assignment()
+        point = weil_point(weil_from_counts(2, [3, 13]))
         assert abs(point["a1"] * point["a2"] - 2) < 1e-6
         assert abs(point["a3"] * point["a4"] - 2) < 1e-6
 
     def test_numpy_is_never_imported(self):
-        # the Weil numbers are recovered in pure Python; nothing in census
-        # needs numpy, not even the numeric counts
+        # counts over a curve are exact: nothing in census needs numpy,
+        # nor complex floats
         child = ("import sys\n"
                  "import census\n"
                  "curve = census.weil_from_counts(3, [4, 28, 28])\n"
                  "assert census.count_points(curve, 1, 0) == (64, 1728)\n"
-                 "assert 'numpy' not in sys.modules\n")
+                 "assert 'numpy' not in sys.modules\n"
+                 "assert 'cmath' not in sys.modules\n")
         src = str(Path(__file__).resolve().parent.parent / "src")
         env = dict(os.environ, PYTHONPATH=src)
         subprocess.run([sys.executable, "-c", child], env=env, check=True,
@@ -319,8 +328,9 @@ def reference_weil_numbers(curve):
 
 def assert_matches_reference(curve, rel=1e-9):
     want = reference_weil_numbers(curve)
-    assert len(want) == len(curve.weil_numbers)
-    for s in curve.weil_numbers:
+    got = weil_numbers(curve)
+    assert len(want) == len(got)
+    for s in got:
         i = min(range(len(want)), key=lambda i: abs(want[i] - s))
         assert abs(want.pop(i) - s) <= rel * abs(s), (curve, s)
 
@@ -375,7 +385,7 @@ class TestWeilRoots:
         # root finder run on P itself resolves to about six digits only
         curve = weil_from_counts(*FERMAT_QUARTIC)
         assert curve.numerator == (1, 0, 9, 0, 27, 0, 27)
-        for s in curve.weil_numbers:
+        for s in weil_numbers(curve):
             assert abs(s - cmath.sqrt(-3)) < 1e-12 \
                 or abs(s + cmath.sqrt(-3)) < 1e-12
         assert count_points(curve, 1, 0) == (64, 1728)
@@ -383,16 +393,19 @@ class TestWeilRoots:
     def test_real_weil_numbers(self):
         # traces ±2√q: the Weil numbers ±√q are real and doubled
         for q, counts, root in ((4, [5, 1], 2.0), (5, [6, 6], 5 ** 0.5)):
-            got = sorted(s.real for s in weil_from_counts(q, counts)
-                         .weil_numbers)
+            got = sorted(s.real for s in weil_numbers(
+                weil_from_counts(q, counts)))
             assert got == pytest.approx([-root, -root, root, root],
                                         rel=1e-15)
 
     def test_float_overflow_is_a_value_error(self):
-        # t = q = 10^200 squares past the float range; the NaN that
-        # leaves in σ must not pass the |σ| = √q check
+        # t = q = 10^200 squares past the float range, so the root finder
+        # refuses; the exact check sees t > 2√q
+        q = 10 ** 200
         with pytest.raises(ValueError, match="too large"):
-            weil_from_counts(10 ** 200, [1])
+            weil_numbers(CurveData(q, 1, (1,), (1, -q, q)))
+        with pytest.raises(NotWeil):
+            weil_from_counts(q, [1])
 
     @settings(deadline=None, max_examples=20)
     @given(st.lists(st.sampled_from([0, 1, 2, -1, -2, 3]),
@@ -431,6 +444,73 @@ class TestWeilRoots:
         for (r, d), want in PINNED_COUNTS[q, counts].items():
             assert count_points(curve, r, d) == want, (r, d)
 
+    @pytest.mark.parametrize("q,counts", USED_CURVES)
+    def test_counts_match_the_float_reference(self, q, counts):
+        # the exact count against the float route wherever its error
+        # bound lets it round
+        curve = weil_from_counts(q, counts)
+        rounded = 0
+        for r in (1, 2, 3):
+            for d in range(r):
+                want = float_count(curve, r, d)
+                if want is not None:
+                    assert count_points(curve, r, d)[0] == want, (r, d)
+                    rounded += 1
+        assert rounded
+
+    @settings(deadline=None, max_examples=80)
+    @given(st.sampled_from([2, 3, 4, 5, 7, 9, 16, 25, 49]),
+           st.lists(st.integers(min_value=-16, max_value=16),
+                    min_size=1, max_size=4),
+           st.lists(st.integers(min_value=-2, max_value=2), max_size=4))
+    @example(4, [4, 4, -4], [])     # t = ±2√q, one of them twice
+    @example(9, [-6, -6], [])
+    @example(49, [14, -14, 3], [])
+    @example(5, [4, 4], [])         # 4 < 2√5: repeated, inside
+    @example(5, [5], [])            # 5 > 2√5: outside
+    @example(2, [0, 0], [1, 1])     # complex t
+    def test_sturm_matches_the_root_finder(self, q, traces, shifts):
+        # the zeta numerator ∏_i (1 - t_i T + q T²), its low half shifted
+        # to reach real Weil polynomials with complex or clustered roots
+        g = len(traces)
+        a = [1]
+        for t in traces:
+            a = [x - t * y + q * z
+                 for x, y, z in zip(a + [0, 0], [0] + a + [0], [0, 0] + a)]
+        for k, shift in enumerate(shifts[:g], start=1):
+            a[k] += shift
+        for k in range(g):
+            a[2 * g - k] = q ** (g - k) * a[k]
+        curve = CurveData(q, g, (), tuple(a))
+        weil = is_weil_by_roots(curve)
+        assert zeta._is_weil(zeta._real_weil_polynomial(a, q), q) == weil
+        power = curve.power_sums(g)
+        counts = [1 + q ** l - power[l] for l in range(1, g + 1)]
+        if min(counts) < 0:
+            return
+        if weil:
+            assert weil_from_counts(q, counts).numerator == curve.numerator
+        else:
+            with pytest.raises(NotWeil):
+                weil_from_counts(q, counts)
+
+
+class TestEvaluate:
+    def test_refuses_what_it_cannot_read(self):
+        curve = weil_from_counts(2, [3, 13])
+        for f in (FactoredRat(SparsePoly({mono(z=1): 1})),
+                  FactoredRat(SparsePoly({mono(a2=1): 1})),
+                  atom_inverse(1, mono(a1=1))):
+            with pytest.raises(ValueError):
+                curve.evaluate(f)
+
+    def test_against_the_float_weil_numbers(self):
+        # a symmetric function of the 2g roots with q-atoms, both ways
+        curve = weil_from_counts(4, [2, 36, 92])
+        f = siegel_volume(3, 3)
+        want = eval_numeric(f, weil_point(curve))
+        assert abs(float(curve.evaluate(f)) - want) < 1e-9 * abs(want)
+
 
 class TestSiegelVolume:
     def test_rank1(self):
@@ -442,7 +522,7 @@ class TestSiegelVolume:
 
     def test_genus0_rank1_value(self):
         # 1/(q-1) at q=5
-        got = siegel_volume(0, 1).eval_numeric({"q": 5.0})
+        got = eval_numeric(siegel_volume(0, 1), {"q": 5.0})
         assert abs(got - 0.25) < 1e-12
 
     def test_rank2(self):
@@ -502,8 +582,8 @@ class TestTorsionVolume:
                 zeta_at(g, 1, mono(q=-i, s=1)), "s", L)
         exact = torsion_volume_series(g, L)
         for l in range(1, L + 1):
-            a = finite.coefficient(l).eval_numeric(point)
-            b = exact.coefficient(l).eval_numeric(point)
+            a = eval_numeric(finite.coefficient(l), point)
+            b = eval_numeric(exact.coefficient(l), point)
             assert abs(a - b) < 30.0 * 4.0 ** (-L) * max(1.0, abs(b))
 
     def test_rejects_bad_order(self):
