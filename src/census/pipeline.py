@@ -30,8 +30,9 @@ from .errors import (IdentityViolation, NegativeBettiCoefficient,
 from .partitions import pairing, partitions_of
 from .residues import h_factor
 from .ring import (Atom, FactoredRat, Monomial, SparsePoly, _check,
-                   _check_codes, _clean, _moves, _read, _slot, add_many,
-                   atom_inverse, poly_from_json, poly_to_json)
+                   _check_codes, _clean, _monomials, _moves, _read, _rows,
+                   _slot, _support, add_many, atom_inverse, poly_from_json,
+                   poly_to_json)
 from .series import BiSeries, LazyLog, frac_to_series, mobius, \
     pleth_exp, pleth_log, series_exp, z_decompose, z_truncate_frac
 from . import zeta as _zeta
@@ -307,16 +308,13 @@ def kac_series_oracle(g, r, D=None):
 
 
 def _as_rational(f):
-    """A constant FactoredRat as a Fraction."""
+    """A constant FactoredRat as a Fraction, else a ValueError whose
+    message does not write f (latex_value drops it)."""
     f = f.normalize()
-    if f.denominator:
-        raise ValueError("not constant: %r" % (f,))
-    total = Fraction(0)
-    for m, c in f.numerator.terms.items():
-        if m:  # code 0 is the monomial 1
-            raise ValueError("not constant: %r" % (f,))
-        total += Fraction(c)
-    return total
+    terms = f.numerator.terms
+    if f.denominator or terms.keys() - {0}:  # code 0 is the monomial 1
+        raise ValueError("not constant")
+    return Fraction(terms.get(0, 0))
 
 
 def _constant_lambda_term(g, lam):
@@ -585,10 +583,12 @@ def _zeta_product_convergence(g, L):
 
 
 def _siegel_instantiation(g, L):
-    """The symbolic unstable volume against a direct route, exactly.
-
-    The direct route uses only the integer zeta-numerator coefficients:
-    |Pic^0| = P(1) and Z_X(u) = P(u)/((1-u)(1-qu)) at u = q^{-k}.
+    """The unstable volume at a sample curve against a direct route,
+    exactly.  Each W-invariant factor of siegel_volume is evaluated alone
+    (a lone 1 - α_i is not W-invariant), so the volume is never multiplied
+    out.  The direct route uses only the integer zeta-numerator
+    coefficients: |Pic^0| = P(1) and Z_X(u) = P(u)/((1-u)(1-qu)) at
+    u = q^{-k}.
     """
     curve = _sample_curve(g)
     q = Fraction(curve.q)
@@ -601,7 +601,8 @@ def _siegel_instantiation(g, L):
         for k in range(2, r + 1):
             u = q ** -k
             direct *= P(u) / ((1 - u) * (1 - q * u))
-        if curve.evaluate(_zeta.siegel_volume(g, r)) != direct:
+        if math.prod(map(curve.evaluate,
+                         _zeta.siegel_factors(g, r))) != direct:
             return False
     return True
 
@@ -645,7 +646,6 @@ def _latex_var(name, e):
 
 
 def _latex_coeff(c, is_first, has_mono):
-    c = Fraction(c)
     sign = "-" if c < 0 else ("" if is_first else "+")
     c = abs(c)
     if c.denominator == 1:
@@ -657,14 +657,13 @@ def _latex_coeff(c, is_first, has_mono):
 
 def latex_poly(p):
     """LaTeX for a SparsePoly, terms in the ring's canonical order."""
-    terms = p.sorted_items()
-    if not terms:
+    slots = _support(p.terms)
+    rows = _rows(p.terms, slots)
+    if not rows:
         return "0"
-    bits = []
-    for i, (items, c) in enumerate(terms):
-        mono = "".join(_latex_var(v, e) for v, e in items)
-        bits.append(_latex_coeff(c, i == 0, bool(mono)) + mono)
-    return "".join(bits)
+    monos = _monomials(rows, slots, _latex_var)
+    return "".join([_latex_coeff(c, i == 0, bool(mono)) + mono
+                    for i, ((_, _, c), mono) in enumerate(zip(rows, monos))])
 
 
 @lru_cache(maxsize=None)

@@ -57,6 +57,14 @@ same in another.  Each family has 128 variables (so genus <= 64); any
 other name is rejected as unknown.  Decoding lists the variables in
 canonical order; a whole polynomial puts its support in that order once.
 
+Canonical order.  Terms are written in descending Monomial.sort_key
+order: total degree, then the (variable, exponent) pairs of the nonzero
+exponents in canonical variable order, compared as tuples.  _rows sorts
+by a flat key over the support's slots: the total degree, then each
+slot's exponent, a zero read as _LATER (above every exponent) where a
+later slot's exponent is nonzero and as _END (below every one) where
+none is.  repr, the JSON writers and pipeline.latex_poly write its rows.
+
 Overflow.  Exponents must satisfy |e| < 2**22.  Encoding rejects larger
 ones.  Every code made by a product, power, substitution or Adams
 operation is checked (_check, _check_codes, _scale): the top two bits of
@@ -96,10 +104,10 @@ from __future__ import annotations
 import random
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache, reduce
-from itertools import chain, compress, repeat
+from functools import lru_cache, partial, reduce
+from itertools import compress, repeat, starmap
 from math import gcd
-from operator import index, itemgetter, lshift, or_, xor
+from operator import add, index, itemgetter, lshift, or_, xor
 
 from .errors import ExponentOverflow, SubstitutionToZeroPole
 
@@ -200,28 +208,33 @@ def _support(codes):
                   key=_KEY.__getitem__)
 
 
-class _Powers(dict):
-    """e -> (coeff**e, the code shift that turns var^e into image^e) for
-    one substitution var -> coeff*image, each made on first use."""
+class _Memo(dict):
+    """key -> fn(key), each made on first use."""
 
-    __slots__ = ("coeff", "image", "shift")
+    __slots__ = ("fn",)
 
-    def __init__(self, coeff, image, shift):
-        super().__init__()
-        self.coeff, self.image, self.shift = coeff, image, shift
+    def __init__(self, fn, items=()):
+        super().__init__(items)
+        self.fn = fn
 
-    def __missing__(self, e):
-        out = self[e] = (_clean(Fraction(self.coeff) ** e),
-                         _scale(self.image, e) - (e << self.shift))
+    def __missing__(self, key):
+        out = self[key] = self.fn(key)
         return out
+
+
+def _power_move(coeff, image, shift, e):
+    """(coeff**e, the code shift that turns var^e, var at shift, into
+    image^e)."""
+    return (_clean(Fraction(coeff) ** e), _scale(image, e) - (e << shift))
 
 
 def _moves(subs):
     """The substitutions var -> coeff*image of subs as (round, shift,
-    _Powers) reads.  Each move changes a field by less than 2**22, so a
-    code is checked after each move: one check after several could miss
-    a field that wrapped."""
-    return [(_ROUND[s], _SHIFT[s], _Powers(coeff, image.code, _SHIFT[s]))
+    e -> _power_move) reads.  Each move changes a field by less than
+    2**22, so a code is checked after each move: one check after several
+    could miss a field that wrapped."""
+    return [(_ROUND[s], _SHIFT[s],
+             _Memo(partial(_power_move, coeff, image.code, _SHIFT[s])))
             for var, coeff, image in subs for s in [_slot(var)]]
 
 
@@ -336,7 +349,7 @@ class Monomial:
     def __repr__(self):
         if not self.code:
             return "1"
-        return "*".join(v if e == 1 else "%s^%d" % (v, e) for v, e in self.items)
+        return "".join(starmap(_factor, self.items))[1:]
 
 
 _ONE_M = Monomial()
@@ -570,32 +583,48 @@ class SparsePoly:
         return {_NAMES[s] for s in _support(self.terms)}
 
     def __repr__(self):
-        if not self.terms:
+        slots = _support(self.terms)
+        rows = _rows(self.terms, slots)
+        if not rows:
             return "0"
-        bits = []
-        for items, c in self.sorted_items():
-            mono = "*".join(v if e == 1 else "%s^%d" % (v, e)
-                            for v, e in items)
-            bits.append("%s*%s" % (c, mono) if mono else str(c))
-        return " + ".join(bits)
+        return " + ".join([str(c) + mono for (_, _, c), mono
+                           in zip(rows, _monomials(rows, slots, _factor))])
+
+
+_LATER, _END = _LIMIT, -_LIMIT - 1   # beyond every field, -2**22 included
 
 
 def _rows(terms, slots):
-    """(sort key, exponent vector over slots, coefficient) for each
-    term of a dict, in descending canonical order; slots, in canonical
-    order, hold every variable of the terms.  Each field is read once,
-    from the code biased as in _support, and the terms are sorted once."""
+    """(key, exponent vector over slots, coefficient) for each term of a
+    dict, in descending canonical order (see above); slots, in canonical
+    order, hold every variable of the terms.  Each slot's fields are read
+    at once, from the codes biased as in _support; keys are distinct, so
+    the sort never compares further."""
     bias = _BIAS & ((1 << _W * (max(slots, default=0) + 1)) - 1)
-    shifts = [_SHIFT[s] for s in slots]
-    keys = [_KEY[s] for s in slots]
-    rows = []
-    for m, c in terms.items():
-        b = m + bias
-        vec = [((b >> sh) & _MASK) - _HALF for sh in shifts]
-        rows.append(((sum(vec), tuple(compress(zip(keys, vec), vec))),
-                     vec, c))
-    rows.sort(key=itemgetter(0), reverse=True)
-    return rows
+    codes = list(map(bias.__add__, terms))
+    cols = [[((b >> sh) & _MASK) - _HALF for b in codes]
+            for sh in map(_SHIFT.__getitem__, slots)]
+    keys, key = [], [_END] * len(codes)
+    for col in reversed(cols):
+        key = [e or (_END if k == _END else _LATER) for e, k in zip(col, key)]
+        keys.append(key)
+    vecs = list(map(list, zip(*cols))) or [[] for _ in codes]
+    return sorted(zip(zip(map(sum, vecs), *reversed(keys)), vecs,
+                      terms.values()), reverse=True)
+
+
+def _monomials(rows, slots, text):
+    """The monomial of each of _rows(..., slots), written as the texts
+    text(name, e) of its nonzero exponents, joined."""
+    cols = zip(*[vec for _, vec, _ in rows])
+    parts = [map(_Memo(partial(text, _NAMES[s]), {0: ""}).__getitem__, col)
+             for s, col in zip(slots, cols)]
+    return list(map("".join, zip(*parts))) or [""] * len(rows)
+
+
+def _factor(name, e):
+    """name^e as repr writes it after a coefficient or another factor."""
+    return "*" + name if e == 1 else "*%s^%d" % (name, e)
 
 
 _P = (1 << 61) - 1
@@ -1173,13 +1202,9 @@ class FactoredRat:
 
     def __repr__(self):
         pre, num = self._written()
-        bits = []
-        if not pre.is_one():
-            bits.append(str(pre))
-        bits.append("(%s)" % (num,))
-        s = "*".join(bits)
+        s = "(%s)" % (num,) if pre.is_one() else "%s*(%s)" % (pre, num)
         if self.denominator:
-            s += " / [%s]" % "".join(str(a) for a in self.denominator)
+            s += " / [%s]" % "".join(map(str, self.denominator))
         return s
 
 
@@ -1217,14 +1242,18 @@ def _shifts(variables):
 
 def _codes(vecs, shifts):
     """The codes of exponent vectors over the variables at shifts, with
-    the checks of Monomial(...), each made once over the whole list: a
-    vector whose length is not that of shifts is a ValueError."""
+    the checks of Monomial(...) made one column at a time, every type
+    before any range: a vector whose length is not that of shifts is a
+    ValueError."""
     if not set(map(len, vecs)) <= {len(shifts)}:
         raise ValueError("exponent vector not of length %d" % len(shifts))
-    if max(map(abs, map(index, chain.from_iterable(vecs))),
-           default=0) >= _LIMIT:
+    cols = [list(map(index, col)) for col in zip(*vecs)]
+    if any(max(col) >= _LIMIT or min(col) <= -_LIMIT for col in cols):
         _overflow()
-    return [sum(map(lshift, vec, shifts)) for vec in vecs]
+    codes = [0] * len(vecs)
+    for col, sh in zip(cols, shifts):
+        codes = list(map(add, codes, map(lshift, col, repeat(sh))))
+    return codes
 
 
 def _terms_to_json(p, slots):
@@ -1238,8 +1267,8 @@ def _terms_from_json(terms, shifts):
     """The SparsePoly of [exponent vector, "n/d"] rows; a repeated vector
     is a ValueError, a zero coefficient is dropped."""
     vecs = [vec for vec, _ in terms]
-    d = dict(zip(_codes(vecs, shifts),
-                 map(rational_from_json, [c for _, c in terms])))
+    coeffs = map(_Memo(rational_from_json).__getitem__, [c for _, c in terms])
+    d = dict(zip(_codes(vecs, shifts), coeffs))
     if len(d) != len(terms):
         raise ValueError("repeated exponent vector")
     if 0 in d.values():

@@ -344,20 +344,26 @@ def weil_from_counts(q, counts, genus=None):
     return CurveData(q, g, counts, tuple(a))
 
 
-def siegel_volume(g, r):
-    """q^{(g-1)(r²-1)} ∏(1-α_i) / (q-1) · ∏_{k=2}^{r} ζ(q^{-k}), modulo
-    the Weil relations: as in j_factor, each factor is pair-reduced before
-    multiplying."""
+def siegel_factors(g, r):
+    """The W-invariant factors of siegel_volume(g, r) modulo the Weil
+    relations: q^{(g-1)(r²-1)}, ∏(1-α_i) over all 2g roots (each root's
+    factor pair-reduced before multiplying), 1/(q-1), ζ(q^{-k}), k = 2..r."""
     if r < 1:
         raise ValueError("rank must be positive")
-    out = FactoredRat.from_monomial(Monomial.of(q=(g - 1) * (r * r - 1)))
+    roots = FactoredRat.one()
     for name in alpha_names(g):
-        out = out * pair_reduce(one_minus(1, Monomial.of(**{name: 1})), g)
+        roots = roots * pair_reduce(one_minus(1, Monomial.of(**{name: 1})), g)
     # 1/(q-1) = -1/(1-q)
-    out = out * atom_inverse(1, Monomial.of(q=1)).mul_scalar(-1)
-    for k in range(2, r + 1):
-        out = out * pair_reduce(zeta_at(g, 1, Monomial.of(q=-k)), g)
-    return out.normalize()
+    return [FactoredRat.from_monomial(Monomial.of(q=(g - 1) * (r * r - 1))),
+            roots, atom_inverse(1, Monomial.of(q=1)).mul_scalar(-1),
+            *(pair_reduce(zeta_at(g, 1, Monomial.of(q=-k)), g)
+              for k in range(2, r + 1))]
+
+
+def siegel_volume(g, r):
+    """q^{(g-1)(r²-1)} ∏(1-α_i) / (q-1) · ∏_{k=2}^{r} ζ(q^{-k}) modulo the
+    Weil relations: the product of siegel_factors(g, r)."""
+    return math.prod(siegel_factors(g, r), start=FactoredRat.one()).normalize()
 
 
 def torsion_volume_series(g, L):

@@ -6,6 +6,7 @@ this checkout's pyproject.toml [project.scripts] in a fresh interpreter,
 and the installed `census` script as well when one is on PATH.
 """
 
+import hashlib
 import json
 import os
 import re
@@ -238,6 +239,39 @@ def _g1r2d0_poly(variables=("a1", "a2", "q"), q_term=(0, 0, 1),
              [[1, 0, 0], "-1/1"], [list(one_term), "1/1"]]
     return {"engine": ENGINE_VERSION, "result": dict(_G1R2D0, polynomial={
         "kind": "polynomial", "variables": list(variables), "terms": terms})}
+
+
+class TestWrittenBytes:
+    """sha256 pins of the text and LaTeX output of kac at genus 2 and 3,
+    rank 2, both degree classes, as computed and as a warm cache hit;
+    recorded at commit 1f2874a, before these writers read ring._rows'
+    columns."""
+
+    SHA256 = {
+        (2, 0, "text"): "b55369f8a8021d7da23812698dee744299df53be092a951127c8e4bf42b4cd8e",
+        (2, 1, "text"): "0a37d4446418c5bf8a4a7912ea868206b9b53357d578ec296e90c3d7d353928f",
+        (3, 0, "text"): "0b401d10cbf4ddd090ef1c1c3712fe8656a9d60d1d479e589145b8815328ce6c",
+        (3, 1, "text"): "121e4ea980b52d872ba9b609fabdde837ae51d063e28276c93760c8df49ef1c9",
+        (2, 0, "latex"): "c593b26c0b0cadeac538649e96ab081943a7b45893250e9bfe92449193ebf62d",
+        (2, 1, "latex"): "c593b26c0b0cadeac538649e96ab081943a7b45893250e9bfe92449193ebf62d",
+        (3, 0, "latex"): "8ea6f53289731dabcd95bc118e5156b5069e0321de0863850bc982ada5b8e7ba",
+        (3, 1, "latex"): "8ea6f53289731dabcd95bc118e5156b5069e0321de0863850bc982ada5b8e7ba",
+    }
+
+    @pytest.mark.parametrize("g,d,fmt", sorted(SHA256))
+    def test_cold_and_warm_bytes(self, capsys, tmp_path, monkeypatch,
+                                 g, d, fmt):
+        args = ("--format", fmt, "--cache-dir", str(tmp_path),
+                "kac", "-g", str(g), "-r", "2", "-d", str(d))
+        code, cold, _ = run_cli(capsys, *args)
+        assert code == 0
+        monkeypatch.setattr(pipeline, "kac_polynomial",
+                            lambda *a: pytest.fail("recomputed"))
+        code, warm, _ = run_cli(capsys, *args)
+        assert code == 0
+        for out in (cold, warm):
+            assert (hashlib.sha256(out.encode()).hexdigest()
+                    == self.SHA256[g, d, fmt])
 
 
 class TestCache:

@@ -895,8 +895,8 @@ class TestIdentities:
         assert all(ok for _, ok in identity_report(g, 4))
 
     def test_genus4(self):
-        # siegel_volume multiplies pair-reduced factors, which keeps g = 4
-        # at about 1 s
+        # the Siegel volume is evaluated factor by factor, which keeps
+        # g = 4 well under 1 s
         assert all(ok for _, ok in identity_report(4, 2))
 
     def test_check_identities_quiet_on_success(self):

@@ -186,6 +186,7 @@ def test_json_decode_drops_zero_coefficients():
     (["a1", "q"], [2 ** 22, 0], ExponentOverflow),
     (["a1", "q"], [0, -2 ** 22], ExponentOverflow),
     (["a1", "q"], [0, 0], ValueError),     # repeats the constant term
+    (["a1", "q"], [2 ** 22, 1.0], TypeError),  # every type before a range
 ])
 def test_json_decode_rejects(variables, vec, error):
     terms = [[[0, 0], "1/1"], [vec, "1/1"]]
@@ -1143,6 +1144,47 @@ def test_content_and_json_match_the_references(p):
             == json.dumps(poly_to_json_by_exponents(p)))
     got = [(Monomial(items).code, items, c) for items, c in p.sorted_items()]
     assert got == [(m.code, m.items, c) for m, c in sorted_terms_by_fields(p)]
+
+
+def _rows_order(p):
+    """The codes of p's terms in the order of ring._rows."""
+    slots = ring._support(p.terms)
+    names = [ring._NAMES[s] for s in slots]
+    return [Monomial(zip(names, vec)).code
+            for _, vec, _ in ring._rows(p.terms, slots)]
+
+
+# small exponents of both signs: many zeros, and many monomials of one
+# degree whose nonzero exponents end at different variables
+SMALL_EXPONENTS = st.dictionaries(st.sampled_from(CODE_NAMES),
+                                  st.integers(min_value=-2, max_value=2),
+                                  max_size=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(wide_polys(), st.lists(SMALL_EXPONENTS, max_size=12).map(
+    lambda es: SparsePoly([(Monomial(e), 1) for e in es]))))
+def test_rows_sort_as_the_monomial_sort_key(p):
+    want = sorted(p.terms, key=lambda m: Monomial.from_code(m).sort_key(),
+                  reverse=True)
+    assert _rows_order(p) == want
+
+
+@pytest.mark.parametrize("high,low", [
+    ({"t": 1, "s": -1}, {}),              # 1's nonzero exponents end first
+    ({"s": 1, "t": -1}, {}),
+    ({"a1": 1, "q": 1, "z": -1}, {"a1": 1}),
+    ({"T": 1, "z": -1}, {"q": 1, "z": -1}),  # a zero with nonzeros after
+                                             # it beats q^1
+    ({"q": -1, "s": 1}, {"a1": 1, "t": -1}),
+    ({"a2": -1, "z1": 1}, {"a2": -1, "q": 2, "z": -1}),
+])
+def test_rows_order_of_mixed_signs_in_one_degree(high, low):
+    high, low = Monomial(high), Monomial(low)
+    assert high.degree() == low.degree()
+    assert high.sort_key() > low.sort_key()
+    for terms in ([(high, 1), (low, 2)], [(low, 2), (high, 1)]):
+        assert _rows_order(SparsePoly(terms)) == [high.code, low.code]
 
 
 @settings(max_examples=150, deadline=None)

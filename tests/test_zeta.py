@@ -16,7 +16,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from census.errors import (ExponentOverflow, NotWeil, PoleArgument,
                            SubstitutionToZeroPole)
 from census.partitions import Partition, box_stats, partitions_of
-from census.pipeline import count_points, kac_polynomial
+from census.pipeline import _sample_curve, count_points, kac_polynomial
 from census.ring import (
     FAMILY_SIZE,
     Atom,
@@ -34,6 +34,7 @@ from census.zeta import (
     j_factor,
     one_minus,
     pair_reduce,
+    siegel_factors,
     siegel_volume,
     torsion_volume_series,
     weil_from_counts,
@@ -537,6 +538,15 @@ class TestSiegelVolume:
     def test_rejects_rank0(self):
         with pytest.raises(ValueError):
             siegel_volume(1, 0)
+
+    @pytest.mark.parametrize("g", range(5))
+    def test_factors_evaluate_to_the_volume(self, g):
+        # the identity suite evaluates the factors one by one, which keeps
+        # g = 9 finishing; the product multiplied out agrees exactly
+        curve = _sample_curve(g)
+        for r in (2, 3):
+            got = math.prod(map(curve.evaluate, siegel_factors(g, r)))
+            assert got == curve.evaluate(siegel_volume(g, r))
 
 
 class TestTorsionVolume:
