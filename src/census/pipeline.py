@@ -1,13 +1,17 @@
 """End-to-end assembly of the indecomposable-bundle census.
 
-The main entry point is kac_polynomial(g, r, d): the T^r coefficient of
-the plethystic Log of the partition sum, clearing of (1 - z^r), and
-summation of one degree class.  The log of the partition sum is kept per
-genus and grown one T-degree at a time (each T^k coefficient one sum over
-the partitions of k), so all ranks of a genus share it, and [T^r] Log is
-read from it as Σ_{k|r} μ(k)/k ψ_k(L_{r/k}).  Around it sit the
+kac_polynomial, betti_polynomial and count_points read kac_lift(g, r):
+A_{g,r} in q and the zeta-numerator coefficients, the T^r coefficient of
+the plethystic Log of a box-product partition sum, one value for every d.
+The residue route, kac_rational(g, r) and degree_class_sums(g, r) (the
+T^r coefficient of the Log of the partition sum of J_λ H_λ, clearing of
+(1 - z^r), and summation of each degree class), is its standing check
+and serves census check.  Each log of a partition sum is kept per genus
+and grown one T-degree at a time (each T^k coefficient one sum over the
+partitions of k), so all ranks of a genus share it, and [T^r] Log is
+read from it as Σ_{k|r} μ(k)/k ψ_k(L_{r/k}).  Around them sit the
 cross-checking routes (a truncated series oracle that shares only the
-λ-terms with the main route, and a pure-z constant-term pipeline that
+λ-terms with the residue route, and a pure-z constant-term pipeline that
 keeps its own memo, sharing none), the Poincare specialization, exact
 point counts over a concrete curve, and the conjecture/identity checkers.
 
@@ -23,11 +27,11 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .errors import (IdentityViolation, NegativeBettiCoefficient,
                      NotPolynomialAfterClearing)
-from .partitions import pairing, partitions_of
+from .partitions import box_stats, pairing, partitions_of
 from .residues import h_factor
 from .ring import (Atom, FactoredRat, Monomial, SparsePoly, _check,
                    _check_codes, _clean, _monomials, _moves, _read, _rows,
@@ -36,7 +40,9 @@ from .ring import (Atom, FactoredRat, Monomial, SparsePoly, _check,
 from .series import BiSeries, LazyLog, frac_to_series, mobius, \
     pleth_exp, pleth_log, series_exp, z_decompose, z_truncate_frac
 from . import zeta as _zeta
-from .zeta import CurveData, alpha_name, alpha_names, one_minus, pair_reduce
+from .zeta import (CurveData, alpha_name, alpha_names, coeff_name,
+                   lift_adams, one_minus, pair_reduce, to_roots,
+                   zeta_coefficients)
 
 ENGINE_VERSION = "1.0"
 
@@ -56,7 +62,8 @@ def _lambda_term(g, lam):
 
 
 def _partition_sum_log(term, z_order=None,
-                       total=lambda terms: sum(terms[1:], terms[0])):
+                       total=lambda terms: sum(terms[1:], terms[0]),
+                       adams=FactoredRat.adams):
     """log of the partition sum Σ_λ term(λ) T^{|λ|}, grown one T-degree at
     a time; each T^k coefficient is total(the λ-terms with |λ| = k).
 
@@ -73,7 +80,7 @@ def _partition_sum_log(term, z_order=None,
             return FactoredRat.one()
         return total([term(lam) for lam in partitions_of(k)])
 
-    return LazyLog(coefficient, z_order)
+    return LazyLog(coefficient, z_order, adams)
 
 
 @lru_cache(maxsize=None)
@@ -117,6 +124,50 @@ def kac_rational(g, r):
     _validate_gr(g, r)
     A = _partition_log(g).pleth_coefficient(r)
     return pair_reduce(A * -one_minus(1, Monomial.of(q=1)), g)
+
+
+@lru_cache(maxsize=None)
+def _box(g, a, l):
+    """The box factor of arm a and leg l in zeta-numerator coordinates:
+    ∏_i (s^{2l+1} - α_i q^a) / ((q^{a+1} - s^{2l})(q^a - s^{2l+2})), with
+    ∏_i (s^{2l+1} - α_i q^a) = Σ_k c_k q^{ak} s^{(2l+1)(2g-k)}."""
+    # 1/(q^{a+1} - s^{2l}) = q^{-a-1}/(1 - s^{2l} q^{-a-1}), and likewise
+    # the other: their q-powers ride in the numerator
+    num = SparsePoly.zero()
+    for k, c in enumerate(zeta_coefficients(g)):
+        num = num + c.mul_monomial(Monomial.of(q=a * k - 2 * a - 1,
+                                               s=(2 * l + 1) * (2 * g - k)))
+    return (FactoredRat(num) * atom_inverse(1, Monomial.of(q=-a - 1, s=2 * l))
+            * atom_inverse(1, Monomial.of(q=-a, s=2 * l + 2)))
+
+
+def _box_term(g, lam):
+    """∏ over the boxes of λ of _box(g, arm, leg)."""
+    out = FactoredRat.one()
+    for arm, leg in box_stats(lam):
+        out = out * _box(g, arm, leg)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _lift_log(g):
+    """log of Σ_λ _box_term(g, λ) T^{|λ|}, per genus, with the Adams
+    operations of the zeta-numerator coordinates."""
+    return _partition_sum_log(partial(_box_term, g),
+                              adams=partial(lift_adams, g))
+
+
+@lru_cache(maxsize=None)
+def kac_lift(g, r):
+    """A_{g,r} in q and the zeta-numerator coefficients e1..eg (the
+    W-lift): (q-1)(1-s²)·[T^r] Log Σ_λ ∏_□ _box T^{|λ|} at s = 1, the box
+    product of Hausel and Rodriguez-Villegas (arXiv:math/0612668, Conj.
+    4.2.1), which Mellit proved equal to A_{g,r,d} for every d
+    (arXiv:1707.04214)."""
+    _validate_gr(g, r)
+    A = (_lift_log(g).pleth_coefficient(r) * -one_minus(1, Monomial.of(q=1))
+         * one_minus(1, Monomial.of(s=2)))
+    return A.substitute_all([("s", 1, _ONE)])
 
 
 def _validate_gr(g, r):
@@ -263,14 +314,23 @@ class KacResult:
             route=prov.get("route", ""), orders=dict(prov.get("orders", {})))
 
 
+@lru_cache(maxsize=None)
+def _kac_value(g, r):
+    """kac_lift(g, r) in the roots: the pair-reduced value and its lift."""
+    value = to_roots(kac_lift(g, r), g)
+    return value, lift_paired(value, g)
+
+
 def kac_polynomial(g, r, d):
-    """A_{g,r,d} as a KacResult; d is reduced mod r."""
-    sums = degree_class_sums(g, r)
-    value = sums[d % r]
-    indep = all(s == sums[0] for s in sums[1:])
-    lifted = lift_paired(value, g)
+    """A_{g,r,d} as a KacResult; d is reduced mod r.
+
+    The value is kac_lift's in the roots, one for every d, so
+    is_d_independent holds by Mellit's theorem (arXiv:1707.04214); the
+    residue route's degree-class sums (degree_class_sums) are its check.
+    """
+    value, lifted = _kac_value(g, r)
     return KacResult(genus=g, rank=r, degree_class=d % r, value=value,
-                     lifted=lifted, is_d_independent=indep,
+                     lifted=lifted, is_d_independent=True,
                      route="log-extraction", orders={"T": r})
 
 
@@ -363,19 +423,21 @@ def constant_term(g, r, d):
 
 
 def betti_polynomial(g, r, d):
-    """Poincare polynomial t^{2(1+(g-1)r^2)} A_{g,r,d}(-t,..,-t,t^2)."""
-    res = kac_polynomial(g, r, d)
+    """Poincare polynomial t^{2(1+(g-1)r^2)} A_{g,r,d}(-t,..,-t,t^2): on
+    kac_lift's value, α_i -> -t is c_k -> C(2g,k)·t^k, with q -> t²."""
+    A = kac_lift(g, r)
     coprime = math.gcd(r, d) == 1
     if not coprime:
         warnings.warn("betti_polynomial(%d, %d, %d): gcd(r, d) > 1 is "
                       "outside the guaranteed range" % (g, r, d),
                       RuntimeWarning, stacklevel=2)
-    if res.lifted is None:
+    if A.denominator:
         raise NotPolynomialAfterClearing(
             "A_{%d,%d,%d} has no polynomial model" % (g, r, d))
     t = Monomial.of(t=1)
-    subs = [(name, -1, t) for name in alpha_names(g)] + [("q", 1, t ** 2)]
-    p = res.lifted._moved(_moves(subs))
+    subs = [(coeff_name(k), math.comb(2 * g, k), t ** k)
+            for k in range(1, g + 1)] + [("q", 1, t ** 2)]
+    p = A.numerator._moved(_moves(subs))
     p = p.mul_monomial(Monomial.of(t=2 * (1 + (g - 1) * r * r)))
     if not coprime or p.is_zero():
         return p
@@ -396,14 +458,18 @@ def betti_polynomial(g, r, d):
 def count_points(curve, r, d):
     """(indecomposables, higgs_points) over the given curve, exactly.
 
-    indecomposables is A_{g,r,d} at the curve (CurveData.evaluate);
-    higgs_points is q^{1+(g-1)r^2} times it and is only emitted in the
-    coprime case; otherwise it is None.  A count that is not an integer
-    is an IdentityViolation.
+    indecomposables is A_{g,r,d} at the curve: kac_lift's value at the
+    curve's zeta-numerator coefficients c_k and q; higgs_points is
+    q^{1+(g-1)r^2} times it and is only emitted in the coprime case;
+    otherwise it is None.  A count that is not an integer is an
+    IdentityViolation.
     """
     if not isinstance(curve, CurveData):
         raise TypeError("curve must be CurveData")
-    n = curve.evaluate(degree_class_sums(curve.genus, r)[d % r])
+    g = curve.genus
+    n = _as_rational(kac_lift(g, r).substitute_all(
+        [("q", curve.q, _ONE)] + [(coeff_name(k), curve.numerator[k], _ONE)
+                                  for k in range(1, g + 1)]))
     higgs = Fraction(curve.q) ** (1 + (curve.genus - 1) * r * r) * n
     if n.denominator != 1 or higgs.denominator != 1:
         raise IdentityViolation("A_{%d,%d,%d} is %s over the curve, not an "
@@ -596,13 +662,16 @@ def _siegel_instantiation(g, L):
     def P(u):
         return sum(a * u ** j for j, a in enumerate(curve.numerator))
 
-    for r in (2, 3):
+    # the factors of rank 2 are those of rank 3 without ζ(q^{-3}), the
+    # q-power q^{(g-1)(r²-1)} lowered by q^{5(g-1)}
+    values = list(map(curve.evaluate, _zeta.siegel_factors(g, 3)))
+    for r, volume in ((2, math.prod(values[:-1]) / q ** (5 * (g - 1))),
+                      (3, math.prod(values))):
         direct = q ** ((g - 1) * (r * r - 1)) * P(1) / (q - 1)
         for k in range(2, r + 1):
             u = q ** -k
             direct *= P(u) / ((1 - u) * (1 - q * u))
-        if math.prod(map(curve.evaluate,
-                         _zeta.siegel_factors(g, r))) != direct:
+        if volume != direct:
             return False
     return True
 

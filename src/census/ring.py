@@ -35,9 +35,9 @@ divisible by a (1 - y divides 1 - y^n): each such atom b is multiplied
 in as the quotient 1 + y + ... + y^(n-1), or left out when b = a.
 
 Variable names follow a fixed ambient scheme: "a1".."a2g" for the Weil
-coordinates, "q", "z", "T", the kernel variables "z1".."zn", and the
-specialization variables "t" and "s".  The canonical order is
-a* < q < z < T < z* < t < s.
+coordinates, "q", "z", "T", the kernel variables "z1".."zn", the
+zeta-numerator coefficients "e1".."eg", and the specialization variables
+"t" and "s".  The canonical order is a* < q < z < T < z* < e* < t < s.
 
 Packed monomials.  A monomial is one Python int, its code: every
 variable owns a signed 24-bit field, and the code of the exponent vector
@@ -49,12 +49,13 @@ shift and one mask.  SparsePoly.terms is keyed by codes, so monomials
 are hashed and compared in C.  Monomial wraps one code for callers.
 
 Slot order.  The slot of a variable is a pure function of its name: q,
-z, T, t and s take slots 0..4, and the i-th variable of the a and z
-families takes slot 5 + 2(i-1) and 6 + 2(i-1).  A code therefore means
-the same monomial in every process, whatever order the names were first
-met in, so pickles and cache files written by one process read back the
-same in another.  Each family has 128 variables (so genus <= 64); any
-other name is rejected as unknown.  Decoding lists the variables in
+z, T, t and s take slots 0..4, and the i-th variables of the a, z and e
+families take the next slots in turn, a_i, z_i, e_i, so that low indices
+keep codes short.  A code therefore means the same monomial in every
+process, whatever order the names were first met in, so pickles and
+cache files written by one process read back the same in another.  The
+a and z families have 128 variables (so genus <= 64), the e family 64;
+any other name is rejected as unknown.  Decoding lists the variables in
 canonical order; a whole polynomial puts its support in that order once.
 
 Canonical order.  Terms are written in descending Monomial.sort_key
@@ -112,7 +113,7 @@ from operator import add, index, itemgetter, lshift, or_, xor
 from .errors import ExponentOverflow, SubstitutionToZeroPole
 
 _VAR_FIXED = {"q": (1, 0), "z": (2, 0), "T": (3, 0), "t": (6, 0), "s": (7, 0)}
-_VAR_FAMILY = {"a": 0, "z": 4}
+_VAR_FAMILY = {"a": 0, "z": 4, "e": 5}
 
 
 @lru_cache(maxsize=None)
@@ -143,6 +144,8 @@ FAMILY_SIZE = 128            # variables in each of the a and z families
 _NAMES = ["q", "z", "T", "t", "s"]
 for _i in range(1, FAMILY_SIZE + 1):
     _NAMES += ["a%d" % _i, "z%d" % _i]
+    if 2 * _i <= FAMILY_SIZE:   # one zeta-numerator coefficient per genus
+        _NAMES.append("e%d" % _i)
 _SLOT = {name: slot for slot, name in enumerate(_NAMES)}
 _KEY = [var_key(name) for name in _NAMES]
 _SHIFT = [_W * slot for slot in range(len(_NAMES))]
@@ -630,7 +633,9 @@ def _factor(name, e):
 _P = (1 << 61) - 1
 _FILTER_RNG = random.Random(0x1D872A5)
 # The fixed evaluation point: one residue mod _P per variable.
-_POINT = {name: _FILTER_RNG.randrange(2, _P - 2) for name in _NAMES}
+# The e family draws last, so the other variables keep their residues.
+_POINT = {name: _FILTER_RNG.randrange(2, _P - 2)
+          for name in sorted(_NAMES, key=lambda name: name[0] == "e")}
 # Its inverses: pow with a negative exponent would invert on every call.
 _POINT_INV = {name: pow(r, -1, _P) for name, r in _POINT.items()}
 

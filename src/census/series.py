@@ -284,13 +284,16 @@ class LazyLog:
     gives F_j, called once per j in increasing order.  With z_order = D,
     the oracle's truncated mode, which lives here only, every F_j is a
     z-polynomial of degree <= D and every product and Adams operation is
-    truncated past D (_times, _snap)."""
+    truncated past D (_times, _snap).  adams(f, k) is ψ_k on a
+    coefficient, the ring's FactoredRat.adams unless the coefficients are
+    in coordinates that ψ_k does not just raise to the k-th power."""
 
-    __slots__ = ("z_order", "_source", "_fs", "_ms")
+    __slots__ = ("z_order", "_source", "_adams", "_fs", "_ms")
 
-    def __init__(self, source, z_order=None):
+    def __init__(self, source, z_order=None, adams=FactoredRat.adams):
         self.z_order = z_order
         self._source = source
+        self._adams = adams
         self._fs = [source(0)]
         self._ms = [None]
 
@@ -328,7 +331,7 @@ class LazyLog:
             mu = mobius(k)
             c = self._m(n // k)
             if mu and not c.is_zero():
-                parts.append(_snap(c.adams(k), self.z_order)
+                parts.append(_snap(self._adams(c, k), self.z_order)
                              .mul_scalar(Fraction(mu, n)))
         return add_many(parts)
 

@@ -2,9 +2,11 @@
 numerator roots live in formal variables a1..a{2g} (written alpha below)
 with q an independent variable, so every value is a FactoredRat.
 
-Also: ingestion of actual point counts into a curve's integer zeta
-numerator, exact evaluation of W-invariant values at a curve, and the
-two volume quantities used by the census identities.
+Also: the zeta-numerator coordinates e1..eg of W-invariant values, with
+their Adams operations and their rewriting in the roots; ingestion of
+actual point counts into a curve's integer zeta numerator, exact
+evaluation of W-invariant values at a curve, and the two volume
+quantities used by the census identities.
 """
 
 from __future__ import annotations
@@ -13,15 +15,21 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache, partial
 
 from .errors import NotWeil, PoleArgument
 from .partitions import box_stats
 from .ring import (
+    _SHIFT,
     FAMILY_SIZE,
     FactoredRat,
     Monomial,
     ONE_MONOMIAL,
     SparsePoly,
+    _clean,
+    _read,
+    _scale,
+    _slot,
     atom_inverse,
 )
 from .series import BiSeries, pleth_exp
@@ -124,6 +132,109 @@ def j_factor(g, lam):
     for arm, leg in box_stats(lam):
         out = out * pair_reduce(zeta_star(g, 1 + leg, arm), g)
     return out.normalize()
+
+
+# ---------------------------------------------------------------------------
+# Zeta-numerator coordinates: a W-invariant value written in q and the
+# coefficients c_1..c_g of P(u) = ∏_i (1 - α_i u) = Σ_k c_k u^k, held in the
+# variables e1..eg.  c_0 = 1, and the functional equation gives
+# c_{2g-k} = q^{g-k} c_k.
+
+def coeff_name(j):
+    return "e%d" % j
+
+
+@lru_cache(maxsize=None)
+def zeta_coefficients(g):
+    """c_0..c_{2g} as polynomials in q and e1..eg."""
+    alpha_names(g)  # the genus limit, met before anything is built
+    low = [SparsePoly.one()] + [SparsePoly({Monomial.of(**{coeff_name(j): 1}): 1})
+                                for j in range(1, g + 1)]
+    return tuple(low + [low[k].mul_monomial(Monomial.of(q=g - k))
+                        for k in range(g - 1, -1, -1)])
+
+
+@lru_cache(maxsize=None)
+def coefficient_power_sum(g, m):
+    """p_m = Σ_i α_i^m, m >= 1, in q and e1..eg, by Newton's identities
+    m c_m + Σ_{i=1}^{m} p_i c_{m-i} = 0, with c_k = 0 past 2g."""
+    c = zeta_coefficients(g)
+    out = c[m].mul_scalar(-m) if m <= 2 * g else SparsePoly.zero()
+    for i in range(max(1, m - 2 * g), m):
+        out = out - coefficient_power_sum(g, i) * c[m - i]
+    return out
+
+
+@lru_cache(maxsize=None)
+def adams_coefficient(g, k, j, e=1):
+    """ψ_k(c_j)^e in q and e1..eg: ψ_k(c_j) is the j-th coefficient of
+    ∏_i (1 - α_i^k u), and j·ψ_k(c_j) = -Σ_{i=1}^{j} p_{ik} ψ_k(c_{j-i})."""
+    if e > 1:
+        return adams_coefficient(g, k, j, e - 1) * adams_coefficient(g, k, j)
+    if not j:
+        return SparsePoly.one()
+    out = SparsePoly.zero()
+    for i in range(1, j + 1):
+        out = out + coefficient_power_sum(g, i * k) * adams_coefficient(
+            g, k, j - i)
+    return out.mul_scalar(Fraction(-1, j))
+
+
+def _expand(poly, g, power, k=1):
+    """Σ over the terms c·m·∏_j e_j^{n_j} of poly, m free of e1..eg, of
+    c·m^k·∏_j power(j, n_j): the terms of one (n_j) are multiplied out
+    together."""
+    slots = [_slot(coeff_name(j)) for j in range(1, g + 1)]
+    groups = {}
+    for code, c in poly.terms.items():
+        ns = tuple(_read(code, s) for s in slots)
+        rest = code - sum(n << _SHIFT[s] for n, s in zip(ns, slots))
+        groups.setdefault(ns, {})[_scale(rest, k)] = c
+    total = {}
+    get = total.get
+    for ns, terms in groups.items():
+        p = SparsePoly._raw(terms)
+        for j, n in enumerate(ns, start=1):
+            if n:
+                p = p * power(j, n)
+        for m, c in p.terms.items():
+            total[m] = get(m, 0) + c
+    return SparsePoly._raw({m: _clean(c) for m, c in total.items() if c})
+
+
+def lift_adams(g, f, k):
+    """ψ_k on a fraction in q, s and e1..eg whose atoms involve q and s
+    alone: q -> q^k, s -> s^k and c_j -> ψ_k(c_j).  The ring's plain
+    adams, c_j -> c_j^k, is wrong on the numerator."""
+    if k == 1:
+        return f
+    return FactoredRat(_expand(f.numerator, g,
+                               partial(adams_coefficient, g, k), k),
+                       [a.adams(k) for a in f.denominator])
+
+
+@lru_cache(maxsize=None)
+def _root_coefficient(g, j, e=1):
+    """c_j^e = ((-1)^j e_j(α_1..α_{2g}))^e modulo the Weil relations, in
+    the odd roots and q: the g-th pair multiplies P by
+    1 - (a + q/a) u + q u², a = α_{2g-1}."""
+    if e > 1:
+        return _root_coefficient(g, j, e - 1) * _root_coefficient(g, j)
+    if not 0 <= j <= 2 * g:
+        return SparsePoly.zero()
+    if not g:
+        return SparsePoly.one()
+    a = alpha_name(2 * g - 1)
+    t = SparsePoly({Monomial.of(**{a: 1}): 1, Monomial.of(q=1, **{a: -1}): 1})
+    return (_root_coefficient(g - 1, j) - t * _root_coefficient(g - 1, j - 1)
+            + _root_coefficient(g - 1, j - 2).mul_monomial(Monomial.of(q=1)))
+
+
+def to_roots(f, g):
+    """A value in q and e1..eg rewritten in the roots, pair-reduced:
+    c_k -> (-1)^k e_k(α_1..α_{2g})."""
+    return FactoredRat(_expand(f.numerator, g, partial(_root_coefficient, g)),
+                       f.denominator).normalize()
 
 
 def _set_partitions(items):

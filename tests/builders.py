@@ -10,7 +10,7 @@ from itertools import repeat
 from operator import and_, itemgetter, or_, rshift
 
 from census.errors import HigherOrderPole, PoleArgument, SubstitutionToZeroPole
-from census.partitions import chain_blocks, pairing, partitions_of
+from census.partitions import box_stats, chain_blocks, pairing, partitions_of
 from census.ring import (
     _HALF,
     _KEY,
@@ -755,3 +755,52 @@ def numeric_pole_orders(A, g):
         if k:
             orders[m] = k
     return orders
+
+
+def kac_by_residues(g, r, d):
+    """kac_polynomial(g, r, d) from the residue route's degree-class sums,
+    with is_d_independent read from them."""
+    sums = pipeline.degree_class_sums(g, r)
+    value = sums[d % r]
+    return pipeline.KacResult(
+        genus=g, rank=r, degree_class=d % r, value=value,
+        lifted=pipeline.lift_paired(value, g),
+        is_d_independent=all(s == sums[0] for s in sums[1:]),
+        route="log-extraction", orders={"T": r})
+
+
+def betti_by_box_product(g, r):
+    """betti_polynomial(g, r, d), the same for every d, from the (z, w)
+    box product of Hausel and Rodriguez-Villegas (arXiv:math/0612668):
+    t^{2(1+(g-1)r²)} times (z² - 1)(1 - w²)·[T^r] Log of
+    Σ_λ ∏_□ (z^{2a+1} - w^{2l+1})^{2g} / ((z^{2a+2} - w^{2l})(z^{2a} -
+    w^{2l+2})) T^{|λ|} at w = 1 and z = -t, w held in s.  It shares only
+    the ring and LazyLog with the library's route: no Weil numbers, no
+    zeta-numerator coordinates, and the ring's plain Adams operations."""
+    def box(a, l):
+        base = SparsePoly({Monomial.of(z=2 * a + 1): 1,
+                           Monomial.of(s=2 * l + 1): -1})
+        num = reduce(SparsePoly.__mul__, [base] * (2 * g), SparsePoly.one())
+        # 1/(z^{2a+2} - w^{2l}) = z^{-2a-2}/(1 - w^{2l} z^{-2a-2}), and so on
+        return (FactoredRat(num.mul_monomial(Monomial.of(z=-4 * a - 2)))
+                * geometric(1, z=-2 * a - 2, s=2 * l)
+                * geometric(1, z=-2 * a, s=2 * l + 2))
+
+    def term(lam):
+        out = FactoredRat.one()
+        for a, l in box_stats(lam):
+            out = out * box(a, l)
+        return out
+
+    def coefficient(k):
+        if not k:
+            return FactoredRat.one()
+        return reduce(FactoredRat.__add__, map(term, partitions_of(k)))
+
+    A = (LazyLog(coefficient).pleth_coefficient(r)
+         * FactoredRat(SparsePoly({Monomial.of(z=2): 1, ONE_MONOMIAL: -1}))
+         * one_minus(1, Monomial.of(s=2)))
+    A = (A.substitute_all([("s", 1, ONE_MONOMIAL)])
+         .substitute_all([("z", -1, Monomial.of(t=1))]))
+    assert not A.denominator, A
+    return A.numerator.mul_monomial(Monomial.of(t=2 * (1 + (g - 1) * r * r)))

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import census
 from census import pipeline
-from census.errors import IdentityViolation
+from census.errors import IdentityViolation, SubstitutionToZeroPole
 from census.partitions import Partition, partitions_up_to
 from census.pipeline import (
     KacResult,
@@ -24,6 +25,7 @@ from census.pipeline import (
     count_points,
     degree_class_sums,
     identity_report,
+    kac_lift,
     kac_polynomial,
     kac_rational,
     kac_series_oracle,
@@ -35,17 +37,18 @@ from census.pipeline import (
 from census.ring import Atom, FactoredRat, Monomial, SparsePoly, atom_inverse
 from census.series import BiSeries, mobius, z_truncate_frac
 from census.zeta import (
-    CurveData,
     alpha_names,
     one_minus,
     pair_reduce,
+    to_roots,
     weil_from_counts,
     zeta_star,
 )
 
-from builders import (const, constant_class_sums_by_decompose,
+from builders import (betti_by_box_product, const,
+                      constant_class_sums_by_decompose,
                       constant_lambda_term_by_chain, float_count,
-                      lift_paired_by_terms, log_coefficient,
+                      kac_by_residues, lift_paired_by_terms, log_coefficient,
                       numeric_pole_orders, partition_sum_by_pairs,
                       quotient_ring_value, series_log)
 
@@ -221,6 +224,35 @@ class TestKacPolynomial:
         back = KacResult.from_json(json.loads(json.dumps(blob)))
         assert back.value == f and back.lifted is None
         assert back.to_json() == blob
+
+
+class TestZetaNumeratorLift:
+    """kac_polynomial reads kac_lift; the residue route is its check."""
+
+    @pytest.mark.parametrize("g,r", [
+        (0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3), (1, 4), (1, 5),
+        (2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (4, 2)])
+    def test_bytes_equal_the_residue_route(self, g, r):
+        value = to_roots(kac_lift(g, r), g)
+        for d in range(r):
+            want = kac_by_residues(g, r, d)
+            assert want.is_d_independent and want.value == value
+            assert json.dumps(kac_polynomial(g, r, d).to_json()) == \
+                json.dumps(want.to_json())
+
+    def test_plain_adams_fails_loudly(self):
+        # ψ_2 must not send c_j to c_j²: with the ring's plain adams the
+        # (1 - s^4) of ψ_2 keeps a pole at s = 1
+        log = pipeline._partition_sum_log(partial(pipeline._box_term, 1))
+        A = (log.pleth_coefficient(2) * -one_minus(1, mono(q=1))
+             * one_minus(1, mono(s=2)))
+        with pytest.raises(SubstitutionToZeroPole):
+            A.substitute_all([("s", 1, Monomial())])
+
+    def test_rank1_count_at_genus_9(self):
+        # A_{g,1} = P(1) has 2g + 1 terms in the zeta-numerator coordinates
+        curve = pipeline._sample_curve(9)
+        assert count_points(curve, 1, 0)[0] == sum(curve.numerator)
 
 
 class TestLift:
@@ -399,6 +431,13 @@ class TestBetti:
                            if c})
         assert betti_polynomial(2, 2, 1) == want
 
+    @pytest.mark.parametrize("g,r", [(1, 2), (2, 2), (2, 3), (3, 2), (2, 4)])
+    @pytest.mark.filterwarnings("ignore:betti_polynomial")
+    def test_equals_the_box_product(self, g, r):
+        want = betti_by_box_product(g, r)
+        for d in range(r):
+            assert betti_polynomial(g, r, d) == want
+
 
 def _poly_in_t(p):
     """The coefficients of a polynomial in t, lowest degree first."""
@@ -418,7 +457,9 @@ class TestEulerAnchor:
 
     @pytest.mark.parametrize("g,r,d,euler", [
         (2, 2, 1, -2), (3, 2, 1, -8), (4, 2, 1, -32), (2, 3, 1, -3),
-        (2, 3, 2, -3), (3, 3, 1, -27), (2, 4, 1, 0), (2, 4, 3, 0)])
+        (2, 3, 2, -3), (3, 3, 1, -27), (2, 4, 1, 0), (2, 4, 3, 0),
+        (2, 5, 1, -5), (3, 4, 1, 0), (4, 3, 1, -243), (5, 3, 1, -2187),
+        (4, 4, 1, 0)])
     def test_euler_characteristic(self, g, r, d, euler):
         coeffs = _poly_in_t(betti_polynomial(g, r, d))
         for _ in range(2 * g):
@@ -779,8 +820,8 @@ class TestCounts:
 
     def test_a_count_off_the_integers_is_an_identity_violation(
             self, monkeypatch):
-        monkeypatch.setattr(CurveData, "evaluate",
-                            lambda self, f: Fraction(1, 2))
+        monkeypatch.setattr(pipeline, "kac_lift",
+                            lambda g, r: const(Fraction(1, 2)))
         with pytest.raises(IdentityViolation, match="not an integer"):
             count_points(ELLIPTIC, 1, 0)
 

@@ -31,6 +31,7 @@ from census.zeta import (
     MAX_GENUS,
     CurveData,
     alpha_names,
+    coeff_name,
     j_factor,
     one_minus,
     pair_reduce,
@@ -681,3 +682,73 @@ class TestPairReduceOneMap:
         f = FactoredRat(SparsePoly.one(), (atom,))
         with pytest.raises(ExponentOverflow):
             pair_reduce(f, 1)
+
+
+def _at(p, q, c):
+    """p, a polynomial in q and e1..eg, at q and e_j = c[j]."""
+    subs = [("q", q, ONE_MONOMIAL)] + [
+        (coeff_name(j), c[j], ONE_MONOMIAL) for j in range(1, len(c) // 2 + 1)]
+    return FactoredRat(p).substitute_all(subs).numerator.terms.get(0, 0)
+
+
+def _poly_coefficients(roots):
+    """The coefficients of ∏ (1 - x u) over roots, lowest first."""
+    c = [Fraction(1)]
+    for x in roots:
+        c = [a - x * b for a, b in zip(c + [0], [0] + c)]
+    return c
+
+
+class TestZetaNumeratorCoordinates:
+    """ψ_k in the coordinates c_1..c_g of P(u) = ∏(1 - α_i u)."""
+
+    @pytest.mark.parametrize("g", [0, 1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_adams_coefficient_is_the_root_expansion(self, g, k):
+        # ψ_k(c_j) against the j-th coefficient of ∏_i (1 - α_i^k u) over
+        # all 2g roots, both pair-reduced
+        c = [FactoredRat.one()]
+        for name in alpha_names(g):
+            x = FactoredRat.from_monomial(mono(**{name: k}))
+            c = [a - x * b for a, b in zip(c + [FactoredRat.zero()],
+                                           [FactoredRat.zero()] + c)]
+        for j in range(g + 1):
+            got = zeta.to_roots(FactoredRat(zeta.adams_coefficient(g, k, j)),
+                                g)
+            assert got == pair_reduce(c[j], g), (g, k, j)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 3), st.integers(1, 4), st.integers(2, 9),
+           st.lists(st.integers(-6, 6).filter(bool), min_size=3, max_size=3))
+    def test_adams_hook_at_a_point(self, g, k, q, odd):
+        # at σ_1..σ_g and their partners q/σ_i: c from the roots, ψ_k(c_j)
+        # from the k-th powers, and the hook on c_j^2 q s
+        roots = [x for s in odd[:g] for x in (Fraction(s), Fraction(q, s))]
+        c = _poly_coefficients(roots)
+        want = _poly_coefficients([x ** k for x in roots])
+        for j in range(g + 1):
+            assert _at(zeta.adams_coefficient(g, k, j), q, c) == want[j]
+            f = FactoredRat(SparsePoly({mono(q=1, s=1, **(
+                {coeff_name(j): 2} if j else {})): 1}))
+            got = zeta.lift_adams(g, f, k)
+            assert got.numerator.split("s").keys() == {k}
+            assert _at(got.numerator.mul_monomial(mono(s=-k)), q, c) \
+                == want[j] ** 2 * q ** k
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 4), st.integers(2, 9),
+           st.lists(st.integers(-50, 50), min_size=4, max_size=4),
+           st.integers(1, 12))
+    def test_power_sums_match_the_curve(self, g, q, low, n):
+        # any integers c_1..c_g, completed by the functional equation
+        a = [1] + low[:g]
+        a += [q ** (g - k) * a[k] for k in range(g - 1, -1, -1)]
+        curve = CurveData(q, g, (), tuple(a))
+        want = curve.power_sums(n)
+        for m in range(1, n + 1):
+            assert _at(zeta.coefficient_power_sum(g, m), q, a) == want[m]
+
+    def test_coefficients_are_palindromic(self):
+        c = zeta.zeta_coefficients(2)
+        assert [repr(p) for p in c] == ["1", "1*e1", "1*e2", "1*q*e1",
+                                        "1*q^2"]
