@@ -16,7 +16,9 @@ keeps its own memo, sharing none), the Poincare specialization, exact
 point counts over a concrete curve, and the conjecture/identity checkers.
 
 Everything is exact rational arithmetic, the counts and the identities
-at a sample curve included.
+at a sample curve included: both build their values in q and the
+zeta-numerator coefficients and substitute the curve's integers
+(CurveData.value).
 """
 
 from __future__ import annotations
@@ -40,9 +42,9 @@ from .ring import (Atom, FactoredRat, Monomial, SparsePoly, _check,
 from .series import BiSeries, LazyLog, frac_to_series, mobius, \
     pleth_exp, pleth_log, series_exp, z_decompose, z_truncate_frac
 from . import zeta as _zeta
-from .zeta import (CurveData, alpha_name, alpha_names, coeff_name,
-                   lift_adams, one_minus, pair_reduce, to_roots,
-                   zeta_coefficients)
+from .zeta import (CurveData, _as_rational, alpha_name, alpha_names,
+                   coeff_name, lift_adams, numerator_at, one_minus,
+                   pair_reduce, to_roots)
 
 ENGINE_VERSION = "1.0"
 
@@ -130,13 +132,11 @@ def kac_rational(g, r):
 def _box(g, a, l):
     """The box factor of arm a and leg l in zeta-numerator coordinates:
     ∏_i (s^{2l+1} - α_i q^a) / ((q^{a+1} - s^{2l})(q^a - s^{2l+2})), with
-    ∏_i (s^{2l+1} - α_i q^a) = Σ_k c_k q^{ak} s^{(2l+1)(2g-k)}."""
+    ∏_i (s^{2l+1} - α_i q^a) = s^{(2l+1)2g} P(q^a s^{-(2l+1)})."""
     # 1/(q^{a+1} - s^{2l}) = q^{-a-1}/(1 - s^{2l} q^{-a-1}), and likewise
     # the other: their q-powers ride in the numerator
-    num = SparsePoly.zero()
-    for k, c in enumerate(zeta_coefficients(g)):
-        num = num + c.mul_monomial(Monomial.of(q=a * k - 2 * a - 1,
-                                               s=(2 * l + 1) * (2 * g - k)))
+    num = numerator_at(g, Monomial.of(q=a, s=-2 * l - 1)).mul_monomial(
+        Monomial.of(q=-2 * a - 1, s=(2 * l + 1) * 2 * g))
     return (FactoredRat(num) * atom_inverse(1, Monomial.of(q=-a - 1, s=2 * l))
             * atom_inverse(1, Monomial.of(q=-a, s=2 * l + 2)))
 
@@ -367,16 +367,6 @@ def kac_series_oracle(g, r, D=None):
     return out
 
 
-def _as_rational(f):
-    """A constant FactoredRat as a Fraction, else a ValueError whose
-    message does not write f (latex_value drops it)."""
-    f = f.normalize()
-    terms = f.numerator.terms
-    if f.denominator or terms.keys() - {0}:  # code 0 is the monomial 1
-        raise ValueError("not constant")
-    return Fraction(terms.get(0, 0))
-
-
 def _constant_lambda_term(g, lam):
     """z^e ∏_i ∏_{j<=m_i(λ)} 1/(1 - z^{-j}), e = (g-1)<λ,λ> - ℓ(λ), built in
     normal form at once: 1/(1 - z^{-j}) = -z^j/(1 - z^j), and no atom
@@ -466,10 +456,7 @@ def count_points(curve, r, d):
     """
     if not isinstance(curve, CurveData):
         raise TypeError("curve must be CurveData")
-    g = curve.genus
-    n = _as_rational(kac_lift(g, r).substitute_all(
-        [("q", curve.q, _ONE)] + [(coeff_name(k), curve.numerator[k], _ONE)
-                                  for k in range(1, g + 1)]))
+    n = curve.value(kac_lift(curve.genus, r))
     higgs = Fraction(curve.q) ** (1 + (curve.genus - 1) * r * r) * n
     if n.denominator != 1 or higgs.denominator != 1:
         raise IdentityViolation("A_{%d,%d,%d} is %s over the curve, not an "
@@ -628,21 +615,21 @@ def _exp_log_roundtrip(g, order=5):
 
 
 def _zeta_product_convergence(g, L):
-    """∏_{i<=L} ζ_X(q^{-i}s) approaches the torsion volume series.
+    """∏_{i<=L} ζ_X(q^{-i}s) approaches the resummed torsion volume series.
 
-    Compared exactly at a sample curve; the truncation error of the
-    finite product is O(q^{-L}) per coefficient.
+    Both are built in q and the zeta-numerator coordinates and compared
+    exactly at a sample curve; the truncation error of the finite product
+    is O(q^{-L}) per coefficient.
     """
     curve = _sample_curve(g)
     prod = BiSeries.one("s", L)
     for i in range(1, L + 1):
         prod = prod * frac_to_series(
-            _zeta.zeta_at(g, 1, Monomial.of(q=-i, s=1)), "s", L)
-    want = _zeta.torsion_volume_series(g, L)
+            _zeta.zeta_lift(g, Monomial.of(q=-i, s=1)), "s", L)
+    want = _zeta.torsion_lift_series(g, L)
     tol = Fraction(30, curve.q ** L)
     for j in range(L + 1):
-        a, b = (curve.evaluate(pair_reduce(f.coefficient(j), g))
-                for f in (prod, want))
+        a, b = (curve.value(f.coefficient(j)) for f in (prod, want))
         if abs(a - b) > tol * max(1, abs(b)):
             return False
     return True
@@ -650,11 +637,10 @@ def _zeta_product_convergence(g, L):
 
 def _siegel_instantiation(g, L):
     """The unstable volume at a sample curve against a direct route,
-    exactly.  Each W-invariant factor of siegel_volume is evaluated alone
-    (a lone 1 - α_i is not W-invariant), so the volume is never multiplied
-    out.  The direct route uses only the integer zeta-numerator
-    coefficients: |Pic^0| = P(1) and Z_X(u) = P(u)/((1-u)(1-qu)) at
-    u = q^{-k}.
+    exactly: the factors of siegel_lift_factors, in q and the
+    zeta-numerator coordinates, substituted at the curve one by one,
+    against |Pic^0| = P(1) and Z_X(u) = P(u)/((1-u)(1-qu)) at u = q^{-k}
+    read from the curve's integer numerator.
     """
     curve = _sample_curve(g)
     q = Fraction(curve.q)
@@ -662,11 +648,8 @@ def _siegel_instantiation(g, L):
     def P(u):
         return sum(a * u ** j for j, a in enumerate(curve.numerator))
 
-    # the factors of rank 2 are those of rank 3 without ζ(q^{-3}), the
-    # q-power q^{(g-1)(r²-1)} lowered by q^{5(g-1)}
-    values = list(map(curve.evaluate, _zeta.siegel_factors(g, 3)))
-    for r, volume in ((2, math.prod(values[:-1]) / q ** (5 * (g - 1))),
-                      (3, math.prod(values))):
+    for r in (2, 3):
+        volume = math.prod(map(curve.value, _zeta.siegel_lift_factors(g, r)))
         direct = q ** ((g - 1) * (r * r - 1)) * P(1) / (q - 1)
         for k in range(2, r + 1):
             u = q ** -k

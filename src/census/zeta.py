@@ -3,16 +3,15 @@ numerator roots live in formal variables a1..a{2g} (written alpha below)
 with q an independent variable, so every value is a FactoredRat.
 
 Also: the zeta-numerator coordinates e1..eg of W-invariant values, with
-their Adams operations and their rewriting in the roots; ingestion of
-actual point counts into a curve's integer zeta numerator, exact
-evaluation of W-invariant values at a curve, and the two volume
-quantities used by the census identities.
+P(m) and ζ at a monomial, their Adams operations and their rewriting in
+the roots; ingestion of actual point counts into a curve's integer zeta
+numerator, exact evaluation at a curve by substituting those integers
+for e1..eg, and the two volume quantities used by the census identities.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -32,7 +31,7 @@ from .ring import (
     _slot,
     atom_inverse,
 )
-from .series import BiSeries, pleth_exp
+from .series import BiSeries, pleth_exp, series_exp
 
 MAX_GENUS = FAMILY_SIZE // 2    # the ring's a-variables, two per genus
 
@@ -165,6 +164,23 @@ def coefficient_power_sum(g, m):
     return out
 
 
+def numerator_at(g, monomial):
+    """P(m) = Σ_k c_k m^k at the monomial m, in q, e1..eg and the
+    variables of m."""
+    return sum((c.mul_monomial(monomial ** k)
+                for k, c in enumerate(zeta_coefficients(g))),
+               SparsePoly.zero())
+
+
+def zeta_lift(g, monomial):
+    """ζ at the argument m in q and e1..eg: P(m) / ((1-m)(1-q·m))."""
+    q_shape = monomial * Monomial.of(q=1)
+    _check_not_unit(1, monomial)
+    _check_not_unit(1, q_shape)
+    return (FactoredRat(numerator_at(g, monomial)) * atom_inverse(1, monomial)
+            * atom_inverse(1, q_shape)).normalize()
+
+
 @lru_cache(maxsize=None)
 def adams_coefficient(g, k, j, e=1):
     """ψ_k(c_j)^e in q and e1..eg: ψ_k(c_j) is the j-th coefficient of
@@ -237,42 +253,14 @@ def to_roots(f, g):
                        f.denominator).normalize()
 
 
-def _set_partitions(items):
-    """Every set partition of the list items, as a list of blocks."""
-    if not items:
-        yield []
-        return
-    for blocks in _set_partitions(items[1:]):
-        yield [[items[0]]] + blocks
-        for i, block in enumerate(blocks):
-            yield blocks[:i] + [[items[0]] + block] + blocks[i + 1:]
-
-
-def _pair_average(ms, s, q, g):
-    """The average over the g! orders of the pairs of ∏_i D_{m_i}(t_i)/2
-    over the k slots with m_i > 0 (a slot with m = 0 gives D_0/2 = 1):
-    (g-k)!/(g!·2^k) times the sum over the injections of the slots into
-    the pairs.  Möbius inversion over the set partitions of the slots
-    makes that a sum over partitions of ∏ over blocks B of
-    (-1)^{|B|-1}(|B|-1)! Σ_j ∏_{i∈B} D_{m_i}(t_j), where the product is
-    expanded by D_a·D_b = D_{a+b} + q^{min(a,b)}·D_{|a-b|} and
-    Σ_j D_k(t_j) = S_k."""
-    def block_sum(block):
-        prod = Counter(block[:1])
-        for b in block[1:]:
-            nxt = Counter()
-            for a, c in prod.items():
-                nxt[a + b] += c
-                nxt[abs(a - b)] += c * q ** min(a, b)
-            prod = nxt
-        n = len(block) - 1
-        return (-1) ** n * math.factorial(n) * sum(c * s[k]
-                                                  for k, c in prod.items())
-
-    total = sum(math.prod(map(block_sum, blocks))
-                for blocks in _set_partitions(list(ms)))
-    k = len(ms)
-    return Fraction(total * math.factorial(g - k), math.factorial(g) * 2 ** k)
+def _as_rational(f):
+    """A constant FactoredRat as a Fraction, else a ValueError whose
+    message does not write f (latex_value drops it)."""
+    f = f.normalize()
+    terms = f.numerator.terms
+    if f.denominator or terms.keys() - {0}:  # code 0 is the monomial 1
+        raise ValueError("not constant")
+    return Fraction(terms.get(0, 0))
 
 
 @dataclass(frozen=True)
@@ -285,52 +273,14 @@ class CurveData:
     point_counts: tuple
     numerator: tuple        # a_0..a_{2g}, integers
 
-    def power_sums(self, n):
-        """[S_0, ..., S_n], S_k = Σ_i σ_i^k, from Newton's identities
-        k a_k = -Σ_{i=1}^{k} S_i a_{k-i}, in integers; S_0 = 2g."""
-        a = self.numerator + (0,) * n
-        s = [2 * self.genus]
-        for k in range(1, n + 1):
-            s.append(-k * a[k] - sum(s[i] * a[k - i] for i in range(1, k)))
-        return s
-
-    def evaluate(self, f):
-        """The exact value at this curve of f, a pair-reduced fraction in
-        the odd roots and q whose atoms involve q alone; any other variable
-        or atom is a ValueError.
-
-        Precondition: f is the pair reduction of a W-invariant value, W
-        the group that permutes the g pairs σ, q/σ and swaps inside each;
-        A_{g,r,d} and every value built from ζ over all 2g roots are.  So
-        f's value is its average over W.  Swapping the pair of σ sends a^n
-        to (q/a)^n, and the average of the two is q^{min(n,0)}·D_{|n|}(t)/2,
-        t = σ + q/σ, with D as in _real_weil_polynomial.  Terms with one
-        multiset of |n_i| are averaged over the orders of the pairs at once
-        (_pair_average), from the power sums S_k alone.
-        """
-        q, odd = self.q, set(alpha_names(self.genus)[::2])
-        groups = {}
-        for code, c in f.numerator.terms.items():
-            e, ms = 0, []
-            for v, n in Monomial.from_code(code).items:
-                if v in odd:
-                    e += min(n, 0)
-                    ms.append(abs(n))
-                elif v == "q":
-                    e += n
-                else:
-                    raise ValueError("%s is not a pair-reduced variable of "
-                                     "genus %d" % (v, self.genus))
-            ms = tuple(sorted(ms))
-            groups[ms] = groups.get(ms, 0) + c * Fraction(q) ** e
-        s = self.power_sums(max(map(sum, groups), default=0))
-        value = sum((w * _pair_average(ms, s, q, self.genus)
-                     for ms, w in groups.items()), Fraction(0))
-        for atom in f.denominator:
-            if atom.shape.variables() != ["q"]:
-                raise ValueError("atom %s involves more than q" % (atom,))
-            value /= 1 - atom.constant * Fraction(q) ** atom.shape.exponent("q")
-        return value
+    def value(self, f):
+        """The exact value at this curve of f, a fraction in q and the
+        zeta-numerator coordinates e1..eg: q -> q and c_k -> a_k.  Any
+        other variable, or an atom left over, is a ValueError."""
+        return _as_rational(f.substitute_all(
+            [("q", self.q, ONE_MONOMIAL)]
+            + [(coeff_name(k), self.numerator[k], ONE_MONOMIAL)
+               for k in range(1, self.genus + 1)]))
 
     @staticmethod
     def from_dict(obj):
@@ -455,26 +405,24 @@ def weil_from_counts(q, counts, genus=None):
     return CurveData(q, g, counts, tuple(a))
 
 
-def siegel_factors(g, r):
-    """The W-invariant factors of siegel_volume(g, r) modulo the Weil
-    relations: q^{(g-1)(r²-1)}, ∏(1-α_i) over all 2g roots (each root's
-    factor pair-reduced before multiplying), 1/(q-1), ζ(q^{-k}), k = 2..r."""
+def siegel_lift_factors(g, r):
+    """The factors of siegel_volume(g, r) in q and e1..eg:
+    q^{(g-1)(r²-1)}, ∏(1-α_i) = P(1), 1/(q-1), ζ(q^{-k}), k = 2..r."""
     if r < 1:
         raise ValueError("rank must be positive")
-    roots = FactoredRat.one()
-    for name in alpha_names(g):
-        roots = roots * pair_reduce(one_minus(1, Monomial.of(**{name: 1})), g)
     # 1/(q-1) = -1/(1-q)
     return [FactoredRat.from_monomial(Monomial.of(q=(g - 1) * (r * r - 1))),
-            roots, atom_inverse(1, Monomial.of(q=1)).mul_scalar(-1),
-            *(pair_reduce(zeta_at(g, 1, Monomial.of(q=-k)), g)
-              for k in range(2, r + 1))]
+            FactoredRat(numerator_at(g, ONE_MONOMIAL)),
+            atom_inverse(1, Monomial.of(q=1)).mul_scalar(-1),
+            *(zeta_lift(g, Monomial.of(q=-k)) for k in range(2, r + 1))]
 
 
 def siegel_volume(g, r):
     """q^{(g-1)(r²-1)} ∏(1-α_i) / (q-1) · ∏_{k=2}^{r} ζ(q^{-k}) modulo the
-    Weil relations: the product of siegel_factors(g, r)."""
-    return math.prod(siegel_factors(g, r), start=FactoredRat.one()).normalize()
+    Weil relations: the product of siegel_lift_factors(g, r), in the
+    roots."""
+    return to_roots(math.prod(siegel_lift_factors(g, r),
+                              start=FactoredRat.one()), g)
 
 
 def torsion_volume_series(g, L):
@@ -489,3 +437,17 @@ def torsion_volume_series(g, L):
     coeffs = [FactoredRat.zero()] * (L + 1)
     coeffs[1] = c1.normalize()
     return pleth_exp(BiSeries("s", L, coeffs))
+
+
+def torsion_lift_series(g, L):
+    """exp(Σ_l (1 - p_l + q^l) s^l / (l(q^l - 1))) truncated at s^L, in q
+    and e1..eg: the resummed torsion volume series, p_l = Σ_i α_i^l."""
+    if L < 1:
+        raise ValueError("truncation order must be positive")
+    coeffs = [FactoredRat.zero()]
+    for l in range(1, L + 1):
+        num = (SparsePoly({ONE_MONOMIAL: 1, Monomial.of(q=l): 1})
+               - coefficient_power_sum(g, l))
+        coeffs.append(FactoredRat(num) * atom_inverse(1, Monomial.of(q=l))
+                      .mul_scalar(Fraction(-1, l)))
+    return series_exp(BiSeries("s", L, coeffs))

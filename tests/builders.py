@@ -667,6 +667,108 @@ def weil_point(curve):
     return point
 
 
+def power_sums(curve, n):
+    """[S_0, ..., S_n], S_k = Σ_i σ_i^k over a curve's Weil numbers, from
+    Newton's identities k a_k = -Σ_{i=1}^{k} S_i a_{k-i} on its integer
+    numerator; S_0 = 2g."""
+    a = curve.numerator + (0,) * n
+    s = [2 * curve.genus]
+    for k in range(1, n + 1):
+        s.append(-k * a[k] - sum(s[i] * a[k - i] for i in range(1, k)))
+    return s
+
+
+def _set_partitions(items):
+    """Every set partition of the list items, as a list of blocks."""
+    if not items:
+        yield []
+        return
+    for blocks in _set_partitions(items[1:]):
+        yield [[items[0]]] + blocks
+        for i, block in enumerate(blocks):
+            yield blocks[:i] + [[items[0]] + block] + blocks[i + 1:]
+
+
+def _pair_average(ms, s, q, g):
+    """The average over the g! orders of the pairs of ∏_i D_{m_i}(t_i)/2
+    over the k slots with m_i > 0 (a slot with m = 0 gives D_0/2 = 1):
+    (g-k)!/(g!·2^k) times the sum over the injections of the slots into
+    the pairs.  Möbius inversion over the set partitions of the slots
+    makes that a sum over partitions of ∏ over blocks B of
+    (-1)^{|B|-1}(|B|-1)! Σ_j ∏_{i∈B} D_{m_i}(t_j), where the product is
+    expanded by D_a·D_b = D_{a+b} + q^{min(a,b)}·D_{|a-b|} and
+    Σ_j D_k(t_j) = S_k."""
+    def block_sum(block):
+        prod = Counter(block[:1])
+        for b in block[1:]:
+            nxt = Counter()
+            for a, c in prod.items():
+                nxt[a + b] += c
+                nxt[abs(a - b)] += c * q ** min(a, b)
+            prod = nxt
+        n = len(block) - 1
+        return (-1) ** n * math.factorial(n) * sum(c * s[k]
+                                                  for k, c in prod.items())
+
+    total = sum(math.prod(map(block_sum, blocks))
+                for blocks in _set_partitions(list(ms)))
+    k = len(ms)
+    return Fraction(total * math.factorial(g - k), math.factorial(g) * 2 ** k)
+
+
+def evaluate(curve, f):
+    """The exact value at a curve of f, a pair-reduced fraction in the odd
+    roots and q whose atoms involve q alone, as the average over W; any
+    other variable or atom is a ValueError.  The reference for
+    CurveData.value, which substitutes in the zeta-numerator coordinates.
+
+    Precondition: f is the pair reduction of a W-invariant value, W the
+    group that permutes the g pairs σ, q/σ and swaps inside each.  So f's
+    value is its average over W.  Swapping the pair of σ sends a^n to
+    (q/a)^n, and the average of the two is q^{min(n,0)}·D_{|n|}(t)/2,
+    t = σ + q/σ, D_0 = 2, D_1 = t, D_{j+1} = t D_j - q D_{j-1}.  Terms with
+    one multiset of |n_i| are averaged over the orders of the pairs at
+    once (_pair_average), from the power sums S_k alone.
+    """
+    q, odd = curve.q, set(alpha_names(curve.genus)[::2])
+    groups = {}
+    for code, c in f.numerator.terms.items():
+        e, ms = 0, []
+        for v, n in Monomial.from_code(code).items:
+            if v in odd:
+                e += min(n, 0)
+                ms.append(abs(n))
+            elif v == "q":
+                e += n
+            else:
+                raise ValueError("%s is not a pair-reduced variable of "
+                                 "genus %d" % (v, curve.genus))
+        ms = tuple(sorted(ms))
+        groups[ms] = groups.get(ms, 0) + c * Fraction(q) ** e
+    s = power_sums(curve, max(map(sum, groups), default=0))
+    value = sum((w * _pair_average(ms, s, q, curve.genus)
+                 for ms, w in groups.items()), Fraction(0))
+    for atom in f.denominator:
+        if atom.shape.variables() != ["q"]:
+            raise ValueError("atom %s involves more than q" % (atom,))
+        value /= 1 - atom.constant * Fraction(q) ** atom.shape.exponent("q")
+    return value
+
+
+def siegel_factors(g, r):
+    """The W-invariant factors of siegel_volume(g, r) in the roots, modulo
+    the Weil relations: q^{(g-1)(r²-1)}, ∏(1-α_i) over all 2g roots (each
+    root's factor pair-reduced before multiplying), 1/(q-1), ζ(q^{-k}),
+    k = 2..r."""
+    roots = FactoredRat.one()
+    for name in alpha_names(g):
+        roots = roots * pair_reduce(one_minus(1, Monomial.of(**{name: 1})), g)
+    return [FactoredRat.from_monomial(Monomial.of(q=(g - 1) * (r * r - 1))),
+            roots, atom_inverse(1, Monomial.of(q=1)).mul_scalar(-1),
+            *(pair_reduce(zeta_at(g, 1, Monomial.of(q=-k)), g)
+              for k in range(2, r + 1))]
+
+
 def _rounding_bound(poly, q):
     """A bound on the float error of poly at the Weil numbers of a curve
     over F_q.  A term c·m of degree k in the roots has |m(σ)| =

@@ -463,12 +463,12 @@ class TestReports:
         assert all(line.startswith("pass ") for line in lines)
 
     def test_identities_fault_injection(self, capsys, monkeypatch):
-        real = zeta.zeta_at
+        real = zeta.zeta_lift
 
-        def corrupted(g, coeff, monomial):
-            return real(g, coeff, monomial) * const(Fraction(101, 100))
+        def corrupted(g, monomial):
+            return real(g, monomial) * const(Fraction(101, 100))
 
-        monkeypatch.setattr(zeta, "zeta_at", corrupted)
+        monkeypatch.setattr(zeta, "zeta_lift", corrupted)
         code, out, err = run_cli(capsys, "identities", "-g", "1", "-L", "4")
         assert code == 1
         assert "FAIL" in out

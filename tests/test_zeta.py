@@ -35,7 +35,7 @@ from census.zeta import (
     j_factor,
     one_minus,
     pair_reduce,
-    siegel_factors,
+    siegel_lift_factors,
     siegel_volume,
     torsion_volume_series,
     weil_from_counts,
@@ -46,9 +46,9 @@ from census.zeta import (
 
 import census.zeta as zeta
 import test_pipeline
-from builders import (eval_numeric, float_count, is_weil_by_roots,
-                      pair_reduce_by_roots, weil_numbers, weil_point,
-                      zeta_tilde)
+from builders import (eval_numeric, evaluate, float_count, is_weil_by_roots,
+                      pair_reduce_by_roots, power_sums, siegel_factors,
+                      weil_numbers, weil_point, zeta_tilde)
 
 LIMIT = 2 ** 22
 
@@ -229,7 +229,7 @@ class TestWeilFromCounts:
         curve = weil_from_counts(5, [])
         assert curve.numerator == (1,)
         assert weil_numbers(curve) == ()
-        assert curve.power_sums(2) == [0, 0, 0]
+        assert power_sums(curve, 2) == [0, 0, 0]
 
     def test_genus2_square(self):
         # numerator (1+2z²)² gives counts N_1=3, N_2=13 over F_2
@@ -259,7 +259,7 @@ class TestWeilFromCounts:
     def test_hasse_interval_round_trip(self, t):
         q = 5
         curve = weil_from_counts(q, [q + 1 + t])
-        assert 1 + q - curve.power_sums(1)[1] == q + 1 + t
+        assert 1 + q - power_sums(curve, 1)[1] == q + 1 + t
         s1, s2 = weil_numbers(curve)
         assert abs(s1 * s2 - q) < 1e-6
 
@@ -267,7 +267,7 @@ class TestWeilFromCounts:
         # the exact power sums against the float Weil numbers, and the
         # counts read back where they were given
         curve = weil_from_counts(2, [3, 13])
-        counts = [1 + 2 ** l - s for l, s in enumerate(curve.power_sums(5))]
+        counts = [1 + 2 ** l - s for l, s in enumerate(power_sums(curve, 5))]
         assert counts[1:3] == [3, 13]
         for l in range(1, 6):
             want = 1 + 2 ** l - sum(s ** l for s in weil_numbers(curve))
@@ -486,7 +486,7 @@ class TestWeilRoots:
         curve = CurveData(q, g, (), tuple(a))
         weil = is_weil_by_roots(curve)
         assert zeta._is_weil(zeta._real_weil_polynomial(a, q), q) == weil
-        power = curve.power_sums(g)
+        power = power_sums(curve, g)
         counts = [1 + q ** l - power[l] for l in range(1, g + 1)]
         if min(counts) < 0:
             return
@@ -504,14 +504,66 @@ class TestEvaluate:
                   FactoredRat(SparsePoly({mono(a2=1): 1})),
                   atom_inverse(1, mono(a1=1))):
             with pytest.raises(ValueError):
-                curve.evaluate(f)
+                evaluate(curve, f)
 
     def test_against_the_float_weil_numbers(self):
         # a symmetric function of the 2g roots with q-atoms, both ways
         curve = weil_from_counts(4, [2, 36, 92])
         f = siegel_volume(3, 3)
         want = eval_numeric(f, weil_point(curve))
-        assert abs(float(curve.evaluate(f)) - want) < 1e-9 * abs(want)
+        assert abs(float(evaluate(curve, f)) - want) < 1e-9 * abs(want)
+
+
+class TestCurveValue:
+    """CurveData.value substitutes q and the integer numerator into a
+    value in the zeta-numerator coordinates; the W-average of the α-form
+    (builders.evaluate) is its reference."""
+
+    def test_refuses_what_it_cannot_read(self):
+        curve = weil_from_counts(2, [3, 13])
+        for f in (FactoredRat(SparsePoly({mono(z=1): 1})),
+                  FactoredRat(SparsePoly({mono(a1=1): 1})),
+                  FactoredRat(SparsePoly({mono(e3=1): 1})),
+                  atom_inverse(1, mono(s=1))):
+            with pytest.raises(ValueError):
+                curve.value(f)
+
+    @pytest.mark.parametrize("g", range(6))
+    def test_siegel_factors_against_the_w_average(self, g):
+        curve = _sample_curve(g)
+        for r in (2, 3):
+            got = list(map(curve.value, siegel_lift_factors(g, r)))
+            want = [evaluate(curve, f) for f in siegel_factors(g, r)]
+            assert got == want, (g, r)
+
+    @pytest.mark.parametrize("g", range(6))
+    def test_torsion_coefficients_against_the_w_average(self, g):
+        curve = _sample_curve(g)
+        lift = zeta.torsion_lift_series(g, 3)
+        roots = torsion_volume_series(g, 3)
+        for j in range(4):
+            want = evaluate(curve, pair_reduce(roots.coefficient(j), g))
+            assert curve.value(lift.coefficient(j)) == want, (g, j)
+
+    @pytest.mark.parametrize("g", range(4))
+    def test_torsion_coefficients_in_the_roots(self, g):
+        lift = zeta.torsion_lift_series(g, 3)
+        roots = torsion_volume_series(g, 3)
+        for j in range(4):
+            assert zeta.to_roots(lift.coefficient(j), g) \
+                == pair_reduce(roots.coefficient(j), g), (g, j)
+
+    @pytest.mark.parametrize("g", range(4))
+    @pytest.mark.parametrize("m", [mono(s=1), mono(q=-1, s=1), mono(q=-2)])
+    def test_zeta_lift_is_zeta_at(self, g, m):
+        # ties the two ζ together: corrupting either fails this
+        assert zeta.to_roots(zeta.zeta_lift(g, m), g) \
+            == pair_reduce(zeta_at(g, 1, m), g)
+
+    def test_zeta_lift_refuses_its_poles(self):
+        for m in (ONE_MONOMIAL, mono(q=-1)):
+            with pytest.raises(PoleArgument):
+                zeta.zeta_lift(1, m)
 
 
 class TestSiegelVolume:
@@ -541,13 +593,23 @@ class TestSiegelVolume:
             siegel_volume(1, 0)
 
     @pytest.mark.parametrize("g", range(5))
+    def test_same_bytes_as_the_root_factors(self, g):
+        # the lift's product in the roots against the α-form factors
+        # multiplied out modulo the Weil relations
+        for r in (1, 2, 3):
+            want = prod(siegel_factors(g, r)).normalize()
+            got = siegel_volume(g, r)
+            assert json.dumps(got.to_json()) == json.dumps(want.to_json())
+            assert repr(got) == repr(want)
+
+    @pytest.mark.parametrize("g", range(5))
     def test_factors_evaluate_to_the_volume(self, g):
-        # the identity suite evaluates the factors one by one, which keeps
-        # g = 9 finishing; the product multiplied out agrees exactly
+        # the W-average of the α-form factors one by one against that of
+        # the volume, multiplied out in the lift and written in the roots
         curve = _sample_curve(g)
         for r in (2, 3):
-            got = math.prod(map(curve.evaluate, siegel_factors(g, r)))
-            assert got == curve.evaluate(siegel_volume(g, r))
+            got = math.prod(evaluate(curve, f) for f in siegel_factors(g, r))
+            assert got == evaluate(curve, siegel_volume(g, r))
 
 
 class TestTorsionVolume:
@@ -744,7 +806,7 @@ class TestZetaNumeratorCoordinates:
         a = [1] + low[:g]
         a += [q ** (g - k) * a[k] for k in range(g - 1, -1, -1)]
         curve = CurveData(q, g, (), tuple(a))
-        want = curve.power_sums(n)
+        want = power_sums(curve, n)
         for m in range(1, n + 1):
             assert _at(zeta.coefficient_power_sum(g, m), q, a) == want[m]
 
