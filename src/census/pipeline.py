@@ -40,7 +40,7 @@ from .ring import (Atom, FactoredRat, Monomial, SparsePoly, _check,
                    _slot, _support, add_many, atom_inverse, poly_from_json,
                    poly_to_json)
 from .series import BiSeries, LazyLog, frac_to_series, mobius, \
-    pleth_exp, pleth_log, series_exp, z_decompose, z_truncate_frac
+    pleth_exp, pleth_log, series_exp, z_decompose
 from . import zeta as _zeta
 from .zeta import (CurveData, _as_rational, alpha_name, alpha_names,
                    coeff_name, lift_adams, numerator_at, one_minus,
@@ -96,12 +96,10 @@ def _truncated_log(g, z_order):
     """The same log in the oracle's truncated z-series mode, built afresh
     on each call: the oracle's z-order grows with the rank, so a memo
     would keep the whole truncated sum alive and seldom be read again.
-    Memoizing _lambda_term, which the oracle multiplies out again for the
-    λ-terms the main route built, saved about 4 % on oracle(3,2) but
-    raised the peak RSS of kac(3,3) from 62 to 67 MB with no gain in
-    time, so each λ-term is built afresh."""
-    return _partition_sum_log(
-        lambda lam: z_truncate_frac(_lambda_term(g, lam), z_order), z_order)
+    Each size sums the λ-terms of _partition_log exactly, z-atoms kept.
+    Memoizing _lambda_term saved about 4 % on oracle(3,2) but raised the
+    peak RSS of kac(3,3) from 62 to 67 MB with no gain in time."""
+    return _partition_sum_log(lambda lam: _lambda_term(g, lam), z_order)
 
 
 def rhs_series(g, R):
@@ -337,12 +335,13 @@ def kac_polynomial(g, r, d):
 def kac_series_oracle(g, r, D=None):
     """Cross-check route: coefficients A^{>=0}_{g,r,d} for d = 0..D.
 
-    Each λ-term, the same _lambda_term (and so the same h_factor) that
-    kac_polynomial uses, is expanded as a z-series to order D, and the
-    partition sum and its Log are taken in that truncated mode; the
-    rational Log, the (1 - z^r) clearing and the degree-class sums are not
-    shared with kac_polynomial.  For d past the stabilization bound
-    (g-1)r(r-1) the list must be r-periodic and match the degree classes.
+    It shares with kac_rational the λ-terms (so the same h_factor) and
+    each size's exact sum; its Log, Adams operations, (1 - q) factor and
+    coefficient extraction are truncated at z-order D.  The rational Log,
+    the (1 - z^r) clearing and the class sums are not shared, nor is
+    anything of kac_polynomial's W-lift (kac_lift).
+    For d past the stabilization bound (g-1)r(r-1) the list must be
+    r-periodic and match the degree classes.
     """
     _validate_gr(g, r)
     if D is None:
@@ -615,24 +614,21 @@ def _exp_log_roundtrip(g, order=5):
 
 
 def _zeta_product_convergence(g, L):
-    """∏_{i<=L} ζ_X(q^{-i}s) approaches the resummed torsion volume series.
-
-    Both are built in q and the zeta-numerator coordinates and compared
-    exactly at a sample curve; the truncation error of the finite product
-    is O(q^{-L}) per coefficient.
-    """
+    """T(s) = ∏_{i>=1} ζ_X(q^{-i}s), the resummed torsion volume series
+    (torsion_lift_series), splits as ∏_{i<=L} ζ_X(q^{-i}s) · T(q^{-L}s),
+    where [s^j]T(q^{-L}s) = q^{-Lj}·T_j: both sides are built in q and the
+    zeta-numerator coordinates and checked exactly at a sample curve
+    through s^L."""
     curve = _sample_curve(g)
     prod = BiSeries.one("s", L)
     for i in range(1, L + 1):
         prod = prod * frac_to_series(
             _zeta.zeta_lift(g, Monomial.of(q=-i, s=1)), "s", L)
-    want = _zeta.torsion_lift_series(g, L)
-    tol = Fraction(30, curve.q ** L)
-    for j in range(L + 1):
-        a, b = (curve.value(f.coefficient(j)) for f in (prod, want))
-        if abs(a - b) > tol * max(1, abs(b)):
-            return False
-    return True
+    p = list(map(curve.value, prod.coeffs))
+    t = list(map(curve.value, _zeta.torsion_lift_series(g, L).coeffs))
+    return all(t[n] == sum(p[n - j] * Fraction(t[j], curve.q ** (L * j))
+                           for j in range(n + 1))
+               for n in range(L + 1))
 
 
 def _siegel_instantiation(g, L):

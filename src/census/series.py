@@ -9,11 +9,12 @@ it alone, as Σ_{k|n} μ(k)/k ψ_k(L_{n/k}) = Σ_{k|n} μ(k)/n ψ_k(M_{n/k})
 in one sum.  The exponential sums the powers of its argument.
 
 The series oracle's truncated z-series mode lives in LazyLog, _times and
-z_truncate_frac only: every coefficient is a z-polynomial of degree <= D
-with z-free denominators, a product forms only the terms within D
-(_times), z_truncate_frac divides by each z-atom one z-degree at a time,
-and an Adams operation drops what it lifts past D, so truncation
-commutes with the Log.
+z_truncate_frac only.  F_j stays rational in z as its source gives it;
+every M_k, n·F_n and Adams image is a z-polynomial of degree <= D with
+z-free denominators.  A product M_k·F_{n-k} multiplies only numerator
+terms within D (a z-atom has a positive z-exponent, so expanding it only
+raises degrees), then expands F's z-atoms and normalizes once; an Adams
+operation drops what it lifts past D, so truncation commutes with the Log.
 """
 
 from __future__ import annotations
@@ -58,28 +59,29 @@ def z_truncate_frac(f, bound, var="z"):
     """Drop everything of var-degree > bound, expanding var-denominators.
 
     The result agrees with f through var-degree bound and carries no
-    denominator atom involving var.  The numerator is divided by each
-    var-atom (1 - c·m) as a power series, Q = N + c·m·Q, one var-degree at
-    a time from the bottom, so no term past bound is ever formed.
+    denominator atom involving var.
     """
     f = f.normalize()
-    if f.is_zero():
-        return f
-    keep = []
-    expand = []
-    for atom in f.denominator:
-        if atom.shape.exponent(var):
-            expand.append(atom)
-        else:
-            keep.append(atom)
-    sh = _SHIFT[_slot(var)]
-    by_degree = f.numerator.split(var)
-    low = min(by_degree)
+    return _truncate(f.numerator.split(var), f.denominator, bound, var)
+
+
+def _truncate(by_degree, atoms, bound, var="z"):
+    """z_truncate_frac of the numerator {var-degree: {code without var:
+    coefficient}}, changed in place, over atoms that need not be
+    normalized.  Each var-atom (1 - c·m) divides it as a power series,
+    Q = N + c·m·Q, one var-degree at a time from the bottom, so no term
+    past bound is ever formed; the result is normalized once."""
+    low = min(by_degree, default=bound + 1)
     if low > bound:
         return FactoredRat.zero()
-    for atom in expand:
+    keep = []
+    sh = _SHIFT[_slot(var)]
+    for atom in atoms:
         e = atom.shape.exponent(var)
-        if e <= 0:
+        if not e:
+            keep.append(atom)
+            continue
+        if e < 0:
             raise ValueError("denominator atom %r not expandable in %s"
                              % (atom, var))
         rest, c = atom.shape.code - (e << sh), atom.constant_fast
@@ -131,28 +133,24 @@ def _snap(f, z_order):
 
 
 def _times(a, b, z_order):
-    """a * b; in the z-truncated mode only the terms of z-degrees i, j of
-    the numerators with i + j <= z_order are multiplied, so no term past
-    z_order is formed."""
+    """a * b; in the z-truncated mode trunc(a * b): only the numerator
+    terms of z-degrees i + j <= z_order are multiplied, then the z-atoms
+    of both are expanded (_truncate)."""
     if z_order is None:
         return a * b
-    sh = _SHIFT[_slot("z")]
     right = sorted(b.numerator.split("z").items())
-    out = {}
-    get = out.get
+    blocks = {}
     for i, left in a.numerator.split("z").items():
         for j, blk in right:
             if i + j > z_order:
                 break
-            shift = (i + j) << sh
+            out = blocks.setdefault(i + j, {})
+            get = out.get
             for mb, cb in blk.items():
-                mb += shift
                 for ma, ca in left.items():
                     m = ma + mb
                     out[m] = get(m, 0) + ca * cb
-    _check_codes(out)
-    num = SparsePoly._raw({m: _clean(c) for m, c in out.items() if c})
-    return FactoredRat(num, a.denominator + b.denominator).normalize()
+    return _truncate(blocks, a.denominator + b.denominator, z_order)
 
 
 class BiSeries:
@@ -282,30 +280,35 @@ class LazyLog:
     """log F for F = Σ_j F_j x^j with F_0 = 1, grown one x-degree at a time
     on demand, and the coefficients of Log F read from it.  source(j)
     gives F_j, called once per j in increasing order.  With z_order = D,
-    the oracle's truncated mode, which lives here only, every F_j is a
-    z-polynomial of degree <= D and every product and Adams operation is
-    truncated past D (_times, _snap).  adams(f, k) is ψ_k on a
-    coefficient, the ring's FactoredRat.adams unless the coefficients are
-    in coordinates that ψ_k does not just raise to the k-th power."""
+    the oracle's truncated mode, which lives here only, F_j stays rational
+    in z, coefficient(j) and n·F_n read trunc(F_j), and every M_k·F_{n−k}
+    and Adams image is truncated past D (_times, _snap).  adams(f, k) is
+    ψ_k on a coefficient, the ring's FactoredRat.adams unless the
+    coefficients are in coordinates that ψ_k does not just raise to the
+    k-th power."""
 
-    __slots__ = ("z_order", "_source", "_adams", "_fs", "_ms")
+    __slots__ = ("z_order", "_source", "_adams", "_fs", "_ts", "_ms")
 
     def __init__(self, source, z_order=None, adams=FactoredRat.adams):
         self.z_order = z_order
         self._source = source
         self._adams = adams
         self._fs = [source(0)]
+        self._ts = self._fs if z_order is None else self._fs[:]
         self._ms = [None]
 
     def coefficient(self, j):
-        """F_j."""
-        while len(self._fs) <= j:
-            self._fs.append(self._source(len(self._fs)))
-        return self._fs[j]
+        """F_j; in the truncated mode trunc(F_j)."""
+        fs, ts = self._fs, self._ts
+        while len(fs) <= j:
+            fs.append(self._source(len(fs)))
+            if ts is not fs:
+                ts.append(z_truncate_frac(fs[-1], self.z_order))
+        return ts[j]
 
     def _m(self, n):
         """M_n = n·L_n for n >= 1, by M_n = n·F_n − Σ_{0<k<n} M_k·F_{n−k},
-        so every scalar is an integer; each M_n is one add_many."""
+        so every scalar is an integer; M_n of several parts is one add_many."""
         ms, fs = self._ms, self._fs
         while len(ms) <= n:
             m = len(ms)
@@ -314,7 +317,7 @@ class LazyLog:
                 a, b = ms[k], fs[m - k]
                 if not (a.is_zero() or b.is_zero()):
                     parts.append(-_times(a, b, self.z_order))
-            ms.append(add_many(parts))
+            ms.append(add_many(parts) if len(parts) > 1 else parts[0])
         return ms[n]
 
     def pleth_coefficient(self, n):

@@ -26,6 +26,7 @@ from census.ring import (
     SparsePoly,
     _check,
     _DivisionFilter,
+    _check_codes,
     _clean,
     _moves,
     _mul_binomial_mod,
@@ -34,12 +35,14 @@ from census.ring import (
     _sorted_atoms,
     _specialize,
     _support,
+    add_many,
     atom_inverse,
     rational_to_json,
     var_key,
 )
 from census import pipeline
-from census.series import BiSeries, LazyLog, _check_unit, z_decompose
+from census.series import (BiSeries, LazyLog, _check_unit, mobius,
+                           z_decompose, z_truncate_frac)
 from census.zeta import (_divmod, _gcd, _real_weil_polynomial, alpha_name,
                          alpha_names, one_minus, pair_reduce, zeta_at)
 
@@ -202,8 +205,9 @@ def specialize_leaders(f, lam):
 # ---------------------------------------------------------------------------
 # The routes that the z-truncated series mode and lift_paired replaced:
 # each z-atom expanded as a geometric series multiplied in whole, then the
-# terms past the bound dropped; and the lift taken one Monomial at a time.
-# The tests compare the new routes against them.
+# terms past the bound dropped; the oracle that truncated every λ-term and
+# multiplied two expansions block by block; and the lift taken one
+# Monomial at a time.  The tests compare the new routes against them.
 
 def _drop_high(poly, var, dmax):
     slot = _slot(var)
@@ -246,6 +250,54 @@ def z_truncate_by_geometric(f, bound, var="z"):
             geom[mk] = geom.get(mk, 0) + ck
         num = _drop_high(num * SparsePoly(geom), var, bound)
     return FactoredRat(num, keep).normalize()
+
+
+def times_by_blocks(a, b, z_order):
+    """trunc(a * b) for two z-polynomials of degree <= z_order with
+    z-free denominators: only the terms of z-degrees i, j of the
+    numerators with i + j <= z_order are multiplied."""
+    sh = _SHIFT[_slot("z")]
+    right = sorted(b.numerator.split("z").items())
+    out = {}
+    for i, left in a.numerator.split("z").items():
+        for j, blk in right:
+            if i + j > z_order:
+                break
+            shift = (i + j) << sh
+            for mb, cb in blk.items():
+                mb += shift
+                for ma, ca in left.items():
+                    out[ma + mb] = out.get(ma + mb, 0) + ca * cb
+    _check_codes(out)
+    num = SparsePoly._raw({m: _clean(c) for m, c in out.items() if c})
+    return FactoredRat(num, a.denominator + b.denominator).normalize()
+
+
+def oracle_by_blocks(g, r, D=None):
+    """kac_series_oracle as it was before its partition-sum coefficients
+    were kept rational: every λ-term truncated to z-order D and summed
+    pairwise, M_n = n·F_n − Σ_k M_k·F_{n−k} with each product one of two
+    expansions (times_by_blocks), then the same Adams step, (1 - q)
+    factor and coefficient extraction."""
+    if D is None:
+        D = (g - 1) * r * (r - 1) + 2 * r + 2
+    fs = [FactoredRat.one()]
+    for k in range(1, r + 1):
+        terms = [z_truncate_frac(pipeline._lambda_term(g, lam), D)
+                 for lam in partitions_of(k)]
+        fs.append(sum(terms[1:], terms[0]))
+    ms = [None]
+    for n in range(1, r + 1):
+        ms.append(add_many([fs[n].mul_scalar(n)] + [
+            -times_by_blocks(ms[k], fs[n - k], D) for k in range(1, n)
+            if not (ms[k].is_zero() or fs[n - k].is_zero())]))
+    A = add_many([z_truncate_frac(ms[r // k].adams(k), D)
+                  .mul_scalar(Fraction(mobius(k), r))
+                  for k in range(1, r + 1) if not r % k and mobius(k)])
+    A = pair_reduce(A * -one_minus(1, Monomial.of(q=1)), g)
+    dec = z_decompose(A)
+    return [pipeline.lift_paired(dec[d], g) if d in dec
+            else SparsePoly.zero() for d in range(D + 1)]
 
 
 def lift_paired_by_terms(f, g):

@@ -49,8 +49,9 @@ from builders import (betti_by_box_product, const,
                       constant_class_sums_by_decompose,
                       constant_lambda_term_by_chain, float_count,
                       kac_by_residues, lift_paired_by_terms, log_coefficient,
-                      numeric_pole_orders, partition_sum_by_pairs,
-                      quotient_ring_value, series_log)
+                      numeric_pole_orders, oracle_by_blocks,
+                      partition_sum_by_pairs, quotient_ring_value,
+                      series_log)
 
 
 def mono(**e):
@@ -344,6 +345,21 @@ class TestSeriesOracle:
         coeffs = kac_series_oracle(g, r)
         assert _sha256([pipeline.poly_to_json(c) for c in coeffs]) \
             == self.ORACLE[g, r]
+
+
+class TestOracleByBlocks:
+    """The oracle, whose partition-sum coefficients stay rational until
+    each product, against the route it replaced, which truncated every
+    λ-term and multiplied two expansions block by block: the same bytes."""
+
+    @pytest.mark.parametrize("g,r,D", [
+        (0, 2, None), (1, 2, None), (1, 3, None), (2, 2, None),
+        (2, 3, None), (3, 2, None), (2, 2, 13)])
+    def test_same_bytes(self, g, r, D):
+        got, want = (json.dumps([pipeline.poly_to_json(c)
+                                 for c in route(g, r, D)])
+                     for route in (kac_series_oracle, oracle_by_blocks))
+        assert got == want
 
 
 def expected_vanishing_count(g, r):
@@ -961,6 +977,20 @@ class TestIdentities:
         monkeypatch.setattr(zeta, "zeta_lift", corrupted)
         with pytest.raises(IdentityViolation):
             check_identities(1, 4)
+
+    @pytest.mark.parametrize("g,L", [(0, 4), (1, 4), (4, 2), (9, 1)])
+    def test_convergence_sees_a_one_percent_zeta(self, g, L, monkeypatch):
+        # the split T(s) = ∏_{i<=L} ζ(q^{-i}s)·T(q^{-L}s) is exact, so
+        # it fails where the old relative tolerance of 30·q^{-L} let
+        # this corruption pass
+        import census.zeta as zeta
+
+        name = "zeta-product-convergence"
+        assert dict(identity_report(g, L))[name]
+        real = zeta.zeta_lift
+        monkeypatch.setattr(zeta, "zeta_lift", lambda g, monomial: real(
+            g, monomial) * const(Fraction(101, 100)))
+        assert not dict(identity_report(g, L))[name]
 
 
 class TestLatex:

@@ -26,6 +26,7 @@ from builders import (
     geometric,
     series,
     series_log,
+    times_by_blocks,
     z_truncate_by_geometric,
 )
 
@@ -359,6 +360,73 @@ class TestTruncatedProduct:
         a = z_truncate_frac(data.draw(mixed_fracs()), D)
         b = z_truncate_frac(data.draw(mixed_fracs()), D)
         assert _times(a, b, D) == z_truncate_frac(a * b, D)
+
+
+@st.composite
+def zfree_fracs(draw):
+    """Fractions over q, z and a1 whose terms have z-degrees -1 to 2, over
+    z-free denominator atoms, some of constant other than 1."""
+    terms = draw(st.lists(
+        st.tuples(st.sampled_from([-2, 1, Fraction(3, 2)]),
+                  st.integers(min_value=0, max_value=2),
+                  st.integers(min_value=-1, max_value=2),
+                  st.integers(min_value=-1, max_value=1)),
+        min_size=1, max_size=4))
+    num = SparsePoly([(Monomial.of(q=eq, z=ez, a1=ea), c)
+                      for c, eq, ez, ea in terms])
+    den = draw(st.lists(st.sampled_from(_MIXED_ATOMS[:4]), max_size=3))
+    return FactoredRat(num, den).normalize()
+
+
+def product_factors():
+    return st.one_of(mixed_fracs(), zfree_fracs(),
+                     st.just(FactoredRat.zero()))
+
+
+class TestRationalProduct:
+    """_times in the z-truncated mode multiplies a truncated M_k by a
+    rational F, z-atoms unexpanded, and expands F's z-atoms once; its
+    value equals the product of the two expansions that it replaced, and
+    the whole product truncated."""
+
+    @staticmethod
+    def check(a, f, D):
+        a = z_truncate_frac(a, D)
+        got = _times(a, f, D)
+        # a term of a below z^0 reaches z^D from past z^D in f, so f is
+        # expanded that much further
+        low = min([0, *a.numerator.split("z")])
+        assert got == times_by_blocks(a, z_truncate_frac(f, D - low), D)
+        assert got == z_truncate_frac(a * f, D)
+
+    @given(st.integers(min_value=0, max_value=6), product_factors(),
+           product_factors())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_product_of_expansions(self, D, a, f):
+        self.check(a, f, D)
+
+    @pytest.mark.parametrize("a,f", [
+        # a z-free rational factor
+        (fr((1, {"z": 1}), (2, {"q": 1, "z": 3})),
+         fr((3, {"q": 1}), (-1, {"a1": 1})) * geometric(2, a1=1, q=1)),
+        # negative z-degrees in the truncated numerator
+        (fr((1, {"z": -1}), (-1, {"q": 1})),
+         fr((1, {"q": 2}), (1, {"z": 2})) * geometric(1, z=1)),
+        # negative z-degrees in the rational numerator
+        (fr((1, {}), (2, {"z": 1})),
+         fr((1, {"z": -2}), (-1, {"z": -1, "q": 1})) * geometric(1, z=1)
+         * geometric(1, q=1)),
+        # a zero operand on either side
+        (FactoredRat.zero(), geometric(1, z=1)),
+        (fr((1, {"z": 1})), FactoredRat.zero()),
+        # atoms with constants other than 1
+        (fr((1, {}), (1, {"z": 1, "q": 1})),
+         fr((1, {"a1": 1})) * geometric(3, q=1, z=1)
+         * geometric(Fraction(-1, 2), z=2) * geometric(-1, q=1)),
+    ])
+    @pytest.mark.parametrize("D", [0, 3, 7])
+    def test_cases(self, a, f, D):
+        self.check(a, f, D)
 
 
 class TestLogRecurrence:
